@@ -53,7 +53,10 @@ def read_measurement_file(path) -> list[np.ndarray]:
                 points.append([float(v) for v in token.split()])
             except ValueError as exc:
                 raise InputError(f"{path}:{line_no}: bad measurement {token!r}") from exc
-        scans.append(np.asarray(points, dtype=float) if points else np.zeros((0, 2)))
+        scan = np.asarray(points, dtype=float) if points else np.zeros((0, 2))
+        if not np.isfinite(scan).all():
+            raise InputError(f"{path}:{line_no}: measurements must be finite")
+        scans.append(scan)
     return scans
 
 
@@ -95,22 +98,25 @@ def _out_dir(args) -> Path:
     return path
 
 
+# Filter flag (argparse dest) -> FilterParams field it overrides.
+_PARAM_FLAGS = {
+    "max_globals": "max_globals",
+    "gate": "gate_threshold",
+    "prune_weight": "prune_global_weight",
+    "prune_existence": "prune_existence",
+    "estimate_threshold": "estimate_existence",
+}
+
+
 def _params_from_args(args, defaults: FilterParams, max_globals: int | None = None) -> FilterParams:
-    return FilterParams(
-        max_globals=max_globals
-        if max_globals is not None
-        else (args.max_globals if args.max_globals is not None else defaults.max_globals),
-        gate_threshold=args.gate if args.gate is not None else defaults.gate_threshold,
-        prune_global_weight=args.prune_weight
-        if args.prune_weight is not None
-        else defaults.prune_global_weight,
-        prune_existence=args.prune_existence
-        if args.prune_existence is not None
-        else defaults.prune_existence,
-        estimate_existence=args.estimate_threshold
-        if args.estimate_threshold is not None
-        else defaults.estimate_existence,
-    )
+    given = {
+        field: getattr(args, flag)
+        for flag, field in _PARAM_FLAGS.items()
+        if getattr(args, flag) is not None
+    }
+    if max_globals is not None:
+        given["max_globals"] = max_globals
+    return dataclasses.replace(defaults, **given)
 
 
 def _gospa_params_from_args(args) -> GospaParams:
@@ -198,14 +204,16 @@ def cmd_benchmark(args) -> int:
         raise InputError(f"bad --max-globals list {args.max_globals!r}") from exc
     if not nh_values:
         raise InputError("--max-globals must list at least one value")
+    all_params = [
+        _params_from_args(args, scenario.filter_defaults, max_globals=nh) for nh in nh_values
+    ]
     gospa_params = _gospa_params_from_args(args)
     out = _out_dir(args)
     summary_rows = [
         "max_globals,n_runs,seed,gospa_c,gospa_p,mean_rms_gospa,mean_rms_loc,mean_rms_missed,mean_rms_false"
     ]
     timing_rows = ["max_globals,mean_runtime_s"]
-    for nh in nh_values:
-        params = _params_from_args(args, scenario.filter_defaults, max_globals=nh)
+    for nh, params in zip(nh_values, all_params):
         report = run_monte_carlo(
             scenario, params, args.runs, args.seed, gospa_params, workers=args.workers
         )
@@ -270,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV} or .)")
 
     def add_params(p):
-        p.add_argument("--max-globals", type=int, default=None, dest="max_globals")
+        # --max-globals is added by each subcommand: benchmark takes a list.
         p.add_argument("--gate", type=float, default=None)
         p.add_argument("--prune-weight", type=float, default=None, dest="prune_weight")
         p.add_argument("--prune-existence", type=float, default=None, dest="prune_existence")
@@ -288,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="run the filter over a measurement file")
     add_common(p)
     p.add_argument("--measurements", required=True)
+    p.add_argument("--max-globals", type=int, default=None, dest="max_globals")
     add_params(p)
     p.set_defaults(func=cmd_track)
 
@@ -308,10 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="max_globals",
         help="comma-separated list of global-hypothesis caps",
     )
-    p.add_argument("--gate", type=float, default=None)
-    p.add_argument("--prune-weight", type=float, default=None, dest="prune_weight")
-    p.add_argument("--prune-existence", type=float, default=None, dest="prune_existence")
-    p.add_argument("--estimate-threshold", type=float, default=None, dest="estimate_threshold")
+    add_params(p)
     p.add_argument("--workers", type=int, default=1, help="parallel Monte Carlo processes")
     add_gospa(p)
     p.set_defaults(func=cmd_benchmark)

@@ -12,10 +12,10 @@ zero, while single-target hypothesis weights stay unnormalized.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .assignment import FORBIDDEN, k_best
 from .errors import InputError, NumericalError
@@ -98,10 +98,11 @@ EMPTY_BIRTH = BirthModel()
 
 @dataclass(frozen=True)
 class FilterParams:
-    """Hypothesis-management thresholds.
+    """Hypothesis-management thresholds, checked on construction.
 
     ``history_limit`` optionally bounds the per-hypothesis association
-    history (a metadata ring); None keeps it unbounded.
+    history (a metadata ring); None keeps it unbounded.  An infinite
+    ``gate_threshold`` disables gating.
     """
 
     max_globals: int = 200
@@ -110,6 +111,29 @@ class FilterParams:
     prune_existence: float = 1e-3
     estimate_existence: float = 0.4
     history_limit: int | None = None
+
+    def __post_init__(self):
+        if not _is_int(self.max_globals) or self.max_globals < 1:
+            raise InputError(f"max_globals must be an integer >= 1, got {self.max_globals!r}")
+        if not self.gate_threshold > 0.0:
+            raise InputError(f"gate_threshold must be positive, got {self.gate_threshold!r}")
+        for name in ("prune_global_weight", "prune_existence"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise InputError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        if not 0.0 <= self.estimate_existence <= 1.0:
+            raise InputError(
+                f"estimate_existence must lie in [0, 1], got {self.estimate_existence!r}"
+            )
+        if self.history_limit is not None and (
+            not _is_int(self.history_limit) or self.history_limit < 1
+        ):
+            raise InputError(
+                f"history_limit must be None or an integer >= 1, got {self.history_limit!r}"
+            )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -172,27 +196,44 @@ def _extend_history(meta: HypothesisMeta, association: int, params: FilterParams
     return HypothesisMeta(meta.birth_time, meta.birth_index, history)
 
 
-def _misdetection_child(
-    parent: SingleTargetHypothesis, model: LinearGaussianModel, params: FilterParams
-) -> SingleTargetHypothesis:
+def _misdetection_weight(
+    parent: SingleTargetHypothesis, model: LinearGaussianModel
+) -> tuple[float, float]:
+    """Log-weight and existence of the misdetection child of ``parent``."""
     r = parent.existence
     denom = 1.0 - r * model.detection_prob
     if denom > 0.0:
-        log_weight = parent.log_weight + math.log(denom)
-        existence = min(max(r * (1.0 - model.detection_prob) / denom, 0.0), 1.0)
-    else:
-        # Misdetection is impossible (r = p_D = 1); keep the hypothesis with
-        # the floored log-zero weight so downstream arithmetic stays finite
-        # (normalization pushes it to weight 0 regardless).
-        log_weight = parent.log_weight + floor_log(0.0)
-        existence = 1.0
-    return SingleTargetHypothesis(
-        log_weight, existence, parent.density, _extend_history(parent.meta, 0, params)
-    )
+        return (
+            parent.log_weight + math.log(denom),
+            min(max(r * (1.0 - model.detection_prob) / denom, 0.0), 1.0),
+        )
+    # Misdetection is impossible (r = p_D = 1); keep the hypothesis with the
+    # floored log-zero weight so downstream arithmetic stays finite
+    # (normalization pushes it to weight 0 regardless).
+    return parent.log_weight + floor_log(0.0), 1.0
+
+
+def _logsumexp(values) -> float:
+    """``scipy.special.logsumexp`` of a 1-D sequence, without its dispatch cost.
+
+    Performs scipy's operations in scipy's order (split out the terms equal
+    to the maximum, sum the shifted exponentials of the rest, divide by the
+    tie count, then log1p), so the results agree bitwise.
+    """
+    a = np.asarray(values, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    a_max = a.max()
+    if not np.isfinite(a_max):
+        return float(a_max)
+    at_max = a == a_max
+    count = np.float64(np.count_nonzero(at_max))
+    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum() / count
+    return float(np.log1p(s) + np.log(count) + a_max)
 
 
 def _normalized(globals_: tuple[GlobalHypothesis, ...]) -> tuple[GlobalHypothesis, ...]:
-    total = float(logsumexp([g.log_weight for g in globals_]))
+    total = _logsumexp([g.log_weight for g in globals_])
     if not math.isfinite(total):
         raise NumericalError("total global-hypothesis weight vanished or diverged")
     return tuple(GlobalHypothesis(g.log_weight - total, g.assignment_vector) for g in globals_)
@@ -212,6 +253,12 @@ def _merge_duplicates(globals_: tuple[GlobalHypothesis, ...]) -> tuple[GlobalHyp
     return tuple(GlobalHypothesis(merged[key], key) for key in order)
 
 
+# A child hypothesis not yet built: (parent, association, log-weight,
+# existence, prepared update).  Association 0 is the misdetection (prepared
+# update None); j >= 1 is the detection of measurement j.
+_Slot = tuple[SingleTargetHypothesis, int, float, float, PreparedMeasurementUpdate | None]
+
+
 def update(
     state: MbmState,
     measurements,
@@ -220,12 +267,13 @@ def update(
 ) -> MbmState:
     """Measurement update with ranked-assignment hypothesis selection.
 
-    For every component and referenced parent hypothesis, a misdetection
-    child and one detection child per gated measurement are created once and
-    shared across global hypotheses.  Each prior global hypothesis then
-    spawns its ceil(max_globals * weight) best children via k-best
-    assignment over the detection/misdetection cost ratios, and global
-    weights are renormalized.
+    Every parent hypothesis of every component has one child slot
+    for its misdetection and one per gated measurement; the slots carry the
+    child weights, and their log-ratios fill the assignment cost rows.  Each
+    prior global hypothesis then spawns its ceil(max_globals * weight) best
+    children via k-best assignment, and global weights are renormalized.
+    Only the slots some new global selects are built into hypotheses (so
+    every returned hypothesis is referenced), in slot order.
     """
     zs = _as_measurement_block(measurements, model.meas_dim)
     m = len(zs)
@@ -233,22 +281,22 @@ def update(
     log_pd = floor_log(model.detection_prob)
     log_kappa = model.log_clutter_intensity
 
-    children: list[list[SingleTargetHypothesis]] = []
+    slots: list[list[_Slot]] = []
     mis_index: list[list[int]] = []
     mis_increment: list[list[float]] = []
     det_index: list[dict[tuple[int, int], int]] = []
     cost_rows: list[list[np.ndarray]] = []
     for comp in state.components:
-        comp_children: list[SingleTargetHypothesis] = []
+        comp_slots: list[_Slot] = []
         comp_mis: list[int] = []
         comp_mis_incr: list[float] = []
         comp_det: dict[tuple[int, int], int] = {}
         comp_cost: list[np.ndarray] = []
         for p_idx, parent in enumerate(comp.hypotheses):
-            mis_child = _misdetection_child(parent, model, params)
-            comp_mis.append(len(comp_children))
-            comp_mis_incr.append(mis_child.log_weight - parent.log_weight)
-            comp_children.append(mis_child)
+            mis_log_weight, mis_existence = _misdetection_weight(parent, model)
+            comp_mis.append(len(comp_slots))
+            comp_mis_incr.append(mis_log_weight - parent.log_weight)
+            comp_slots.append((parent, 0, mis_log_weight, mis_existence, None))
             row = np.full(m, FORBIDDEN)
             if m > 0 and parent.existence > 0.0 and model.detection_prob > 0.0:
                 prepared = PreparedMeasurementUpdate(parent.density, model)
@@ -260,21 +308,14 @@ def update(
                         continue
                     loglik = logliks[j]
                     det_log_weight = parent.log_weight + log_r + log_pd + loglik - log_kappa
-                    comp_det[(p_idx, j)] = len(comp_children)
-                    comp_children.append(
-                        SingleTargetHypothesis(
-                            det_log_weight,
-                            1.0,
-                            prepared.posterior(zs[j]),
-                            _extend_history(parent.meta, j + 1, params),
-                        )
-                    )
+                    comp_det[(p_idx, j)] = len(comp_slots)
+                    comp_slots.append((parent, j + 1, det_log_weight, 1.0, prepared))
                     # -ln(detection weight / misdetection weight); the parent
                     # weight cancels, and zero misdetection factors are
                     # floored so the cost stays finite.
                     row[j] = log_mis_factor - (log_r + log_pd + loglik - log_kappa)
             comp_cost.append(row)
-        children.append(comp_children)
+        slots.append(comp_slots)
         mis_index.append(comp_mis)
         mis_increment.append(comp_mis_incr)
         det_index.append(comp_det)
@@ -283,7 +324,8 @@ def update(
     # A new global's weight is the prior weight, plus every component's
     # misdetection factor, minus the selected assignment's cost (each cost
     # entry being exactly the misdetection/detection log-ratio).
-    new_globals: list[GlobalHypothesis] = []
+    weights: list[float] = []
+    vectors: list[list[int]] = []
     for g in state.global_hypotheses:
         vec = g.assignment_vector
         base_vector = [mis_index[i][vec[i]] for i in range(n)]
@@ -294,10 +336,33 @@ def update(
             child_vector = base_vector.copy()
             for i, j in assigned.items():
                 child_vector[i] = det_index[i][(vec[i], j)]
-            new_globals.append(GlobalHypothesis(base_log_weight - cost, tuple(child_vector)))
+            weights.append(base_log_weight - cost)
+            vectors.append(child_vector)
 
-    new_components = tuple(BernoulliComponent(tuple(ch)) for ch in children)
-    return MbmState(new_components, _normalized(tuple(new_globals)), state.time)
+    # Build the selected slots in slot order and renumber the vectors to
+    # match: the hypotheses keep their relative order, so pruning and
+    # estimation give the same result as if every slot were built.
+    components = []
+    for i, comp_slots in enumerate(slots):
+        used = sorted({vector[i] for vector in vectors})
+        renumber = {old: new for new, old in enumerate(used)}
+        for vector in vectors:
+            vector[i] = renumber[vector[i]]
+        components.append(
+            BernoulliComponent(tuple(_child(comp_slots[k], zs, params) for k in used))
+        )
+    new_globals = tuple(
+        GlobalHypothesis(weight, tuple(vector)) for weight, vector in zip(weights, vectors)
+    )
+    return MbmState(tuple(components), _normalized(new_globals), state.time)
+
+
+def _child(slot: _Slot, zs: np.ndarray, params: FilterParams) -> SingleTargetHypothesis:
+    parent, association, log_weight, existence, prepared = slot
+    density = parent.density if prepared is None else prepared.posterior(zs[association - 1])
+    return SingleTargetHypothesis(
+        log_weight, existence, density, _extend_history(parent.meta, association, params)
+    )
 
 
 def _ranked_assignments(
@@ -347,6 +412,8 @@ def _as_measurement_block(measurements, meas_dim: int) -> np.ndarray:
     block = np.atleast_2d(block)
     if block.ndim != 2 or block.shape[1] != meas_dim:
         raise InputError(f"measurements must be vectors of dimension {meas_dim}")
+    if not np.isfinite(block).all():
+        raise InputError("measurements must be finite")
     return block
 
 

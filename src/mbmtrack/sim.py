@@ -345,6 +345,16 @@ def _parse_schedule(raw, duration: int, default: float) -> tuple[float, ...] | N
     return tuple(schedule)
 
 
+# Filter fields a scenario file may set; the rest keep FilterParams' defaults.
+_FILTER_FIELDS = {
+    "max_globals": int,
+    "gate_threshold": float,
+    "prune_global_weight": float,
+    "prune_existence": float,
+    "estimate_existence": float,
+}
+
+
 def scenario_from_mapping(raw: dict) -> Scenario:
     """Build a Scenario (plus its filter defaults) from parsed config data."""
     try:
@@ -371,12 +381,9 @@ def scenario_from_mapping(raw: dict) -> Scenario:
         birth = _parse_birth(raw["birth"])
         schedule = _parse_schedule(raw.get("detection_schedule"), duration, model.detection_prob)
         filt = raw.get("filter", {})
-        params = FilterParams(
-            max_globals=int(filt.get("max_globals", 200)),
-            gate_threshold=float(filt.get("gate_threshold", 20.0)),
-            prune_global_weight=float(filt.get("prune_global_weight", 1e-5)),
-            prune_existence=float(filt.get("prune_existence", 1e-3)),
-            estimate_existence=float(filt.get("estimate_existence", 0.4)),
+        params = replace(
+            FilterParams(),
+            **{name: cast(filt[name]) for name, cast in _FILTER_FIELDS.items() if name in filt},
         )
         return Scenario(
             name=str(raw.get("name", "custom")),

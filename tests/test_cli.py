@@ -3,12 +3,16 @@ import pytest
 import yaml
 
 from mbmtrack.cli import (
+    _params_from_args,
+    build_parser,
     main,
     read_labeled_state_file,
     read_measurement_file,
     write_labeled_state_file,
     write_measurement_file,
 )
+from mbmtrack.errors import InputError
+from mbmtrack.mbm import FilterParams
 
 
 def small_scenario_file(tmp_path, name="mini", duration=8, clutter_rate=10.0, extra=None):
@@ -294,6 +298,72 @@ class TestBenchmark:
                 str(tmp_path),
             ]
         ) == 2
+
+
+    def test_zero_max_globals_exits_2(self, tmp_path, capsys):
+        scenario = small_scenario_file(tmp_path)
+        args = ["benchmark", "--scenario", str(scenario), "--runs", "1", "--max-globals", "5,0"]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        assert "max_globals" in capsys.readouterr().err
+        # every cap is checked before any run writes output
+        assert not (tmp_path / "out" / "runs_nh5.csv").exists()
+
+
+class TestFilterParamsFromArgs:
+    def test_unset_flags_keep_scenario_defaults(self):
+        args = build_parser().parse_args(["track", "--measurements", "m.txt"])
+        defaults = FilterParams(max_globals=30, gate_threshold=12.0, history_limit=4)
+        assert _params_from_args(args, defaults) == defaults
+
+    def test_set_flags_override(self):
+        args = build_parser().parse_args(
+            [
+                "track", "--measurements", "m.txt", "--max-globals", "7", "--gate", "25",
+                "--prune-weight", "1e-4", "--prune-existence", "0.01",
+                "--estimate-threshold", "0.6",
+            ]
+        )
+        assert _params_from_args(args, FilterParams(max_globals=30)) == FilterParams(
+            max_globals=7,
+            gate_threshold=25.0,
+            prune_global_weight=1e-4,
+            prune_existence=0.01,
+            estimate_existence=0.6,
+        )
+
+    def test_benchmark_cap_overrides_flag(self):
+        args = build_parser().parse_args(["benchmark", "--max-globals", "5,9", "--gate", "30"])
+        assert _params_from_args(args, FilterParams(), max_globals=9) == FilterParams(
+            max_globals=9, gate_threshold=30.0
+        )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestRejectedTrackInput:
+    def run_track(self, tmp_path, measurement_text, extra=()):
+        scenario = small_scenario_file(tmp_path)
+        meas = tmp_path / "meas.txt"
+        meas.write_text(measurement_text, encoding="utf-8")
+        return main(
+            ["track", "--scenario", str(scenario), "--measurements", str(meas),
+             "--out", str(tmp_path / "out"), *extra]
+        )
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_measurement_exits_2(self, tmp_path, capsys, token):
+        assert self.run_track(tmp_path, f"140 170\n150 {token};160 150\n") == 2
+        assert "meas.txt:2: measurements must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_reader_rejects_non_finite(self, tmp_path, token):
+        path = tmp_path / "meas.txt"
+        path.write_text(f"{token} 1\n", encoding="utf-8")
+        with pytest.raises(InputError, match="finite"):
+            read_measurement_file(path)
+
+    def test_negative_gate_exits_2(self, tmp_path, capsys):
+        assert self.run_track(tmp_path, "140 170\n", ["--gate", "-1"]) == 2
+        assert "gate_threshold" in capsys.readouterr().err
 
 
 class TestAssign:

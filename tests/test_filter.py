@@ -2,12 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import ExhaustiveMbm
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 import mbmtrack.mbm as mbm
-from mbmtrack.gaussian import GaussianDensity, kalman_predict, kalman_update
+from mbmtrack.assignment import FORBIDDEN
+from mbmtrack.errors import InputError
+from mbmtrack.gaussian import (
+    GaussianDensity,
+    PreparedMeasurementUpdate,
+    floor_log,
+    kalman_predict,
+    kalman_update,
+)
 from mbmtrack.mbm import (
     BirthComponent,
     BirthModel,
@@ -18,7 +28,12 @@ from mbmtrack.mbm import (
     SingleTargetHypothesis,
     BernoulliComponent,
 )
-from mbmtrack.sim import constant_velocity_model
+from mbmtrack.sim import (
+    builtin_scenario,
+    constant_velocity_model,
+    generate_run_measurements,
+    generate_truth,
+)
 
 NO_PRUNE = FilterParams(max_globals=10**9, gate_threshold=float("inf"))
 
@@ -617,3 +632,206 @@ class TestStepAndLabels:
         model = constant_velocity_model(clutter_intensity=1e-4)
         mbm.step(mbm.init_empty(), [], model, scenario1_birth(), FilterParams())
         assert calls == ["estimate", "prune"]
+
+
+class TestFilterParamsValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_globals": 0},
+            {"max_globals": -3},
+            {"max_globals": 2.5},
+            {"max_globals": True},
+            {"gate_threshold": 0.0},
+            {"gate_threshold": -1.0},
+            {"gate_threshold": float("nan")},
+            {"prune_global_weight": -1e-9},
+            {"prune_global_weight": 1.0},
+            {"prune_global_weight": float("nan")},
+            {"prune_existence": 2.0},
+            {"prune_existence": 1.0},
+            {"estimate_existence": -0.1},
+            {"estimate_existence": 1.5},
+            {"estimate_existence": float("nan")},
+            {"history_limit": 0},
+            {"history_limit": 1.5},
+        ],
+    )
+    def test_bad_values_rejected(self, kwargs):
+        with pytest.raises(InputError):
+            FilterParams(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        FilterParams(
+            max_globals=np.int64(1),
+            gate_threshold=float("inf"),
+            prune_global_weight=0.0,
+            prune_existence=0.0,
+            estimate_existence=1.0,
+            history_limit=1,
+        )
+        FilterParams(estimate_existence=0.0, history_limit=None)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNonFiniteMeasurements:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_update_rejects(self, bad):
+        model = constant_velocity_model(clutter_intensity=1e-4)
+        state = mbm.predict(mbm.init_empty(), model, scenario1_birth())
+        with pytest.raises(InputError, match="finite"):
+            mbm.update(state, [[140.0, 170.0], [150.0, bad]], model, FilterParams())
+
+
+def _log_weight_lists():
+    """1-400 log-weights with floored log-zeros and exact ties of the maximum."""
+    value = st.one_of(
+        st.floats(min_value=-1e4, max_value=1e3, allow_nan=False), st.just(floor_log(0.0))
+    )
+
+    @st.composite
+    def lists(draw):
+        values = draw(st.lists(value, min_size=1, max_size=397))
+        values += [max(values)] * draw(st.integers(0, 3))
+        return draw(st.permutations(values))
+
+    return lists()
+
+
+class TestLogsumexp:
+    @settings(max_examples=300, deadline=None)
+    @given(_log_weight_lists())
+    def test_bitwise_equal_to_scipy(self, values):
+        got = mbm._logsumexp(values)
+        assert np.float64(got).tobytes() == np.float64(logsumexp(values)).tobytes()
+
+    @pytest.mark.parametrize(
+        "values", [[], [-math.inf], [-math.inf, -math.inf], [math.inf, 1.0], [math.nan, 1.0]]
+    )
+    def test_non_finite_edges_match_scipy(self, values):
+        with np.errstate(all="ignore"):
+            expected = float(logsumexp(values))
+        assert np.array_equal(mbm._logsumexp(values), expected, equal_nan=True)
+
+
+def eager_update(state, zs, model, params):
+    """Reference update that builds every misdetection and gated detection child.
+
+    Same arithmetic as ``mbm.update``, but with no deferred construction:
+    the child of every slot exists whether or not a global selects it.
+    """
+    zs = mbm._as_measurement_block(zs, model.meas_dim)
+    m, n = len(zs), len(state.components)
+    log_pd, log_kappa = floor_log(model.detection_prob), model.log_clutter_intensity
+    children, mis_index, mis_increment, det_index, cost_rows = [], [], [], [], []
+    for comp in state.components:
+        kids, mis, incr, det, rows = [], [], [], {}, []
+        for p_idx, parent in enumerate(comp.hypotheses):
+            log_weight, existence = mbm._misdetection_weight(parent, model)
+            mis.append(len(kids))
+            incr.append(log_weight - parent.log_weight)
+            kids.append(
+                SingleTargetHypothesis(
+                    log_weight, existence, parent.density,
+                    mbm._extend_history(parent.meta, 0, params),
+                )
+            )
+            row = np.full(m, FORBIDDEN)
+            if m > 0 and parent.existence > 0.0 and model.detection_prob > 0.0:
+                prepared = PreparedMeasurementUpdate(parent.density, model)
+                maha, logliks = prepared.batch_statistics(zs)
+                log_r = math.log(parent.existence)
+                log_mis = floor_log(1.0 - parent.existence * model.detection_prob)
+                for j in range(m):
+                    if maha[j] > params.gate_threshold:
+                        continue
+                    det[(p_idx, j)] = len(kids)
+                    kids.append(
+                        SingleTargetHypothesis(
+                            parent.log_weight + log_r + log_pd + logliks[j] - log_kappa,
+                            1.0,
+                            prepared.posterior(zs[j]),
+                            mbm._extend_history(parent.meta, j + 1, params),
+                        )
+                    )
+                    row[j] = log_mis - (log_r + log_pd + logliks[j] - log_kappa)
+            rows.append(row)
+        children.append(kids)
+        mis_index.append(mis)
+        mis_increment.append(incr)
+        det_index.append(det)
+        cost_rows.append(rows)
+    new_globals = []
+    for g in state.global_hypotheses:
+        vec = g.assignment_vector
+        base = [mis_index[i][vec[i]] for i in range(n)]
+        base_log_weight = g.log_weight
+        for i in range(n):
+            base_log_weight += mis_increment[i][vec[i]]
+        for assigned, cost in mbm._ranked_assignments(g, state, cost_rows, m, params):
+            child = base.copy()
+            for i, j in assigned.items():
+                child[i] = det_index[i][(vec[i], j)]
+            new_globals.append(GlobalHypothesis(base_log_weight - cost, tuple(child)))
+    components = tuple(BernoulliComponent(tuple(kids)) for kids in children)
+    return MbmState(components, mbm._normalized(tuple(new_globals)), state.time)
+
+
+def assert_states_identical(a, b):
+    assert a.time == b.time
+    assert a.global_hypotheses == b.global_hypotheses  # bitwise weights, same vectors
+    assert len(a.components) == len(b.components)
+    for ca, cb in zip(a.components, b.components):
+        assert len(ca.hypotheses) == len(cb.hypotheses)
+        for ha, hb in zip(ca.hypotheses, cb.hypotheses):
+            assert ha.log_weight == hb.log_weight
+            assert ha.existence == hb.existence
+            assert ha.meta == hb.meta
+            assert np.array_equal(ha.density.mean, hb.density.mean)
+            assert np.array_equal(ha.density.covariance, hb.density.covariance)
+
+
+def scenario1_scans(n_steps, seed=2027):
+    scenario = generate_truth(builtin_scenario("scenario1"), 2026)
+    return scenario, generate_run_measurements(scenario, seed)[:n_steps]
+
+
+class TestDeferredChildren:
+    @pytest.mark.parametrize("max_globals", [1, 200])
+    def test_every_hypothesis_is_referenced(self, max_globals):
+        scenario, scans = scenario1_scans(25)
+        params = FilterParams(max_globals=max_globals)
+        state = mbm.init_empty()
+        for k, zs in enumerate(scans, start=1):
+            model = scenario.model.with_detection_prob(scenario.detection_prob_at(k))
+            updated = mbm.update(mbm.predict(state, model, scenario.birth), zs, model, params)
+            check_invariants(updated)
+            for i, comp in enumerate(updated.components):
+                referenced = {g.assignment_vector[i] for g in updated.global_hypotheses}
+                assert referenced == set(range(len(comp.hypotheses)))
+            state = mbm.prune(updated, params)
+
+    @pytest.mark.parametrize("max_globals", [1, 200])
+    def test_pruned_state_and_estimates_match_eager_build(self, max_globals):
+        scenario, scans = scenario1_scans(25)
+        params = FilterParams(max_globals=max_globals)
+        state = mbm.init_empty()
+        unreferenced = 0
+        for k, zs in enumerate(scans, start=1):
+            model = scenario.model.with_detection_prob(scenario.detection_prob_at(k))
+            predicted = mbm.predict(state, model, scenario.birth)
+            lazy = mbm.update(predicted, zs, model, params)
+            eager = eager_update(predicted, zs, model, params)
+            unreferenced += sum(len(c.hypotheses) for c in eager.components) - sum(
+                len(c.hypotheses) for c in lazy.components
+            )
+            lazy_estimates = mbm.estimate(lazy, params)
+            eager_estimates = mbm.estimate(eager, params)
+            assert [e.label for e in lazy_estimates] == [e.label for e in eager_estimates]
+            for e_lazy, e_eager in zip(lazy_estimates, eager_estimates):
+                assert np.array_equal(e_lazy.state, e_eager.state)
+            state = mbm.prune(lazy, params)
+            assert_states_identical(state, mbm.prune(eager, params))
+        # the eager build made children no global used, so the comparison
+        # exercised the renumbering
+        assert unreferenced > 0

@@ -81,6 +81,26 @@ class TestBuiltinScenarios:
         with pytest.raises(InputError):
             scenario_from_mapping({"duration": 10})
 
+    @staticmethod
+    def minimal_mapping(**extra):
+        return {
+            "duration": 5,
+            "region": {"x": [0.0, 10.0], "y": [0.0, 10.0]},
+            "clutter_rate": 1.0,
+            "birth": [{"existence": 0.1, "mean": [5.0, 0.0, 5.0, 0.0], "std": [1.0] * 4}],
+            **extra,
+        }
+
+    def test_filter_defaults_come_from_filter_params(self):
+        assert scenario_from_mapping(self.minimal_mapping()).filter_defaults == FilterParams()
+        partial = scenario_from_mapping(self.minimal_mapping(filter={"gate_threshold": 9}))
+        assert partial.filter_defaults == FilterParams(gate_threshold=9.0)
+        assert isinstance(partial.filter_defaults.gate_threshold, float)
+
+    def test_bad_filter_value_rejected(self):
+        with pytest.raises(InputError, match="max_globals"):
+            scenario_from_mapping(self.minimal_mapping(filter={"max_globals": 0}))
+
 
 class TestCrossingTruth:
     def test_counts_follow_birth_and_death_schedule(self):
