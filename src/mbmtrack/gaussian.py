@@ -127,6 +127,73 @@ class LinearGaussianModel:
         return dataclasses.replace(self, detection_prob=detection_prob)
 
 
+def _innovation_factors(
+    means: np.ndarray, covariances: np.ndarray, model: LinearGaussianModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor S = H P H' + R for N priors.
+
+    Returns predicted measurements (N, d), lower Cholesky factors (N, d, d)
+    and log det S (N,); raises ``NumericalError`` unless every S is
+    numerically positive definite.
+    """
+    H = model.observation
+    predicted = (H @ means[:, :, None])[:, :, 0]
+    S = H @ covariances @ H.T + model.measurement_noise
+    S = 0.5 * (S + S.swapaxes(1, 2))
+    # Closed-form Cholesky for the ubiquitous planar case; a general
+    # factorization's overhead dominates at this size.  pivots[k] holds the
+    # k-th squared diagonal entry of every factor.
+    if model.meas_dim == 2:
+        a, b, c = S[:, 0, 0], S[:, 1, 0], S[:, 1, 1]
+        if (a <= 0.0).any():
+            raise NumericalError("innovation covariance is not positive definite")
+        l11 = np.sqrt(a)
+        l21 = b / l11
+        pivots = np.array([a, c - l21 * l21])
+        if (pivots[1] <= 0.0).any():
+            raise NumericalError("innovation covariance is not positive definite")
+        chol = np.zeros(S.shape)
+        chol[:, 0, 0], chol[:, 1, 0], chol[:, 1, 1] = l11, l21, np.sqrt(pivots[1])
+    else:
+        try:
+            chol = np.linalg.cholesky(S)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"innovation covariance is not positive definite: {exc}"
+            ) from exc
+        pivots = np.diagonal(chol, axis1=1, axis2=2).T ** 2
+    if (pivots.min(axis=0) < _PIVOT_RTOL * pivots.max(axis=0)).any():
+        raise NumericalError("innovation covariance is numerically singular")
+    return predicted, chol, np.log(pivots).sum(axis=0)
+
+
+def _gate(predicted, chol, log_det, zs) -> tuple[np.ndarray, np.ndarray]:
+    """(N, m) squared Mahalanobis distances and log N(z; H x, S) of m measurements."""
+    diffs = zs - predicted[:, None, :]
+    if chol.shape[1] == 2:
+        w0 = diffs[:, :, 0] / chol[:, 0, 0, None]
+        w1 = (diffs[:, :, 1] - chol[:, 1, 0, None] * w0) / chol[:, 1, 1, None]
+        maha = w0 * w0 + w1 * w1
+    else:
+        white = np.linalg.solve(chol, diffs.swapaxes(1, 2))
+        maha = np.sum(white * white, axis=1)
+    maha = np.maximum(maha, 0.0)
+    logliks = -0.5 * (chol.shape[1] * _LOG_2PI + log_det[:, None] + maha)
+    return maha, logliks
+
+
+def gate_statistics(
+    means: np.ndarray, covariances: np.ndarray, zs: np.ndarray, model: LinearGaussianModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gating statistics and predictive log-likelihoods for N priors and m measurements.
+
+    ``means`` is (N, n_x), ``covariances`` (N, n_x, n_x) and ``zs`` (m, d).
+    Returns two (N, m) arrays: (z - H x)' S^-1 (z - H x) and log N(z; H x, S).
+    Row i depends only on prior i, bitwise.
+    """
+    return _gate(*_innovation_factors(means, covariances, model), zs)
+
+
 class PreparedMeasurementUpdate:
     """Innovation geometry of one prior, factorized once.
 
@@ -141,51 +208,17 @@ class PreparedMeasurementUpdate:
             raise InputError(
                 f"prior dimension {prior.dim} does not match model state dimension {model.state_dim}"
             )
-        H = model.observation
-        R = model.measurement_noise
-        P = prior.covariance
         self.prior = prior
         self.meas_dim = model.meas_dim
-        self.predicted_measurement = H @ prior.mean
-        S = _symmetrized(H @ P @ H.T + R)
-        # Closed-form Cholesky for the ubiquitous planar case; scipy's
-        # factorization overhead dominates at this size.
-        if self.meas_dim == 2:
-            a, b, c = S[0, 0], S[1, 0], S[1, 1]
-            if a <= 0.0:
-                raise NumericalError("innovation covariance is not positive definite")
-            l11 = math.sqrt(a)
-            l21 = b / l11
-            pivot2 = c - l21 * l21
-            if pivot2 <= 0.0:
-                raise NumericalError("innovation covariance is not positive definite")
-            pivots = np.array([a, pivot2])
-            chol = np.array([[l11, 0.0], [l21, math.sqrt(pivot2)]])
-        else:
-            try:
-                chol = linalg.cholesky(S, lower=True)
-            except linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"innovation covariance is not positive definite: {exc}"
-                ) from exc
-            pivots = np.diag(chol) ** 2
-        if pivots.min() < _PIVOT_RTOL * pivots.max():
-            raise NumericalError("innovation covariance is numerically singular")
-        self._chol = chol
-        self._log_det = float(np.sum(np.log(pivots)))
-        self._observation = H
-        self._meas_noise = R
+        # Stacks of one, so gating shares ``gate_statistics``' arithmetic.
+        self._predicted, self._chol, self._log_det = _innovation_factors(
+            prior.mean[None], prior.covariance[None], model
+        )
+        self.predicted_measurement = self._predicted[0]
+        self._observation = model.observation
+        self._meas_noise = model.measurement_noise
         self._gain = None
         self._posterior_cov = None
-
-    def _whiten(self, diffs: np.ndarray) -> np.ndarray:
-        """Solve L w = diffs for lower-triangular L (diffs: (d,) or (d, n))."""
-        L = self._chol
-        if self.meas_dim == 2:
-            w0 = diffs[0] / L[0, 0]
-            w1 = (diffs[1] - L[1, 0] * w0) / L[1, 1]
-            return np.array([w0, w1])
-        return linalg.solve_triangular(L, diffs, lower=True)
 
     def _ensure_gain(self) -> None:
         # Gain and the (measurement-independent) Joseph posterior covariance
@@ -193,15 +226,15 @@ class PreparedMeasurementUpdate:
         if self._gain is None:
             H = self._observation
             P = self.prior.covariance
+            L = self._chol[0]
             # K = P H' S^-1, via S K' = H P
             if self.meas_dim == 2:
-                L = self._chol
                 a, b, c = L[0, 0] ** 2, L[1, 0] * L[0, 0], L[1, 1] ** 2 + L[1, 0] ** 2
                 det = a * c - b * b
                 s_inv = np.array([[c, -b], [-b, a]]) / det
                 gain = P @ H.T @ s_inv
             else:
-                gain = linalg.cho_solve((self._chol, True), H @ P).T
+                gain = linalg.cho_solve((L, True), H @ P).T
             joseph = np.eye(self.prior.dim) - gain @ H
             self._gain = gain
             self._posterior_cov = _symmetrized(
@@ -216,25 +249,12 @@ class PreparedMeasurementUpdate:
 
     def gating_statistic(self, z) -> float:
         """Squared Mahalanobis distance of z from the predicted measurement."""
-        z = self._check_measurement(z)
-        white = self._whiten(z - self.predicted_measurement)
-        return max(float(white @ white), 0.0)
-
-    def log_likelihood(self, z) -> float:
-        """log N(z; H x, S)."""
-        maha = self.gating_statistic(z)
-        return -0.5 * (self.meas_dim * _LOG_2PI + self._log_det + maha)
+        return float(self.batch_statistics(self._check_measurement(z))[0][0])
 
     def update(self, z) -> tuple[GaussianDensity, float]:
         """Posterior density and predictive log-likelihood for measurement z."""
-        z = self._check_measurement(z)
-        innovation = z - self.predicted_measurement
-        white = self._whiten(innovation)
-        maha = max(float(white @ white), 0.0)
-        loglik = -0.5 * (self.meas_dim * _LOG_2PI + self._log_det + maha)
-        self._ensure_gain()
-        mean = self.prior.mean + self._gain @ innovation
-        return GaussianDensity(mean, self._posterior_cov), loglik
+        posterior = self.posterior(z)
+        return posterior, float(self.batch_statistics(z)[1][0])
 
     def posterior(self, z) -> GaussianDensity:
         """Posterior density only (likelihood already known from a batch)."""
@@ -246,11 +266,8 @@ class PreparedMeasurementUpdate:
     def batch_statistics(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gating statistics and log-likelihoods for a stack of measurements."""
         zs = np.asarray(zs, dtype=float).reshape(-1, self.meas_dim)
-        diffs = zs - self.predicted_measurement
-        white = self._whiten(diffs.T)
-        maha = np.maximum(np.sum(white * white, axis=0), 0.0)
-        logliks = -0.5 * (self.meas_dim * _LOG_2PI + self._log_det + maha)
-        return maha, logliks
+        maha, logliks = _gate(self._predicted, self._chol, self._log_det, zs)
+        return maha[0], logliks[0]
 
 
 def kalman_predict(prior: GaussianDensity, model: LinearGaussianModel) -> GaussianDensity:

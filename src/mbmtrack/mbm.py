@@ -24,6 +24,7 @@ from .gaussian import (
     LinearGaussianModel,
     PreparedMeasurementUpdate,
     floor_log,
+    gate_statistics,
     kalman_predict,
 )
 
@@ -100,9 +101,7 @@ EMPTY_BIRTH = BirthModel()
 class FilterParams:
     """Hypothesis-management thresholds, checked on construction.
 
-    ``history_limit`` optionally bounds the per-hypothesis association
-    history (a metadata ring); None keeps it unbounded.  An infinite
-    ``gate_threshold`` disables gating.
+    An infinite ``gate_threshold`` disables gating.
     """
 
     max_globals: int = 200
@@ -110,7 +109,6 @@ class FilterParams:
     prune_global_weight: float = 1e-5
     prune_existence: float = 1e-3
     estimate_existence: float = 0.4
-    history_limit: int | None = None
 
     def __post_init__(self):
         if not _is_int(self.max_globals) or self.max_globals < 1:
@@ -123,12 +121,6 @@ class FilterParams:
         if not 0.0 <= self.estimate_existence <= 1.0:
             raise InputError(
                 f"estimate_existence must lie in [0, 1], got {self.estimate_existence!r}"
-            )
-        if self.history_limit is not None and (
-            not _is_int(self.history_limit) or self.history_limit < 1
-        ):
-            raise InputError(
-                f"history_limit must be None or an integer >= 1, got {self.history_limit!r}"
             )
 
 
@@ -189,11 +181,10 @@ def predict(
     return MbmState(tuple(components), new_globals, new_time)
 
 
-def _extend_history(meta: HypothesisMeta, association: int, params: FilterParams) -> HypothesisMeta:
-    history = meta.association_history + (association,)
-    if params.history_limit is not None and len(history) > params.history_limit:
-        history = history[-params.history_limit :]
-    return HypothesisMeta(meta.birth_time, meta.birth_index, history)
+def _extend_history(meta: HypothesisMeta, association: int) -> HypothesisMeta:
+    return HypothesisMeta(
+        meta.birth_time, meta.birth_index, meta.association_history + (association,)
+    )
 
 
 def _misdetection_weight(
@@ -253,12 +244,6 @@ def _merge_duplicates(globals_: tuple[GlobalHypothesis, ...]) -> tuple[GlobalHyp
     return tuple(GlobalHypothesis(merged[key], key) for key in order)
 
 
-# A child hypothesis not yet built: (parent, association, log-weight,
-# existence, prepared update).  Association 0 is the misdetection (prepared
-# update None); j >= 1 is the detection of measurement j.
-_Slot = tuple[SingleTargetHypothesis, int, float, float, PreparedMeasurementUpdate | None]
-
-
 def update(
     state: MbmState,
     measurements,
@@ -267,59 +252,52 @@ def update(
 ) -> MbmState:
     """Measurement update with ranked-assignment hypothesis selection.
 
-    Every parent hypothesis of every component has one child slot
-    for its misdetection and one per gated measurement; the slots carry the
-    child weights, and their log-ratios fill the assignment cost rows.  Each
-    prior global hypothesis then spawns its ceil(max_globals * weight) best
-    children via k-best assignment, and global weights are renormalized.
-    Only the slots some new global selects are built into hypotheses (so
-    every returned hypothesis is referenced), in slot order.
+    The parents (every hypothesis of every component, in order) are gated
+    against all m measurements in one ``gate_statistics`` call, which fills
+    (parents, m) tables of detection log-weights and of assignment costs
+    (misdetection/detection log-ratios).  Each prior global takes the rows
+    of its parents as its cost matrix and spawns its ceil(max_globals *
+    weight) best children via k-best assignment; weights are renormalized.
+    A child is keyed ``parent * (m + 1) + association`` (0 misdetection,
+    j + 1 measurement j), which sorts by parent, misdetection first.  Only
+    the children some new global selects are built, in key order, and a
+    parent's posterior update is prepared once, if a selected child needs it.
     """
     zs = _as_measurement_block(measurements, model.meas_dim)
     m = len(zs)
-    n = len(state.components)
+    parents = [h for comp in state.components for h in comp.hypotheses]
+    sizes = np.array([len(comp.hypotheses) for comp in state.components], dtype=np.intp)
+    offsets = np.cumsum(sizes) - sizes
     log_pd = floor_log(model.detection_prob)
     log_kappa = model.log_clutter_intensity
 
-    slots: list[list[_Slot]] = []
-    mis_index: list[list[int]] = []
-    mis_increment: list[list[float]] = []
-    det_index: list[dict[tuple[int, int], int]] = []
-    cost_rows: list[list[np.ndarray]] = []
-    for comp in state.components:
-        comp_slots: list[_Slot] = []
-        comp_mis: list[int] = []
-        comp_mis_incr: list[float] = []
-        comp_det: dict[tuple[int, int], int] = {}
-        comp_cost: list[np.ndarray] = []
-        for p_idx, parent in enumerate(comp.hypotheses):
-            mis_log_weight, mis_existence = _misdetection_weight(parent, model)
-            comp_mis.append(len(comp_slots))
-            comp_mis_incr.append(mis_log_weight - parent.log_weight)
-            comp_slots.append((parent, 0, mis_log_weight, mis_existence, None))
-            row = np.full(m, FORBIDDEN)
-            if m > 0 and parent.existence > 0.0 and model.detection_prob > 0.0:
-                prepared = PreparedMeasurementUpdate(parent.density, model)
-                maha, logliks = prepared.batch_statistics(zs)
-                log_r = math.log(parent.existence)
-                log_mis_factor = floor_log(1.0 - parent.existence * model.detection_prob)
-                for j in range(m):
-                    if maha[j] > params.gate_threshold:
-                        continue
-                    loglik = logliks[j]
-                    det_log_weight = parent.log_weight + log_r + log_pd + loglik - log_kappa
-                    comp_det[(p_idx, j)] = len(comp_slots)
-                    comp_slots.append((parent, j + 1, det_log_weight, 1.0, prepared))
-                    # -ln(detection weight / misdetection weight); the parent
-                    # weight cancels, and zero misdetection factors are
-                    # floored so the cost stays finite.
-                    row[j] = log_mis_factor - (log_r + log_pd + loglik - log_kappa)
-            comp_cost.append(row)
-        slots.append(comp_slots)
-        mis_index.append(comp_mis)
-        mis_increment.append(comp_mis_incr)
-        det_index.append(comp_det)
-        cost_rows.append(comp_cost)
+    misdetections = [_misdetection_weight(parent, model) for parent in parents]
+    mis_increment = [w - parent.log_weight for (w, _), parent in zip(misdetections, parents)]
+    cost = np.full((len(parents), m), FORBIDDEN)
+    det_log_weight = np.full((len(parents), m), -math.inf)
+    detectable = [p for p, h in enumerate(parents) if h.existence > 0.0]
+    if m > 0 and model.detection_prob > 0.0 and detectable:
+        gated = [parents[p] for p in detectable]
+        maha, logliks = gate_statistics(
+            np.array([h.density.mean for h in gated]),
+            np.array([h.density.covariance for h in gated]),
+            zs,
+            model,
+        )
+        log_w = np.array([[h.log_weight] for h in gated])
+        log_r = np.array([[math.log(h.existence)] for h in gated])
+        log_mis_factor = np.array(
+            [[floor_log(1.0 - h.existence * model.detection_prob)] for h in gated]
+        )
+        det_log_weight[detectable] = log_w + log_r + log_pd + logliks - log_kappa
+        # -ln(detection weight / misdetection weight); the parent weight
+        # cancels, and zero misdetection factors are floored so the cost
+        # stays finite.
+        cost[detectable] = np.where(
+            maha > params.gate_threshold,
+            FORBIDDEN,
+            log_mis_factor - (log_r + log_pd + logliks - log_kappa),
+        )
 
     # A new global's weight is the prior weight, plus every component's
     # misdetection factor, minus the selected assignment's cost (each cost
@@ -327,63 +305,69 @@ def update(
     weights: list[float] = []
     vectors: list[list[int]] = []
     for g in state.global_hypotheses:
-        vec = g.assignment_vector
-        base_vector = [mis_index[i][vec[i]] for i in range(n)]
+        rows = offsets + np.array(g.assignment_vector, dtype=np.intp)
         base_log_weight = g.log_weight
-        for i in range(n):
-            base_log_weight += mis_increment[i][vec[i]]
-        for assigned, cost in _ranked_assignments(g, state, cost_rows, m, params):
-            child_vector = base_vector.copy()
+        base_keys = []
+        for row in rows.tolist():
+            base_log_weight += mis_increment[row]
+            base_keys.append(row * (m + 1))
+        for assigned, assigned_cost in _ranked_assignments(cost[rows], g.log_weight, params):
+            keys = base_keys.copy()
             for i, j in assigned.items():
-                child_vector[i] = det_index[i][(vec[i], j)]
-            weights.append(base_log_weight - cost)
-            vectors.append(child_vector)
+                keys[i] += j + 1
+            weights.append(base_log_weight - assigned_cost)
+            vectors.append(keys)
 
-    # Build the selected slots in slot order and renumber the vectors to
+    # Build the selected children in key order and renumber the vectors to
     # match: the hypotheses keep their relative order, so pruning and
-    # estimation give the same result as if every slot were built.
-    components = []
-    for i, comp_slots in enumerate(slots):
-        used = sorted({vector[i] for vector in vectors})
-        renumber = {old: new for new, old in enumerate(used)}
-        for vector in vectors:
-            vector[i] = renumber[vector[i]]
-        components.append(
-            BernoulliComponent(tuple(_child(comp_slots[k], zs, params) for k in used))
+    # estimation give the same result as if every child were built.  The key
+    # lists are dropped first; at N_h = 200 they would otherwise raise the
+    # step's peak memory by about a quarter.
+    shape = (len(vectors), len(sizes))
+    used, local = np.unique(np.array(vectors, dtype=np.intp), return_inverse=True)
+    del vectors
+    starts = np.searchsorted(used, offsets * (m + 1))
+    local = local.reshape(shape) - starts
+    prepared: dict[int, PreparedMeasurementUpdate] = {}
+    children = []
+    for key in used.tolist():
+        p, association = divmod(key, m + 1)
+        parent = parents[p]
+        if association == 0:
+            log_weight, existence = misdetections[p]
+            density = parent.density
+        else:
+            if p not in prepared:
+                prepared[p] = PreparedMeasurementUpdate(parent.density, model)
+            log_weight, existence = det_log_weight[p, association - 1], 1.0
+            density = prepared[p].posterior(zs[association - 1])
+        children.append(
+            SingleTargetHypothesis(
+                log_weight, existence, density, _extend_history(parent.meta, association)
+            )
         )
+    bounds = starts.tolist() + [len(children)]
+    components = tuple(
+        BernoulliComponent(tuple(children[a:b])) for a, b in zip(bounds, bounds[1:])
+    )
     new_globals = tuple(
-        GlobalHypothesis(weight, tuple(vector)) for weight, vector in zip(weights, vectors)
+        GlobalHypothesis(weight, tuple(vector.tolist())) for weight, vector in zip(weights, local)
     )
-    return MbmState(tuple(components), _normalized(new_globals), state.time)
-
-
-def _child(slot: _Slot, zs: np.ndarray, params: FilterParams) -> SingleTargetHypothesis:
-    parent, association, log_weight, existence, prepared = slot
-    density = parent.density if prepared is None else prepared.posterior(zs[association - 1])
-    return SingleTargetHypothesis(
-        log_weight, existence, density, _extend_history(parent.meta, association, params)
-    )
+    return MbmState(components, _normalized(new_globals), state.time)
 
 
 def _ranked_assignments(
-    g: GlobalHypothesis,
-    state: MbmState,
-    cost_rows: list[list[np.ndarray]],
-    m: int,
-    params: FilterParams,
+    cost: np.ndarray, log_weight: float, params: FilterParams
 ) -> list[tuple[dict[int, int], float]]:
     """(row->measurement map, cost) for the k_u best assignments of one global.
 
-    Rows with no gated measurement always misdetect and columns gated by no
-    row are always clutter, so both are dropped before enumeration.
+    ``log_weight`` sets k_u.  Rows with no gated measurement always misdetect
+    and columns gated by no row are always clutter, so both are dropped
+    before enumeration.
     """
-    n = len(state.components)
-    if m == 0 or n == 0:
+    if cost.size == 0:
         return [({}, 0.0)]
-    cost = np.empty((n, m))
-    for i in range(n):
-        cost[i] = cost_rows[i][g.assignment_vector[i]]
-    k_u = max(1, math.ceil(params.max_globals * math.exp(min(g.log_weight, 0.0))))
+    k_u = max(1, math.ceil(params.max_globals * math.exp(min(log_weight, 0.0))))
     finite = np.isfinite(cost)
     active_rows = np.flatnonzero(finite.any(axis=1))
     if active_rows.size == 0:

@@ -165,11 +165,9 @@ def generate_measurements(
         if rng.random() < detection_prob:
             points.append(H @ np.asarray(x, dtype=float) + chol_r @ rng.standard_normal(n_z))
     (x0, x1), (y0, y1) = region
-    for _ in range(rng.poisson(clutter_rate)):
-        points.append(np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)]))
-    if not points:
-        return np.zeros((0, n_z))
-    block = np.vstack(points)
+    # Drawn row-major: x then y for each point in turn.
+    clutter = rng.uniform((x0, y0), (x1, y1), size=(rng.poisson(clutter_rate), 2))
+    block = np.vstack(points + [clutter])
     return block[rng.permutation(len(block))]
 
 

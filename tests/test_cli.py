@@ -312,7 +312,7 @@ class TestBenchmark:
 class TestFilterParamsFromArgs:
     def test_unset_flags_keep_scenario_defaults(self):
         args = build_parser().parse_args(["track", "--measurements", "m.txt"])
-        defaults = FilterParams(max_globals=30, gate_threshold=12.0, history_limit=4)
+        defaults = FilterParams(max_globals=30, gate_threshold=12.0)
         assert _params_from_args(args, defaults) == defaults
 
     def test_set_flags_override(self):

@@ -584,19 +584,6 @@ class TestStepAndLabels:
             comp_labels = [c.hypotheses[0].meta.label for c in state.components]
             assert len(comp_labels) == len(set(comp_labels))
 
-    def test_history_limit_bounds_metadata(self):
-        model = constant_velocity_model(detection_prob=0.9, clutter_intensity=1e-4)
-        birth = BirthModel((birth_at(0.0, 0.0, existence=0.9),))
-        params = FilterParams(max_globals=5, history_limit=3)
-        rng = np.random.default_rng(1)
-        state = mbm.init_empty()
-        for k in range(6):
-            z = np.array([rng.normal(scale=0.5), rng.normal(scale=0.5)])
-            state, _ = mbm.step(state, [z], model, birth if k == 0 else BirthModel(), params)
-        for comp in state.components:
-            for h in comp.hypotheses:
-                assert len(h.meta.association_history) <= 3
-
     def test_normalization_error_when_everything_vanishes(self):
         state = mbm.init_empty()
         bad = MbmState((), (), 0)
@@ -653,8 +640,6 @@ class TestFilterParamsValidation:
             {"estimate_existence": -0.1},
             {"estimate_existence": 1.5},
             {"estimate_existence": float("nan")},
-            {"history_limit": 0},
-            {"history_limit": 1.5},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -668,9 +653,8 @@ class TestFilterParamsValidation:
             prune_global_weight=0.0,
             prune_existence=0.0,
             estimate_existence=1.0,
-            history_limit=1,
         )
-        FilterParams(estimate_existence=0.0, history_limit=None)
+        FilterParams(estimate_existence=0.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -733,7 +717,7 @@ def eager_update(state, zs, model, params):
             kids.append(
                 SingleTargetHypothesis(
                     log_weight, existence, parent.density,
-                    mbm._extend_history(parent.meta, 0, params),
+                    mbm._extend_history(parent.meta, 0),
                 )
             )
             row = np.full(m, FORBIDDEN)
@@ -751,7 +735,7 @@ def eager_update(state, zs, model, params):
                             parent.log_weight + log_r + log_pd + logliks[j] - log_kappa,
                             1.0,
                             prepared.posterior(zs[j]),
-                            mbm._extend_history(parent.meta, j + 1, params),
+                            mbm._extend_history(parent.meta, j + 1),
                         )
                     )
                     row[j] = log_mis - (log_r + log_pd + logliks[j] - log_kappa)
@@ -768,7 +752,8 @@ def eager_update(state, zs, model, params):
         base_log_weight = g.log_weight
         for i in range(n):
             base_log_weight += mis_increment[i][vec[i]]
-        for assigned, cost in mbm._ranked_assignments(g, state, cost_rows, m, params):
+        cost_matrix = np.array([cost_rows[i][vec[i]] for i in range(n)]).reshape(n, m)
+        for assigned, cost in mbm._ranked_assignments(cost_matrix, g.log_weight, params):
             child = base.copy()
             for i, j in assigned.items():
                 child[i] = det_index[i][(vec[i], j)]

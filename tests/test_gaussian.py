@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from oracles import grid_posterior_1d, info_form_posterior
+from scipy.stats import multivariate_normal
 
 from mbmtrack.errors import InputError, NumericalError
 from mbmtrack.gaussian import (
     GaussianDensity,
     LinearGaussianModel,
+    gate_statistics,
     gating_statistic,
     kalman_predict,
     kalman_update,
@@ -186,6 +190,118 @@ class TestGatingStatistic:
                 np.eye(4), np.zeros((4, 4)), q @ h_mat, q @ r_mat @ q.T, 0.99, 0.9, 1e-4
             )
             assert gating_statistic(prior, q @ z, rotated) == pytest.approx(stat, rel=1e-9)
+
+
+def scalar_planar_gate(mean, cov, zs, model):
+    """One prior's gate with the closed-form planar Cholesky, one measurement at a time."""
+    H = model.observation
+    predicted = H @ mean
+    S = H @ cov @ H.T + model.measurement_noise
+    S = 0.5 * (S + S.T)
+    a, b, c = S[0, 0], S[1, 0], S[1, 1]
+    l11 = math.sqrt(a)
+    l21 = b / l11
+    pivot2 = c - l21 * l21
+    l22 = math.sqrt(pivot2)
+    log_det = float(np.sum(np.log(np.array([a, pivot2]))))
+    maha, logliks = [], []
+    for z in zs:
+        w0 = (z[0] - predicted[0]) / l11
+        w1 = ((z[1] - predicted[1]) - l21 * w0) / l22
+        d2 = max(w0 * w0 + w1 * w1, 0.0)
+        maha.append(d2)
+        logliks.append(-0.5 * (2 * math.log(2.0 * math.pi) + log_det + d2))
+    return np.array(maha), np.array(logliks)
+
+
+def random_priors(rng, n, n_x):
+    means = rng.normal(scale=100.0, size=(n, n_x))
+    covs = np.array([random_spd(rng, n_x, scale=0.1) * rng.uniform(0.1, 50.0) for _ in range(n)])
+    covs = 0.5 * (covs + covs.swapaxes(1, 2))
+    return means, covs
+
+
+def random_model(rng, n_x, n_z):
+    return LinearGaussianModel(
+        np.eye(n_x), np.zeros((n_x, n_x)), rng.normal(size=(n_z, n_x)),
+        random_spd(rng, n_z, scale=0.3), 0.99, 0.9, 1e-4,
+    )
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestGateStatistics:
+    def test_planar_matches_scalar_closed_form_bitwise(self):
+        rng = np.random.default_rng(41)
+        cv_observation = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        for trial in range(40):
+            model = random_model(rng, 4, 2)
+            if trial % 2:
+                model = LinearGaussianModel(
+                    np.eye(4), np.zeros((4, 4)), cv_observation,
+                    model.measurement_noise, 0.99, 0.9, 1e-4,
+                )
+            means, covs = random_priors(rng, int(rng.integers(1, 12)), 4)
+            zs = rng.normal(scale=100.0, size=(int(rng.integers(1, 15)), 2))
+            maha, logliks = gate_statistics(means, covs, zs, model)
+            for i in range(len(means)):
+                expected_maha, expected_logliks = scalar_planar_gate(means[i], covs[i], zs, model)
+                assert_bitwise(maha[i], expected_maha)
+                assert_bitwise(logliks[i], expected_logliks)
+
+    @pytest.mark.parametrize("n_z", [1, 2, 3])
+    def test_rows_independent_of_stack(self, n_z):
+        rng = np.random.default_rng(43 + n_z)
+        model = random_model(rng, 4, n_z)
+        means, covs = random_priors(rng, 9, 4)
+        zs = rng.normal(scale=10.0, size=(7, n_z))
+        maha, logliks = gate_statistics(means, covs, zs, model)
+        for i in range(len(means)):
+            row_maha, row_logliks = gate_statistics(means[i : i + 1], covs[i : i + 1], zs, model)
+            assert_bitwise(maha[i : i + 1], row_maha)
+            assert_bitwise(logliks[i : i + 1], row_logliks)
+
+    @pytest.mark.parametrize("n_z", [1, 3])
+    def test_other_dimensions_match_reference(self, n_z):
+        rng = np.random.default_rng(47 + n_z)
+        for _ in range(10):
+            model = random_model(rng, 4, n_z)
+            means, covs = random_priors(rng, 5, 4)
+            zs = rng.normal(scale=10.0, size=(6, n_z))
+            maha, logliks = gate_statistics(means, covs, zs, model)
+            H, R = model.observation, model.measurement_noise
+            for i in range(len(means)):
+                S = H @ covs[i] @ H.T + R
+                diffs = zs - H @ means[i]
+                expected = np.einsum("mi,mi->m", diffs, np.linalg.solve(S, diffs.T).T)
+                np.testing.assert_allclose(maha[i], expected, rtol=1e-10, atol=1e-10)
+                for j, z in enumerate(zs):
+                    _, _, log_evidence = info_form_posterior(means[i], covs[i], H, R, z)
+                    assert logliks[i, j] == pytest.approx(log_evidence, rel=1e-10, abs=1e-10)
+                    assert logliks[i, j] == pytest.approx(
+                        multivariate_normal.logpdf(z, mean=H @ means[i], cov=S),
+                        rel=1e-10, abs=1e-10,
+                    )
+
+    @pytest.mark.parametrize("n_z", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_any_non_positive_definite_innovation_raises(self, n_z, bad):
+        rng = np.random.default_rng(53)
+        model = LinearGaussianModel(
+            np.eye(4), np.zeros((4, 4)), rng.normal(size=(n_z, 4)), np.zeros((n_z, n_z)),
+            0.99, 0.9, 1e-4,
+        )
+        means, covs = random_priors(rng, 3, 4)
+        covs[bad] = 0.0
+        with pytest.raises(NumericalError):
+            gate_statistics(means, covs, np.zeros((2, n_z)), model)
+        # the same stack without the degenerate prior gates fine
+        keep = [i for i in range(3) if i != bad]
+        maha, _ = gate_statistics(means[keep], covs[keep], np.zeros((2, n_z)), model)
+        assert np.isfinite(maha).all()
 
 
 def test_gaussian_density_symmetrizes_and_validates():

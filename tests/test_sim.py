@@ -216,6 +216,38 @@ class TestMeasurementGeneration:
         assert abs(points[:, 0].mean() - 150.0) < 3.0
         assert abs(points[:, 1].mean() - 150.0) < 3.0
 
+    @staticmethod
+    def per_point_scan(states, detection_prob, model, region, clutter_rate, rng):
+        """Reference scan that draws each clutter point's x, then its y, in a loop."""
+        chol_r = np.linalg.cholesky(model.measurement_noise)
+        points = []
+        for x in states:
+            if rng.random() < detection_prob:
+                points.append(model.observation @ x + chol_r @ rng.standard_normal(2))
+        (x0, x1), (y0, y1) = region
+        for _ in range(rng.poisson(clutter_rate)):
+            points.append(np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)]))
+        if not points:
+            return np.zeros((0, 2))
+        block = np.vstack(points)
+        return block[rng.permutation(len(block))]
+
+    @pytest.mark.parametrize("clutter_rate", [0.0, 0.5, 10.0, 60.0])
+    def test_clutter_matches_per_point_draws(self, clutter_rate):
+        model = constant_velocity_model()
+        region = ((-50.0, 250.0), (10.0, 400.0))
+        states = [np.array([100.0, 1.0, 200.0, -1.0]), np.array([0.0, 0.0, 50.0, 0.0])]
+        for seed in range(20):
+            rng, reference_rng = make_rng(seed), make_rng(seed)
+            for _ in range(5):
+                scan = generate_measurements(states, 0.6, model, region, clutter_rate, rng)
+                expected = self.per_point_scan(
+                    states, 0.6, model, region, clutter_rate, reference_rng
+                )
+                assert scan.shape == expected.shape
+                assert scan.tobytes() == expected.tobytes()
+            np.testing.assert_equal(rng.bit_generator.state, reference_rng.bit_generator.state)
+
     def test_scenario3_targets_silent_early(self):
         scenario = generate_truth(builtin_scenario("scenario3"), 11)
         # remove clutter so only target-originated measurements remain
