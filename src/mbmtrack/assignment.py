@@ -6,17 +6,21 @@ entries may be excluded outright (FORBIDDEN).  Only selected entries
 contribute to the total cost, so an optimal solution picks exactly the
 entries worth their (typically negative) price.
 
-Internally the problem is squared up by giving every row a private zero-cost
-slack column; a full row assignment of the augmented matrix then corresponds
+Rows with no admissible entry and columns that no row admits are dropped
+first.  The rest is squared up by giving every row a private zero-cost slack
+column; a full row assignment of the augmented matrix then corresponds
 one-to-one to a partial assignment of the original.  The augmented matrix is
 solved with scipy's Hungarian-family solver, and ranked enumeration
 partitions the solution space around each emitted assignment (Murty's
 scheme) with a lazy priority queue of subproblems, so k-best costs O(k)
-subproblem rounds beyond the root.
+subproblem rounds beyond the root.  A node is partitioned only on the rows
+its ancestors left unpinned, and an exact feasibility pretest skips every
+child that has no assignment at all, so every solve yields a subproblem.
 
-Ties are broken deterministically: equal-cost assignments are ordered
-lexicographically by their row-to-column mapping, with "unassigned" sorting
-before column 0.
+Ties are broken deterministically: with ``resolve_ties`` equal-cost
+assignments are ordered lexicographically by their row-to-column mapping,
+with "unassigned" sorting before column 0; without it they keep the order
+in which the queue discovered them.
 """
 from __future__ import annotations
 
@@ -49,9 +53,9 @@ class Assignment:
         return tuple(sorted(self.row_to_col.items()))
 
 
-def _lex_key(row_to_col: dict[int, int], n_rows: int) -> tuple[int, ...]:
+def _lex_key(row_to_col: dict[int, int], rows: list[int]) -> tuple[int, ...]:
     # -1 encodes "unassigned", which must sort before column 0.
-    return tuple(row_to_col.get(r, -1) for r in range(n_rows))
+    return tuple(row_to_col.get(r, -1) for r in rows)
 
 
 def k_best(costs, k: int, resolve_ties: bool = True) -> list[Assignment]:
@@ -60,12 +64,17 @@ def k_best(costs, k: int, resolve_ties: bool = True) -> list[Assignment]:
     Returns min(k, number of feasible assignments) results.  The empty
     assignment (cost 0) is always feasible, so the result is never empty.
 
+    Rows with no admissible entry and columns that no row admits take no
+    part in any assignment, so they are dropped before the augmented matrix
+    is built; the returned maps use the caller's indices.
+
     With ``resolve_ties`` (the default), exact cost ties across the k-th
     position are resolved by the lexicographic rule, which requires
-    expanding one extra subproblem per call.  With ``resolve_ties=False``
-    enumeration stops at exactly k solutions; output is still deterministic
-    but boundary ties follow discovery order.  The filter uses the fast path
-    since its costs are continuous and ties have probability zero.
+    expanding one extra subproblem per call and sorting the results.  With
+    ``resolve_ties=False`` enumeration stops at exactly k solutions, returned
+    in the order they leave the queue: nondecreasing cost, ties in discovery
+    order.  The filter uses this fast path since its costs are continuous
+    and ties have probability zero.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise InputError("k must be a positive integer")
@@ -76,23 +85,28 @@ def k_best(costs, k: int, resolve_ties: bool = True) -> list[Assignment]:
         raise InputError("cost matrix contains NaN entries")
     if np.isneginf(costs).any():
         raise InputError("cost matrix entries must be finite or FORBIDDEN (+inf)")
-    n_rows, n_cols = costs.shape
     finite = np.isfinite(costs)
-    if n_rows == 0 or n_cols == 0 or not finite.any():
+    row_ids = finite.any(axis=1).nonzero()[0]
+    if row_ids.size == 0:
         return [Assignment({}, 0.0)]
+    col_ids = finite[row_ids].any(axis=0).nonzero()[0]
+    n_rows, n_cols = row_ids.size, col_ids.size
 
     # Sentinel for excluded entries.  It is big enough that any solution
     # forced onto one is strictly worse than every all-finite solution, so a
-    # selected entry equal to `large` marks the subproblem infeasible.
+    # selected entry equal to `large` marks the subproblem infeasible.  The
+    # root and every child that passes the pretest below are feasible, so
+    # `solve` checks this only for consistency.
     scale = float(np.abs(costs[finite]).max())
     large = (2.0 * (n_rows + n_cols) + 1.0) * max(1.0, scale) + 1.0
 
     aug = np.full((n_rows, n_cols + n_rows), large)
-    aug[:, :n_cols] = np.where(finite, costs, large)
-    aug[np.arange(n_rows), n_cols + np.arange(n_rows)] = 0.0
+    aug[:, :n_cols] = np.minimum(costs[row_ids][:, col_ids], large)
+    rows = np.arange(n_rows)
+    aug[rows, n_cols + rows] = 0.0
 
     def solve(node: np.ndarray):
-        rows, cols = linear_sum_assignment(node)
+        cols = linear_sum_assignment(node)[1]
         selected = node[rows, cols].tolist()
         total = 0.0
         for c, value in zip(cols.tolist(), selected):
@@ -104,7 +118,8 @@ def k_best(costs, k: int, resolve_ties: bool = True) -> list[Assignment]:
 
     counter = itertools.count()
     root_sol, root_cost = solve(aug)
-    heap = [(root_cost, next(counter), aug, root_sol)]
+    # Entries: (cost, discovery, first free row, node, solution).
+    heap = [(root_cost, next(counter), 0, aug, root_sol)]
     emitted: list[tuple[float, np.ndarray]] = []
 
     while heap:
@@ -114,34 +129,37 @@ def k_best(costs, k: int, resolve_ties: bool = True) -> list[Assignment]:
             kth = emitted[k - 1][0]
             if heap[0][0] > kth + _TIE_RTOL * max(1.0, abs(kth)):
                 break
-        cost, _, node, sol = heapq.heappop(heap)
+        cost, _, first, node, sol = heapq.heappop(heap)
         emitted.append((cost, sol))
         if not resolve_ties and len(emitted) >= k:
             break
 
-        # Partition the node around its solution: child t keeps the pairs of
-        # rows < t and excludes row t's pair.  `work` accumulates the fixed
-        # rows incrementally.
-        work = node
-        for t in range(n_rows):
-            c_t = sol[t]
-            child = work.copy()
-            child[t, c_t] = large
+        # Partition the node around its solution: child t pins rows < t to
+        # their pairs and excludes row t's pair.  The node's exclusions all
+        # lie in rows <= first, so rows < first are pinned already (their
+        # children are empty) and every row > t keeps its zero-cost slack.
+        # Child t is therefore feasible exactly when row t admits a column
+        # held by no row <= t, and only those children are solved.
+        holder = np.full(n_cols + n_rows, n_rows)
+        holder[sol] = rows
+        feasible = ((node[first:] < large) & (holder > rows[first:, None])).any(axis=1)
+        pinned = np.full_like(node, large)
+        pinned[rows, sol] = node[rows, sol]
+        for t in (feasible.nonzero()[0] + first).tolist():
+            child = node.copy()
+            child[:t] = pinned[:t]
+            child[t, sol[t]] = large
             child_sol, child_cost = solve(child)
             if child_sol is not None:
-                heapq.heappush(heap, (child_cost, next(counter), child, child_sol))
-            if t < n_rows - 1:
-                if work is node:
-                    work = node.copy()
-                keep = work[t, c_t]
-                work[t, :] = large
-                work[t, c_t] = keep
+                heapq.heappush(heap, (child_cost, next(counter), t, child, child_sol))
 
+    row_ids, col_ids = row_ids.tolist(), col_ids.tolist()
     results = [
-        Assignment({r: int(c) for r, c in enumerate(sol) if c < n_cols}, cost)
+        Assignment({row_ids[r]: col_ids[c] for r, c in enumerate(sol.tolist()) if c < n_cols}, cost)
         for cost, sol in emitted
     ]
-    results.sort(key=lambda a: (a.total_cost, _lex_key(a.row_to_col, n_rows)))
+    if resolve_ties:
+        results.sort(key=lambda a: (a.total_cost, _lex_key(a.row_to_col, row_ids)))
     return results[:k]
 
 

@@ -361,27 +361,14 @@ def _ranked_assignments(
 ) -> list[tuple[dict[int, int], float]]:
     """(row->measurement map, cost) for the k_u best assignments of one global.
 
-    ``log_weight`` sets k_u.  Rows with no gated measurement always misdetect
-    and columns gated by no row are always clutter, so both are dropped
-    before enumeration.
+    ``log_weight`` sets k_u.  A global with no gated pair has only the empty
+    assignment and skips ``k_best``; otherwise ``k_best`` drops the rows with
+    no gated measurement and the columns gated by no row itself.
     """
-    if cost.size == 0:
+    if not np.isfinite(cost).any():
         return [({}, 0.0)]
     k_u = max(1, math.ceil(params.max_globals * math.exp(min(log_weight, 0.0))))
-    finite = np.isfinite(cost)
-    active_rows = np.flatnonzero(finite.any(axis=1))
-    if active_rows.size == 0:
-        return [({}, 0.0)]
-    active_cols = np.flatnonzero(finite[active_rows].any(axis=0))
-    reduced = cost[np.ix_(active_rows, active_cols)]
-    solutions = k_best(reduced, k_u, resolve_ties=False)
-    return [
-        (
-            {int(active_rows[r]): int(active_cols[c]) for r, c in sol.row_to_col.items()},
-            sol.total_cost,
-        )
-        for sol in solutions
-    ]
+    return [(a.row_to_col, a.total_cost) for a in k_best(cost, k_u, resolve_ties=False)]
 
 
 def _as_measurement_block(measurements, meas_dim: int) -> np.ndarray:

@@ -4,15 +4,21 @@ Everything here is deliberately written against the definitions rather than
 the library's algorithms: assignments by exhaustive enumeration, Bayes
 updates by gridding or information-form products, the multi-target update
 by enumerating association maps in the linear domain with scipy's density
-evaluations.
+evaluations.  The one exception is ``murty_reference``: the plain Murty loop
+that solves every child, kept so the pruned loop in the library can be
+checked against it bitwise.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.stats import multivariate_normal
+
+from mbmtrack.assignment import Assignment
 
 
 # -- assignment ---------------------------------------------------------------
@@ -57,6 +63,82 @@ def k_best_oracle(costs, k):
     every = enumerate_partial_assignments(costs)
     every.sort(key=lambda mc: (mc[1], lex_key(mc[0], costs.shape[0])))
     return every[:k]
+
+
+_MURTY_TIE_RTOL = 1e-9
+
+
+def murty_reference(costs, k, resolve_ties=True):
+    """Murty's ranked assignment on the full augmented matrix, child by child.
+
+    Every row of every popped node spawns a child that is solved, feasible or
+    not, and the result is sorted by (cost, lexicographic map) on both paths.
+    ``mbmtrack.assignment.k_best`` must match it bitwise on tie-free costs:
+    maps, costs and order.  LSAP is looked up as this module's
+    ``linear_sum_assignment`` so a test can count its calls.
+    """
+    costs = np.asarray(costs, dtype=float)
+    n_rows, n_cols = costs.shape
+    finite = np.isfinite(costs)
+    if n_rows == 0 or n_cols == 0 or not finite.any():
+        return [Assignment({}, 0.0)]
+
+    scale = float(np.abs(costs[finite]).max())
+    large = (2.0 * (n_rows + n_cols) + 1.0) * max(1.0, scale) + 1.0
+
+    aug = np.full((n_rows, n_cols + n_rows), large)
+    aug[:, :n_cols] = np.where(finite, costs, large)
+    aug[np.arange(n_rows), n_cols + np.arange(n_rows)] = 0.0
+
+    def solve(node):
+        rows, cols = linear_sum_assignment(node)
+        selected = node[rows, cols].tolist()
+        total = 0.0
+        for c, value in zip(cols.tolist(), selected):
+            if value >= large:
+                return None, 0.0
+            if c < n_cols:
+                total += value
+        return cols, total
+
+    counter = itertools.count()
+    root_sol, root_cost = solve(aug)
+    heap = [(root_cost, next(counter), aug, root_sol)]
+    emitted = []
+
+    while heap:
+        if len(emitted) >= k:
+            if not resolve_ties:
+                break
+            kth = emitted[k - 1][0]
+            if heap[0][0] > kth + _MURTY_TIE_RTOL * max(1.0, abs(kth)):
+                break
+        cost, _, node, sol = heapq.heappop(heap)
+        emitted.append((cost, sol))
+        if not resolve_ties and len(emitted) >= k:
+            break
+
+        work = node
+        for t in range(n_rows):
+            c_t = sol[t]
+            child = work.copy()
+            child[t, c_t] = large
+            child_sol, child_cost = solve(child)
+            if child_sol is not None:
+                heapq.heappush(heap, (child_cost, next(counter), child, child_sol))
+            if t < n_rows - 1:
+                if work is node:
+                    work = node.copy()
+                keep = work[t, c_t]
+                work[t, :] = large
+                work[t, c_t] = keep
+
+    results = [
+        Assignment({r: int(c) for r, c in enumerate(sol) if c < n_cols}, cost)
+        for cost, sol in emitted
+    ]
+    results.sort(key=lambda a: (a.total_cost, lex_key(a.row_to_col, n_rows)))
+    return results[:k]
 
 
 # -- GOSPA --------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import numpy as np
+import oracles
 import pytest
-from oracles import enumerate_partial_assignments, k_best_oracle, lex_key
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import enumerate_partial_assignments, k_best_oracle, lex_key, murty_reference
 
+import mbmtrack.assignment as assignment
 from mbmtrack.assignment import FORBIDDEN, Assignment, k_best, parse_cost_matrix, solve_optimal
 from mbmtrack.errors import InputError
 
@@ -12,6 +16,20 @@ def random_matrix(rng, n_rows, n_cols, forbidden_frac=0.3, low=-5.0, high=5.0):
     costs = rng.uniform(low, high, size=(n_rows, n_cols))
     costs[rng.random(size=costs.shape) < forbidden_frac] = F
     return costs
+
+
+def forbidden_pattern(rng, max_size=8):
+    """Tie-free costs up to max_size x max_size with a random FORBIDDEN pattern,
+    often including rows and columns that are forbidden throughout."""
+    n_rows, n_cols = rng.integers(1, max_size + 1, size=2)
+    costs = random_matrix(rng, n_rows, n_cols, rng.uniform(0.0, 0.9), -10.0, 4.0)
+    costs[rng.random(n_rows) < 0.2] = F
+    costs[:, rng.random(n_cols) < 0.2] = F
+    return costs
+
+
+def bitwise(assignments):
+    return [(a.row_to_col, a.total_cost.hex()) for a in assignments]
 
 
 class TestSolveOptimal:
@@ -166,6 +184,101 @@ class TestKBest:
             k_best(np.array([[-np.inf]]), 1)
         with pytest.raises(InputError):
             k_best(np.zeros(3), 1)
+
+
+@st.composite
+def _forbidden_patterns(draw):
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    costs = rng.uniform(-10.0, 4.0, size=(n_rows, n_cols))
+    cells = st.lists(st.booleans(), min_size=n_rows * n_cols, max_size=n_rows * n_cols)
+    costs[np.reshape(draw(cells), costs.shape)] = F
+    costs[sorted(draw(st.sets(st.integers(0, n_rows - 1))))] = F
+    costs[:, sorted(draw(st.sets(st.integers(0, n_cols - 1))))] = F
+    return costs
+
+
+class TestMurtyReference:
+    """k_best against the plain Murty loop that solves every child."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_forbidden_patterns(), st.integers(1, 30), st.booleans())
+    def test_bitwise_equal_on_random_forbidden_patterns(self, costs, k, resolve_ties):
+        got = k_best(costs, k, resolve_ties=resolve_ties)
+        assert bitwise(got) == bitwise(murty_reference(costs, k, resolve_ties=resolve_ties))
+
+    def test_bitwise_equal_on_seeded_patterns(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            costs = forbidden_pattern(rng)
+            k = int(rng.integers(1, 31))
+            for resolve_ties in (True, False):
+                got = k_best(costs, k, resolve_ties=resolve_ties)
+                expected = murty_reference(costs, k, resolve_ties=resolve_ties)
+                assert bitwise(got) == bitwise(expected)
+
+    def test_ties_without_resolution_keep_discovery_order(self):
+        # On integer costs with ties the fast path returns the reference's
+        # solutions in nondecreasing cost, ties in discovery order rather than
+        # lexicographic order.  Every row and column keeps an admissible entry
+        # so both build the same augmented matrix.
+        rng = np.random.default_rng(11)
+        values = np.array([-3.0, -1.0, 0.0, 2.0, F])
+        for _ in range(200):
+            n_rows, n_cols = rng.integers(1, 6, size=2)
+            costs = values[rng.integers(0, len(values), size=(n_rows, n_cols))]
+            costs[np.arange(n_rows), np.arange(n_rows) % n_cols] = -1.0
+            costs[np.arange(n_cols) % n_rows, np.arange(n_cols)] = -1.0
+            k = int(rng.integers(1, 20))
+            assert bitwise(k_best(costs, k)) == bitwise(murty_reference(costs, k))
+            fast = k_best(costs, k, resolve_ties=False)
+            values_fast = [a.total_cost for a in fast]
+            assert values_fast == sorted(values_fast)
+            ranked = sorted(fast, key=lambda a: (a.total_cost, lex_key(a.row_to_col, n_rows)))
+            assert bitwise(ranked) == bitwise(murty_reference(costs, k, resolve_ties=False))
+
+
+class TestNoWastedSolve:
+    """Every LSAP solve k_best makes is feasible, and it makes one per pushed child."""
+
+    @staticmethod
+    def _counting(monkeypatch, module, scale):
+        solve = module.linear_sum_assignment
+        solves = {"all": 0, "feasible": 0}
+
+        def counted(node):
+            rows, cols = solve(node)
+            solves["all"] += 1
+            # Finite entries are at most `scale` in magnitude; the sentinel
+            # that marks an excluded entry is larger.
+            solves["feasible"] += bool(node[rows, cols].max() <= scale)
+            return rows, cols
+
+        monkeypatch.setattr(module, "linear_sum_assignment", counted)
+        return solves
+
+    def test_solves_are_feasible_and_one_per_pushed_child(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        wasted_by_reference = 0
+        for _ in range(200):
+            costs = forbidden_pattern(rng)
+            finite = np.isfinite(costs)
+            if not finite.any():
+                continue
+            scale = float(np.abs(costs[finite]).max())
+            k = int(rng.integers(1, 31))
+            for resolve_ties in (True, False):
+                with monkeypatch.context() as patch:
+                    ours = self._counting(patch, assignment, scale)
+                    reference = self._counting(patch, oracles, scale)
+                    k_best(costs, k, resolve_ties=resolve_ties)
+                    murty_reference(costs, k, resolve_ties=resolve_ties)
+                assert ours["all"] == ours["feasible"]
+                # The reference pushes the root and every feasible child.
+                pushed_children = reference["feasible"] - 1
+                assert ours["all"] == 1 + pushed_children
+                wasted_by_reference += reference["all"] - reference["feasible"]
+        assert wasted_by_reference > 0
 
 
 class TestParseCostMatrix:
