@@ -1,9 +1,11 @@
 """Linear-Gaussian single-target machinery.
 
 Kalman prediction and update, predictive log-likelihood, and the squared
-Mahalanobis gating statistic.  All operations are pure functions over
-immutable inputs; covariances are re-symmetrized after every operation and
-the update uses the Joseph form so posteriors stay positive semi-definite.
+Mahalanobis gating statistic, each stacked over N densities; the
+single-density functions and ``PreparedMeasurementUpdate`` run stacks of one.
+All operations are pure functions over immutable inputs; covariances are
+re-symmetrized after every operation and the update uses the Joseph form so
+posteriors stay positive semi-definite.
 """
 from __future__ import annotations
 
@@ -127,10 +129,19 @@ class LinearGaussianModel:
         return dataclasses.replace(self, detection_prob=detection_prob)
 
 
-def _innovation_factors(
+def predict_stack(
+    means: np.ndarray, covariances: np.ndarray, model: LinearGaussianModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-step prediction of N densities: means (N, n_x) -> F x, covariances -> F P F' + Q."""
+    F = model.transition
+    covs = F @ covariances @ F.T + model.process_noise
+    return (F @ means[:, :, None])[:, :, 0], 0.5 * (covs + covs.swapaxes(1, 2))
+
+
+def innovation_factors(
     means: np.ndarray, covariances: np.ndarray, model: LinearGaussianModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor S = H P H' + R for N priors.
+    """Factor S = H P H' + R for N priors: means (N, n_x), covariances (N, n_x, n_x).
 
     Returns predicted measurements (N, d), lower Cholesky factors (N, d, d)
     and log det S (N,); raises ``NumericalError`` unless every S is
@@ -167,8 +178,14 @@ def _innovation_factors(
     return predicted, chol, np.log(pivots).sum(axis=0)
 
 
-def _gate(predicted, chol, log_det, zs) -> tuple[np.ndarray, np.ndarray]:
-    """(N, m) squared Mahalanobis distances and log N(z; H x, S) of m measurements."""
+def gate(factors, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gating statistics and predictive log-likelihoods of N priors for m measurements.
+
+    ``factors`` is what ``innovation_factors`` returns for the priors and
+    ``zs`` is (m, d).  Returns two (N, m) arrays: (z - H x)' S^-1 (z - H x)
+    and log N(z; H x, S).  Row i depends only on prior i, bitwise.
+    """
+    predicted, chol, log_det = factors
     diffs = zs - predicted[:, None, :]
     if chol.shape[1] == 2:
         w0 = diffs[:, :, 0] / chol[:, 0, 0, None]
@@ -182,25 +199,47 @@ def _gate(predicted, chol, log_det, zs) -> tuple[np.ndarray, np.ndarray]:
     return maha, logliks
 
 
-def gate_statistics(
-    means: np.ndarray, covariances: np.ndarray, zs: np.ndarray, model: LinearGaussianModel
+def kalman_gains(
+    covariances: np.ndarray, chol: np.ndarray, model: LinearGaussianModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gating statistics and predictive log-likelihoods for N priors and m measurements.
+    """Kalman gains (N, n_x, d) and Joseph-form posterior covariances of N priors.
 
-    ``means`` is (N, n_x), ``covariances`` (N, n_x, n_x) and ``zs`` (m, d).
-    Returns two (N, m) arrays: (z - H x)' S^-1 (z - H x) and log N(z; H x, S).
-    Row i depends only on prior i, bitwise.
+    ``chol`` holds the priors' factors of S from ``innovation_factors``.
     """
-    return _gate(*_innovation_factors(means, covariances, model), zs)
+    H, R = model.observation, model.measurement_noise
+    if model.meas_dim == 2:
+        # K = P H' S^-1 with S^-1 in closed form.  float_power squares with
+        # the C library's pow, which differs from x * x in the last bit for
+        # some x; the filter's outputs are fixed to pow's rounding.
+        l11, l21, l22 = chol[:, 0, 0], chol[:, 1, 0], chol[:, 1, 1]
+        a, b = np.float_power(l11, 2), l21 * l11
+        c = np.float_power(l22, 2) + np.float_power(l21, 2)
+        s_inv = np.empty(chol.shape)
+        s_inv[:, 0, 0], s_inv[:, 0, 1], s_inv[:, 1, 0], s_inv[:, 1, 1] = c, -b, -b, a
+        s_inv /= (a * c - b * b)[:, None, None]
+        gains = covariances @ H.T @ s_inv
+    else:
+        # K = P H' S^-1, via S K' = H P
+        gains = np.array(
+            [linalg.cho_solve((L, True), H @ P).T for L, P in zip(chol, covariances)]
+        ).reshape(len(chol), *H.T.shape)
+    joseph = np.eye(H.shape[1]) - gains @ H
+    covs = joseph @ covariances @ joseph.swapaxes(1, 2) + gains @ R @ gains.swapaxes(1, 2)
+    return gains, 0.5 * (covs + covs.swapaxes(1, 2))
+
+
+def posterior_means(
+    means: np.ndarray, predicted: np.ndarray, gains: np.ndarray, zs: np.ndarray
+) -> np.ndarray:
+    """x + K (z - H x) for N (prior, measurement) pairs, row by row."""
+    return means + (gains @ (zs - predicted)[:, :, None])[:, :, 0]
 
 
 class PreparedMeasurementUpdate:
-    """Innovation geometry of one prior, factorized once.
+    """One prior's factor of S = H P H' + R, Kalman gain and posterior covariance.
 
-    Caches the Cholesky factor of S = H P H' + R, the Kalman gain, and the
-    (measurement-independent) Joseph-form posterior covariance so that
-    gating, likelihood evaluation, and the mean update can be repeated
-    cheaply across many measurements.
+    The Joseph-form posterior covariance does not depend on the measurement,
+    so all three serve any number of measurements.
     """
 
     def __init__(self, prior: GaussianDensity, model: LinearGaussianModel):
@@ -210,36 +249,10 @@ class PreparedMeasurementUpdate:
             )
         self.prior = prior
         self.meas_dim = model.meas_dim
-        # Stacks of one, so gating shares ``gate_statistics``' arithmetic.
-        self._predicted, self._chol, self._log_det = _innovation_factors(
-            prior.mean[None], prior.covariance[None], model
-        )
-        self.predicted_measurement = self._predicted[0]
-        self._observation = model.observation
-        self._meas_noise = model.measurement_noise
-        self._gain = None
-        self._posterior_cov = None
-
-    def _ensure_gain(self) -> None:
-        # Gain and the (measurement-independent) Joseph posterior covariance
-        # are only needed when an update actually happens.
-        if self._gain is None:
-            H = self._observation
-            P = self.prior.covariance
-            L = self._chol[0]
-            # K = P H' S^-1, via S K' = H P
-            if self.meas_dim == 2:
-                a, b, c = L[0, 0] ** 2, L[1, 0] * L[0, 0], L[1, 1] ** 2 + L[1, 0] ** 2
-                det = a * c - b * b
-                s_inv = np.array([[c, -b], [-b, a]]) / det
-                gain = P @ H.T @ s_inv
-            else:
-                gain = linalg.cho_solve((L, True), H @ P).T
-            joseph = np.eye(self.prior.dim) - gain @ H
-            self._gain = gain
-            self._posterior_cov = _symmetrized(
-                joseph @ P @ joseph.T + gain @ self._meas_noise @ gain.T
-            )
+        self._factors = innovation_factors(prior.mean[None], prior.covariance[None], model)
+        self.predicted_measurement = self._factors[0][0]
+        self._gains, covs = kalman_gains(prior.covariance[None], self._factors[1], model)
+        self._posterior_cov = covs[0]
 
     def _check_measurement(self, z) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -253,20 +266,18 @@ class PreparedMeasurementUpdate:
 
     def update(self, z) -> tuple[GaussianDensity, float]:
         """Posterior density and predictive log-likelihood for measurement z."""
-        posterior = self.posterior(z)
-        return posterior, float(self.batch_statistics(z)[1][0])
+        return self.posterior(z), float(self.batch_statistics(z)[1][0])
 
     def posterior(self, z) -> GaussianDensity:
         """Posterior density only (likelihood already known from a batch)."""
         z = self._check_measurement(z)
-        self._ensure_gain()
-        mean = self.prior.mean + self._gain @ (z - self.predicted_measurement)
-        return GaussianDensity(mean, self._posterior_cov)
+        mean = posterior_means(self.prior.mean[None], self._factors[0], self._gains, z[None])
+        return GaussianDensity(mean[0], self._posterior_cov)
 
     def batch_statistics(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gating statistics and log-likelihoods for a stack of measurements."""
         zs = np.asarray(zs, dtype=float).reshape(-1, self.meas_dim)
-        maha, logliks = _gate(self._predicted, self._chol, self._log_det, zs)
+        maha, logliks = gate(self._factors, zs)
         return maha[0], logliks[0]
 
 
@@ -276,10 +287,8 @@ def kalman_predict(prior: GaussianDensity, model: LinearGaussianModel) -> Gaussi
         raise InputError(
             f"prior dimension {prior.dim} does not match model state dimension {model.state_dim}"
         )
-    F = model.transition
-    mean = F @ prior.mean
-    cov = F @ prior.covariance @ F.T + model.process_noise
-    return GaussianDensity(mean, cov)
+    means, covs = predict_stack(prior.mean[None], prior.covariance[None], model)
+    return GaussianDensity(means[0], covs[0])
 
 
 def kalman_update(

@@ -2,7 +2,9 @@
 
 State representation, prediction with multi-Bernoulli birth, measurement
 update with per-global-hypothesis ranked assignment selection, pruning and
-merging, and multi-target state estimation.
+merging, and multi-target state estimation.  A state holds its hypotheses
+and global hypotheses as arrays, so predict, the posterior update and prune
+are stacked numpy operations; its dataclass views are built on first access.
 
 Every operation is a pure function from one MbmState value to another, so
 states can be shared freely across threads.  All weights live in the log
@@ -14,18 +16,17 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .assignment import FORBIDDEN, k_best
 from .errors import InputError, NumericalError
-from .gaussian import (
-    GaussianDensity,
-    LinearGaussianModel,
-    PreparedMeasurementUpdate,
-    floor_log,
-    gate_statistics,
-    kalman_predict,
+# kalman_predict and PreparedMeasurementUpdate stay module attributes here:
+# perfbench/tracing.py rebinds them.
+from .gaussian import (  # noqa: F401
+    GaussianDensity, LinearGaussianModel, PreparedMeasurementUpdate, floor_log, gate,
+    innovation_factors, kalman_gains, kalman_predict, posterior_means, predict_stack,
 )
 
 
@@ -72,11 +73,67 @@ class GlobalHypothesis:
     assignment_vector: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class MbmState:
-    components: tuple[BernoulliComponent, ...]
-    global_hypotheses: tuple[GlobalHypothesis, ...]
-    time: int
+    """Stacked single-target hypotheses plus global hypotheses.
+
+    Rows ``offsets[i]:offsets[i + 1]`` of ``means`` (H, n_x), ``covariances``
+    (H, n_x, n_x), ``existences``, ``log_weights`` and ``metas`` (a tuple of
+    ``HypothesisMeta``) are the hypotheses of component i.  Global hypothesis
+    g has log-weight ``global_log_weights[g]`` and picks hypothesis
+    ``vectors[g, i]`` of component i.  The arrays are never written, so states
+    share them.  ``MbmState(components, global_hypotheses, time)`` builds a
+    state from the dataclass form that ``components`` and
+    ``global_hypotheses`` give back.
+    """
+
+    def __init__(self, components, global_hypotheses, time: int):
+        hyps = [h for comp in components for h in comp.hypotheses]
+        n_x = hyps[0].density.dim if hyps else 0
+        self._set(
+            time,
+            np.array([h.density.mean for h in hyps]).reshape(len(hyps), n_x),
+            np.array([h.density.covariance for h in hyps]).reshape(len(hyps), n_x, n_x),
+            np.array([h.existence for h in hyps], dtype=float),
+            np.array([h.log_weight for h in hyps], dtype=float),
+            tuple(h.meta for h in hyps),
+            np.cumsum([0] + [len(comp.hypotheses) for comp in components], dtype=np.intp),
+            np.array([g.assignment_vector for g in global_hypotheses], dtype=np.intp).reshape(
+                len(global_hypotheses), len(components)
+            ),
+            np.array([g.log_weight for g in global_hypotheses], dtype=float),
+        )
+        self.components, self.global_hypotheses = tuple(components), tuple(global_hypotheses)
+
+    def _set(self, time, means, covariances, existences, log_weights, metas, offsets, vectors,
+             global_log_weights) -> MbmState:
+        self.time, self.means, self.covariances = time, means, covariances
+        self.existences, self.log_weights, self.metas = existences, log_weights, metas
+        self.offsets, self.vectors, self.global_log_weights = offsets, vectors, global_log_weights
+        return self
+
+    @classmethod
+    def _stacked(cls, *arrays) -> MbmState:
+        """A state holding ``_set``'s arguments as they are."""
+        return cls.__new__(cls)._set(*arrays)
+
+    @cached_property
+    def components(self) -> tuple[BernoulliComponent, ...]:
+        hyps = [
+            SingleTargetHypothesis(w, r, GaussianDensity(mean, cov), meta)
+            for w, r, mean, cov, meta in zip(
+                self.log_weights.tolist(), self.existences.tolist(), self.means,
+                self.covariances, self.metas,
+            )
+        ]
+        bounds = self.offsets.tolist()
+        return tuple(BernoulliComponent(tuple(hyps[a:b])) for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def global_hypotheses(self) -> tuple[GlobalHypothesis, ...]:
+        return tuple(
+            GlobalHypothesis(w, tuple(v))
+            for w, v in zip(self.global_log_weights.tolist(), self.vectors.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -93,8 +150,6 @@ class BirthComponent:
 class BirthModel:
     components: tuple[BirthComponent, ...] = ()
 
-
-EMPTY_BIRTH = BirthModel()
 
 
 @dataclass(frozen=True)
@@ -152,56 +207,31 @@ def predict(
     ``label_births=False`` leaves the birth metadata blank (all numerics are
     identical either way).
     """
-    new_time = state.time + 1
-    components = []
-    for comp in state.components:
-        components.append(
-            BernoulliComponent(
-                tuple(
-                    SingleTargetHypothesis(
-                        h.log_weight,
-                        h.existence * model.survival_prob,
-                        kalman_predict(h.density, model),
-                        h.meta,
-                    )
-                    for h in comp.hypotheses
-                )
-            )
-        )
-    for index, b in enumerate(birth.components, start=1):
-        meta = HypothesisMeta(new_time, index) if label_births else HypothesisMeta(0, 0)
-        components.append(
-            BernoulliComponent((SingleTargetHypothesis(0.0, b.existence, b.density, meta),))
-        )
-    extension = (0,) * len(birth.components)
-    new_globals = tuple(
-        GlobalHypothesis(g.log_weight, g.assignment_vector + extension)
-        for g in state.global_hypotheses
+    new_time, n_x, births = state.time + 1, model.state_dim, birth.components
+    n_h = len(state.means)
+    means, covariances = predict_stack(
+        state.means.reshape(n_h, n_x), state.covariances.reshape(n_h, n_x, n_x), model
     )
-    return MbmState(tuple(components), new_globals, new_time)
+    return MbmState._stacked(
+        new_time,
+        np.concatenate([means] + [b.density.mean[None] for b in births]),
+        np.concatenate([covariances] + [b.density.covariance[None] for b in births]),
+        np.concatenate((state.existences * model.survival_prob, [b.existence for b in births])),
+        np.concatenate((state.log_weights, np.zeros(len(births)))),
+        state.metas + tuple(
+            HypothesisMeta(new_time, index) if label_births else HypothesisMeta(0, 0)
+            for index in range(1, len(births) + 1)
+        ),
+        np.concatenate((state.offsets, state.offsets[-1] + np.arange(1, len(births) + 1))),
+        np.hstack((state.vectors, np.zeros((len(state.vectors), len(births)), dtype=np.intp))),
+        state.global_log_weights,
+    )
 
 
 def _extend_history(meta: HypothesisMeta, association: int) -> HypothesisMeta:
     return HypothesisMeta(
         meta.birth_time, meta.birth_index, meta.association_history + (association,)
     )
-
-
-def _misdetection_weight(
-    parent: SingleTargetHypothesis, model: LinearGaussianModel
-) -> tuple[float, float]:
-    """Log-weight and existence of the misdetection child of ``parent``."""
-    r = parent.existence
-    denom = 1.0 - r * model.detection_prob
-    if denom > 0.0:
-        return (
-            parent.log_weight + math.log(denom),
-            min(max(r * (1.0 - model.detection_prob) / denom, 0.0), 1.0),
-        )
-    # Misdetection is impossible (r = p_D = 1); keep the hypothesis with the
-    # floored log-zero weight so downstream arithmetic stays finite
-    # (normalization pushes it to weight 0 regardless).
-    return parent.log_weight + floor_log(0.0), 1.0
 
 
 def _logsumexp(values) -> float:
@@ -223,25 +253,30 @@ def _logsumexp(values) -> float:
     return float(np.log1p(s) + np.log(count) + a_max)
 
 
-def _normalized(globals_: tuple[GlobalHypothesis, ...]) -> tuple[GlobalHypothesis, ...]:
-    total = _logsumexp([g.log_weight for g in globals_])
+def _normalized(log_weights: np.ndarray) -> np.ndarray:
+    total = _logsumexp(log_weights)
     if not math.isfinite(total):
         raise NumericalError("total global-hypothesis weight vanished or diverged")
-    return tuple(GlobalHypothesis(g.log_weight - total, g.assignment_vector) for g in globals_)
+    return log_weights - total
 
 
-def _merge_duplicates(globals_: tuple[GlobalHypothesis, ...]) -> tuple[GlobalHypothesis, ...]:
-    """Sum the weights of global hypotheses with identical assignment vectors."""
-    order: list[tuple[int, ...]] = []
-    merged: dict[tuple[int, ...], float] = {}
-    for g in globals_:
-        key = g.assignment_vector
-        if key in merged:
-            merged[key] = float(np.logaddexp(merged[key], g.log_weight))
-        else:
-            merged[key] = g.log_weight
-            order.append(key)
-    return tuple(GlobalHypothesis(merged[key], key) for key in order)
+def _merge_duplicates(
+    vectors: np.ndarray, log_weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the weights of global hypotheses with identical assignment vectors.
+
+    Each group takes the place of its first member, and its log-weights are
+    folded with ``np.logaddexp`` in order of appearance.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, key in enumerate(map(tuple, vectors.tolist())):
+        groups.setdefault(key, []).append(i)
+    first = [members[0] for members in groups.values()]
+    merged = log_weights[first]
+    for g, members in enumerate(groups.values()):
+        for i in members[1:]:
+            merged[g] = np.logaddexp(merged[g], log_weights[i])
+    return vectors[first], merged
 
 
 def update(
@@ -253,107 +288,103 @@ def update(
     """Measurement update with ranked-assignment hypothesis selection.
 
     The parents (every hypothesis of every component, in order) are gated
-    against all m measurements in one ``gate_statistics`` call, which fills
+    against all m measurements in one stacked computation, which fills
     (parents, m) tables of detection log-weights and of assignment costs
     (misdetection/detection log-ratios).  Each prior global takes the rows
     of its parents as its cost matrix and spawns its ceil(max_globals *
     weight) best children via k-best assignment; weights are renormalized.
     A child is keyed ``parent * (m + 1) + association`` (0 misdetection,
     j + 1 measurement j), which sorts by parent, misdetection first.  Only
-    the children some new global selects are built, in key order, and a
-    parent's posterior update is prepared once, if a selected child needs it.
+    the children some new global selects are built, in key order, with one
+    gain per detected parent from the gate's factors of S.
     """
     zs = _as_measurement_block(measurements, model.meas_dim)
-    m = len(zs)
-    parents = [h for comp in state.components for h in comp.hypotheses]
-    sizes = np.array([len(comp.hypotheses) for comp in state.components], dtype=np.intp)
-    offsets = np.cumsum(sizes) - sizes
-    log_pd = floor_log(model.detection_prob)
-    log_kappa = model.log_clutter_intensity
+    m, p_d = len(zs), model.detection_prob
+    offsets = state.offsets[:-1]
+    existences, log_weights = state.existences, state.log_weights
+    log_pd, log_kappa = floor_log(p_d), model.log_clutter_intensity
 
-    misdetections = [_misdetection_weight(parent, model) for parent in parents]
-    mis_increment = [w - parent.log_weight for (w, _), parent in zip(misdetections, parents)]
-    cost = np.full((len(parents), m), FORBIDDEN)
-    det_log_weight = np.full((len(parents), m), -math.inf)
-    detectable = [p for p, h in enumerate(parents) if h.existence > 0.0]
-    if m > 0 and model.detection_prob > 0.0 and detectable:
-        gated = [parents[p] for p in detectable]
-        maha, logliks = gate_statistics(
-            np.array([h.density.mean for h in gated]),
-            np.array([h.density.covariance for h in gated]),
-            zs,
-            model,
+    # Misdetection factor 1 - r p_D, floored to log(0) where r = p_D = 1
+    # (normalization then pushes that child to weight 0).
+    denom = 1.0 - existences * p_d
+    log_mis_factor = np.array([floor_log(d) for d in denom.tolist()])
+    mis_existence = np.divide(
+        existences * (1.0 - p_d), denom, out=np.ones_like(denom), where=denom > 0.0
+    )
+    mis_existence = np.minimum(np.maximum(mis_existence, 0.0), 1.0)
+    # Log-weights of the children, indexed by key: column 0 misdetection,
+    # column j + 1 detection by measurement j.
+    child_log_weight = np.full((len(existences), m + 1), -math.inf)
+    child_log_weight[:, 0] = log_weights + log_mis_factor
+    mis_increment = child_log_weight[:, 0] - log_weights
+    cost = np.full((len(existences), m), FORBIDDEN)
+    detectable = np.flatnonzero(existences > 0.0)
+    if m > 0 and p_d > 0.0 and len(detectable):
+        factors = innovation_factors(state.means[detectable], state.covariances[detectable], model)
+        maha, logliks = gate(factors, zs)
+        log_r = np.array([[math.log(r)] for r in existences[detectable].tolist()])
+        child_log_weight[detectable, 1:] = (
+            log_weights[detectable, None] + log_r + log_pd + logliks - log_kappa
         )
-        log_w = np.array([[h.log_weight] for h in gated])
-        log_r = np.array([[math.log(h.existence)] for h in gated])
-        log_mis_factor = np.array(
-            [[floor_log(1.0 - h.existence * model.detection_prob)] for h in gated]
-        )
-        det_log_weight[detectable] = log_w + log_r + log_pd + logliks - log_kappa
         # -ln(detection weight / misdetection weight); the parent weight
         # cancels, and zero misdetection factors are floored so the cost
         # stays finite.
         cost[detectable] = np.where(
             maha > params.gate_threshold,
             FORBIDDEN,
-            log_mis_factor - (log_r + log_pd + logliks - log_kappa),
+            log_mis_factor[detectable, None] - (log_r + log_pd + logliks - log_kappa),
         )
 
     # A new global's weight is the prior weight, plus every component's
     # misdetection factor, minus the selected assignment's cost (each cost
-    # entry being exactly the misdetection/detection log-ratio).
-    weights: list[float] = []
-    vectors: list[list[int]] = []
-    for g in state.global_hypotheses:
-        rows = offsets + np.array(g.assignment_vector, dtype=np.intp)
-        base_log_weight = g.log_weight
-        base_keys = []
-        for row in rows.tolist():
-            base_log_weight += mis_increment[row]
-            base_keys.append(row * (m + 1))
-        for assigned, assigned_cost in _ranked_assignments(cost[rows], g.log_weight, params):
-            keys = base_keys.copy()
+    # entry being exactly the misdetection/detection log-ratio); cumsum adds
+    # the factors left to right, in component order.
+    rows = state.vectors + offsets
+    base_log_weight = np.cumsum(
+        np.column_stack((state.global_log_weights, mis_increment[rows])), axis=1
+    )[:, -1]
+    weights, keys = [], []
+    for g, log_weight in enumerate(state.global_log_weights.tolist()):
+        base_keys = (rows[g] * (m + 1)).tolist()
+        for assigned, assigned_cost in _ranked_assignments(cost[rows[g]], log_weight, params):
+            child_keys = base_keys.copy()
             for i, j in assigned.items():
-                keys[i] += j + 1
-            weights.append(base_log_weight - assigned_cost)
-            vectors.append(keys)
+                child_keys[i] += j + 1
+            weights.append(base_log_weight[g] - assigned_cost)
+            keys.append(child_keys)
 
     # Build the selected children in key order and renumber the vectors to
     # match: the hypotheses keep their relative order, so pruning and
-    # estimation give the same result as if every child were built.  The key
-    # lists are dropped first; at N_h = 200 they would otherwise raise the
-    # step's peak memory by about a quarter.
-    shape = (len(vectors), len(sizes))
-    used, local = np.unique(np.array(vectors, dtype=np.intp), return_inverse=True)
-    del vectors
+    # estimation give the same result as if every child were built.
+    keys = np.array(keys, dtype=np.intp).reshape(len(weights), len(offsets))
+    used = np.unique(keys)
     starts = np.searchsorted(used, offsets * (m + 1))
-    local = local.reshape(shape) - starts
-    prepared: dict[int, PreparedMeasurementUpdate] = {}
-    children = []
-    for key in used.tolist():
-        p, association = divmod(key, m + 1)
-        parent = parents[p]
-        if association == 0:
-            log_weight, existence = misdetections[p]
-            density = parent.density
-        else:
-            if p not in prepared:
-                prepared[p] = PreparedMeasurementUpdate(parent.density, model)
-            log_weight, existence = det_log_weight[p, association - 1], 1.0
-            density = prepared[p].posterior(zs[association - 1])
-        children.append(
-            SingleTargetHypothesis(
-                log_weight, existence, density, _extend_history(parent.meta, association)
-            )
+    parent, association = np.divmod(used, m + 1)
+    means, covariances = state.means[parent], state.covariances[parent]
+    detected = association > 0
+    if detected.any():  # then the gate ran and ``factors`` holds its factors of S
+        gated = np.unique(parent[detected])
+        pair = np.searchsorted(gated, parent[detected])
+        factor_rows = np.searchsorted(detectable, gated)
+        gains, posterior_covs = kalman_gains(
+            state.covariances[gated], factors[1][factor_rows], model
         )
-    bounds = starts.tolist() + [len(children)]
-    components = tuple(
-        BernoulliComponent(tuple(children[a:b])) for a, b in zip(bounds, bounds[1:])
+        covariances[detected] = posterior_covs[pair]
+        means[detected] = posterior_means(
+            means[detected], factors[0][factor_rows][pair], gains[pair],
+            zs[association[detected] - 1],
+        )
+    return MbmState._stacked(
+        state.time,
+        means,
+        covariances,
+        np.where(detected, 1.0, mis_existence[parent]),
+        child_log_weight.ravel()[used],
+        tuple(_extend_history(state.metas[p], a) for p, a in zip(parent.tolist(), association.tolist())),
+        np.append(starts, len(used)),
+        np.searchsorted(used, keys) - starts,
+        _normalized(np.array(weights)),
     )
-    new_globals = tuple(
-        GlobalHypothesis(weight, tuple(vector.tolist())) for weight, vector in zip(weights, local)
-    )
-    return MbmState(components, _normalized(new_globals), state.time)
 
 
 def _ranked_assignments(
@@ -397,57 +428,43 @@ def prune(state: MbmState, params: FilterParams) -> MbmState:
     surviving hypotheses are removed and every assignment vector shrinks
     consistently.
     """
-    merged = _normalized(_merge_duplicates(state.global_hypotheses))
-    kept = [g for g in merged if math.exp(g.log_weight) >= params.prune_global_weight]
-    if not kept:
-        kept = [_best_global(merged)]
+    vectors, weights = _merge_duplicates(state.vectors, state.global_log_weights)
+    weights = _normalized(weights)
+    kept = np.array([math.exp(w) >= params.prune_global_weight for w in weights.tolist()])
+    kept = np.flatnonzero(kept) if kept.any() else np.argmax(weights)[None]
     if len(kept) > params.max_globals:
-        ranked = sorted(range(len(kept)), key=lambda i: (-kept[i].log_weight, i))
-        keep_set = set(ranked[: params.max_globals])
-        kept = [g for i, g in enumerate(kept) if i in keep_set]
-
-    surviving_hyps: list[list[SingleTargetHypothesis]] = []
-    index_maps: list[dict[int, int]] = []
-    for i, comp in enumerate(state.components):
-        used = sorted({g.assignment_vector[i] for g in kept})
-        index_maps.append({old: new for new, old in enumerate(used)})
-        surviving_hyps.append([comp.hypotheses[old] for old in used])
-
-    keep_components = [
-        i
-        for i, hyps in enumerate(surviving_hyps)
-        if any(h.existence >= params.prune_existence for h in hyps)
-    ]
-    components = tuple(BernoulliComponent(tuple(surviving_hyps[i])) for i in keep_components)
-    rebuilt = tuple(
-        GlobalHypothesis(
-            g.log_weight,
-            tuple(index_maps[i][g.assignment_vector[i]] for i in keep_components),
-        )
-        for g in kept
+        # Highest weights first, ties to the lower index.
+        kept = np.sort(kept[np.argsort(-weights[kept], kind="stable")[: params.max_globals]])
+    # Keep the referenced hypotheses of components that some kept global
+    # gives enough existence, and renumber the vectors to match.
+    rows = vectors[kept] + state.offsets[:-1]
+    used = np.unique(rows)
+    owner = np.searchsorted(state.offsets, used, side="right") - 1
+    alive = np.bincount(owner, state.existences[used] >= params.prune_existence, rows.shape[1]) > 0
+    used = used[alive[owner]]
+    starts = np.searchsorted(used, state.offsets[:-1][alive])
+    vectors = np.searchsorted(used, rows[:, alive]) - starts
+    vectors, weights = _merge_duplicates(vectors, weights[kept])
+    return MbmState._stacked(
+        state.time,
+        state.means[used],
+        state.covariances[used],
+        state.existences[used],
+        state.log_weights[used],
+        tuple(state.metas[i] for i in used.tolist()),
+        np.append(starts, len(used)),
+        vectors,
+        _normalized(weights),
     )
-    return MbmState(components, _normalized(_merge_duplicates(rebuilt)), state.time)
-
-
-def _best_global(globals_: tuple[GlobalHypothesis, ...]) -> GlobalHypothesis:
-    best = globals_[0]
-    for g in globals_[1:]:
-        if g.log_weight > best.log_weight:
-            best = g
-    return best
 
 
 def estimate(state: MbmState, params: FilterParams) -> list[TargetEstimate]:
     """Means of the best global's hypotheses with existence above threshold."""
-    if not state.global_hypotheses:
+    if not len(state.global_log_weights):
         raise InputError("state has no global hypotheses")
-    best = _best_global(state.global_hypotheses)
-    out = []
-    for comp, idx in zip(state.components, best.assignment_vector):
-        h = comp.hypotheses[idx]
-        if h.existence > params.estimate_existence:
-            out.append(TargetEstimate(h.meta.label, h.density.mean))
-    return out
+    rows = state.vectors[np.argmax(state.global_log_weights)] + state.offsets[:-1]
+    rows = rows[state.existences[rows] > params.estimate_existence]
+    return [TargetEstimate(state.metas[i].label, state.means[i].copy()) for i in rows.tolist()]
 
 
 def step(

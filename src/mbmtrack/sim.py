@@ -196,9 +196,12 @@ def run_filter(
     """Run the MBM recursion over a measurement sequence."""
     state = init_empty()
     estimates = []
+    models: dict[float, LinearGaussianModel] = {}  # one per distinct detection probability
     for k, scan in enumerate(measurements, start=1):
-        model_k = scenario.model.with_detection_prob(scenario.detection_prob_at(k))
-        state, step_estimates = step(state, scan, model_k, scenario.birth, params)
+        p_d = scenario.detection_prob_at(k)
+        if p_d not in models:
+            models[p_d] = scenario.model.with_detection_prob(p_d)
+        state, step_estimates = step(state, scan, models[p_d], scenario.birth, params)
         estimates.append(step_estimates)
     return estimates
 

@@ -6,7 +6,8 @@ updates by gridding or information-form products, the multi-target update
 by enumerating association maps in the linear domain with scipy's density
 evaluations.  The one exception is ``murty_reference``: the plain Murty loop
 that solves every child, kept so the pruned loop in the library can be
-checked against it bitwise.
+checked against it bitwise.  ``check_state`` asserts the invariants every
+filter state must satisfy.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from mbmtrack.assignment import Assignment
@@ -315,3 +317,36 @@ class ExhaustiveMbm:
 
     def component_params(self, comp, history):
         return self.params[(comp, history)]
+
+
+# -- filter state invariants --------------------------------------------------
+
+
+def check_state(state):
+    """Assert the invariants of a filter state after predict, update or prune.
+
+    Global weights are normalized; every vector holds one in-range index per
+    component and every hypothesis is referenced by some vector; existences
+    lie in [0, 1]; covariances are exactly symmetric and PSD; no global uses
+    a measurement of the latest scan twice.
+    """
+    assert abs(logsumexp([g.log_weight for g in state.global_hypotheses])) < 1e-9
+    for comp in state.components:
+        for h in comp.hypotheses:
+            assert 0.0 <= h.existence <= 1.0
+            assert np.array_equal(h.density.covariance, h.density.covariance.T)
+            assert np.linalg.eigvalsh(h.density.covariance).min() >= -1e-9
+    for g in state.global_hypotheses:
+        assert len(g.assignment_vector) == len(state.components)
+        for comp, idx in zip(state.components, g.assignment_vector):
+            assert 0 <= idx < len(comp.hypotheses)
+        latest = [
+            comp.hypotheses[idx].meta.association_history[-1]
+            for comp, idx in zip(state.components, g.assignment_vector)
+            if comp.hypotheses[idx].meta.association_history
+        ]
+        detections = [a for a in latest if a > 0]
+        assert len(detections) == len(set(detections))
+    for i, comp in enumerate(state.components):
+        referenced = {g.assignment_vector[i] for g in state.global_hypotheses}
+        assert referenced == set(range(len(comp.hypotheses)))

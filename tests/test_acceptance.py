@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from oracles import (
     ExhaustiveMbm,
+    check_state,
     grid_posterior_1d,
     gospa_oracle,
     info_form_posterior,
@@ -202,6 +203,7 @@ def test_criterion_6_label_invariance():
         for k, zs in enumerate(scans, start=1):
             model_k = short.model.with_detection_prob(short.detection_prob_at(k))
             state, _ = mbm.step(state, zs, model_k, short.birth, params, label_births=label_births)
+            check_state(state)
             trace.append(state)
         return trace
 
@@ -226,6 +228,7 @@ def test_criterion_6_label_invariance():
           "identical in weights, existences, means and covariances")
 
 
+@pytest.mark.slow
 def test_criterion_7_scenario1_desk_scale():
     scenario = builtin_scenario("scenario1")
     params = FilterParams(max_globals=200)
@@ -257,6 +260,7 @@ def test_criterion_7_scenario1_desk_scale():
           f"missed dominates only during the birth transient")
 
 
+@pytest.mark.slow
 def test_criterion_8_benchmark_determinism(tmp_path):
     out_a = tmp_path / "first"
     out_b = tmp_path / "second"

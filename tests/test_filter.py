@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ExhaustiveMbm
+from oracles import ExhaustiveMbm, check_state
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
@@ -63,27 +63,6 @@ def single_hypothesis_state(log_weight, existence, density, time=1):
         (SingleTargetHypothesis(log_weight, existence, density, HypothesisMeta(time, 1)),)
     )
     return MbmState((comp,), (GlobalHypothesis(0.0, (0,)),), time)
-
-
-def check_invariants(state):
-    assert abs(logsumexp([g.log_weight for g in state.global_hypotheses])) < 1e-9
-    for comp in state.components:
-        for h in comp.hypotheses:
-            assert 0.0 <= h.existence <= 1.0
-            np.testing.assert_allclose(h.density.covariance, h.density.covariance.T)
-            assert np.linalg.eigvalsh(h.density.covariance).min() >= -1e-9
-    for g in state.global_hypotheses:
-        assert len(g.assignment_vector) == len(state.components)
-        for comp, idx in zip(state.components, g.assignment_vector):
-            assert 0 <= idx < len(comp.hypotheses)
-        # measurements used at most once per global at the current step
-        latest = [
-            comp.hypotheses[idx].meta.association_history[-1]
-            for comp, idx in zip(state.components, g.assignment_vector)
-            if comp.hypotheses[idx].meta.association_history
-        ]
-        detections = [a for a in latest if a > 0]
-        assert len(detections) == len(set(detections))
 
 
 class TestInitAndPredict:
@@ -163,7 +142,7 @@ class TestMisdetectionUpdate:
         assert len(out.components) == len(state.components)
         for comp in out.components:
             assert len(comp.hypotheses) == 1
-        check_invariants(out)
+        check_state(out)
 
 
 class TestDetectionUpdate:
@@ -188,7 +167,7 @@ class TestDetectionUpdate:
         expected = np.array([w_clutter, w_detect]) / (w_clutter + w_detect)
         got = np.sort([math.exp(g.log_weight) for g in out.global_hypotheses])
         np.testing.assert_allclose(got, np.sort(expected), rtol=1e-9)
-        check_invariants(out)
+        check_state(out)
 
     def test_component_count_unchanged_by_update(self):
         rng = np.random.default_rng(4)
@@ -198,7 +177,7 @@ class TestDetectionUpdate:
             zs = rng.uniform(130, 180, size=(3, 2))
             out = mbm.update(state, zs, model, NO_PRUNE)
             assert len(out.components) == len(state.components)
-            check_invariants(out)
+            check_state(out)
             state = mbm.predict(out, model, BirthModel())
 
     def test_gate_threshold_excludes_hypotheses(self):
@@ -235,7 +214,7 @@ class TestExhaustiveEquivalence:
             state = mbm.update(state, zs, model, NO_PRUNE)
             oracle.predict(birth.components)
             oracle.update(zs)
-            check_invariants(state)
+            check_state(state)
 
         table = oracle.global_table()
         seen_mass = 0.0
@@ -425,6 +404,74 @@ class TestPrune:
             assert w_post >= pre[vec] - 1e-12
 
 
+def reference_prune(state, params):
+    """``mbm.prune`` one global hypothesis and one component at a time.
+
+    Duplicates fold their log-weights with ``np.logaddexp`` in order of
+    appearance, and the cap ranks by (-weight, index).
+    """
+
+    def merge(globals_):
+        merged = {}
+        for g in globals_:
+            key = g.assignment_vector
+            merged[key] = float(np.logaddexp(merged[key], g.log_weight)) if key in merged else g.log_weight
+        return [GlobalHypothesis(w, key) for key, w in merged.items()]
+
+    def normalized(globals_):
+        total = mbm._logsumexp([g.log_weight for g in globals_])
+        return tuple(GlobalHypothesis(g.log_weight - total, g.assignment_vector) for g in globals_)
+
+    merged = normalized(merge(state.global_hypotheses))
+    kept = [g for g in merged if math.exp(g.log_weight) >= params.prune_global_weight]
+    if not kept:
+        kept = [max(merged, key=lambda g: g.log_weight)]
+    if len(kept) > params.max_globals:
+        ranked = sorted(range(len(kept)), key=lambda i: (-kept[i].log_weight, i))
+        kept = [kept[i] for i in sorted(ranked[: params.max_globals])]
+    components, columns = [], []
+    for i, comp in enumerate(state.components):
+        used = sorted({g.assignment_vector[i] for g in kept})
+        if any(comp.hypotheses[j].existence >= params.prune_existence for j in used):
+            components.append(BernoulliComponent(tuple(comp.hypotheses[j] for j in used)))
+            columns.append((i, used))
+    rebuilt = [
+        GlobalHypothesis(g.log_weight, tuple(used.index(g.assignment_vector[i]) for i, used in columns))
+        for g in kept
+    ]
+    return MbmState(tuple(components), normalized(merge(rebuilt)), state.time)
+
+
+class TestPruneAgainstReference:
+    def test_random_states_bitwise(self):
+        # Few distinct vectors and weights, so duplicates and exact ties of
+        # the cap's ranking are common.
+        rng = np.random.default_rng(71)
+        for trial in range(300):
+            sizes = rng.integers(1, 4, size=rng.integers(0, 5))
+            comps = tuple(
+                BernoulliComponent(tuple(
+                    SingleTargetHypothesis(
+                        float(rng.normal()), float(rng.choice([1e-4, 0.3, 0.9])),
+                        GaussianDensity(rng.normal(size=2), np.eye(2)), HypothesisMeta(1, i, (j,)),
+                    )
+                    for j in range(size)
+                ))
+                for i, size in enumerate(sizes)
+            )
+            levels = np.log(rng.uniform(1e-7, 1.0, size=3))
+            globals_ = tuple(
+                GlobalHypothesis(float(rng.choice(levels)), tuple(int(rng.integers(0, n)) for n in sizes))
+                for _ in range(rng.integers(1, 15))
+            )
+            params = FilterParams(
+                max_globals=int(rng.integers(1, 6)),
+                prune_global_weight=float(rng.choice([0.0, 1e-3, 0.2, 0.9])),
+            )
+            state = MbmState(comps, globals_, trial)
+            assert_states_identical(mbm.prune(state, params), reference_prune(state, params))
+
+
 class TestEstimate:
     def make_state(self, existences, weights=None):
         comps = tuple(
@@ -468,6 +515,7 @@ class TestEstimate:
             GaussianDensity([0.0, 0.0, 0.0, 0.0], np.diag([9.0, 1.0, 9.0, 1.0])), z, model
         )
         np.testing.assert_allclose(estimates[0].state, expected.mean)
+        assert not np.shares_memory(estimates[0].state, out.means)
 
     def test_tie_breaks_to_lowest_index(self):
         comps = tuple(
@@ -530,7 +578,7 @@ class TestStepAndLabels:
             reference, _ = kalman_update(reference, z, model)
             assert len(estimates) == 1
             np.testing.assert_allclose(estimates[0].state, reference.mean, atol=1e-8)
-        check_invariants(state)
+        check_state(state)
 
     def test_label_metadata_never_touches_numerics(self):
         rng = np.random.default_rng(12)
@@ -698,6 +746,18 @@ class TestLogsumexp:
         assert np.array_equal(mbm._logsumexp(values), expected, equal_nan=True)
 
 
+def misdetection_weight(parent, model):
+    """Log-weight and existence of the misdetection child of ``parent``, one at a time."""
+    r = parent.existence
+    denom = 1.0 - r * model.detection_prob
+    if denom > 0.0:
+        return (
+            parent.log_weight + math.log(denom),
+            min(max(r * (1.0 - model.detection_prob) / denom, 0.0), 1.0),
+        )
+    return parent.log_weight + floor_log(0.0), 1.0
+
+
 def eager_update(state, zs, model, params):
     """Reference update that builds every misdetection and gated detection child.
 
@@ -711,7 +771,7 @@ def eager_update(state, zs, model, params):
     for comp in state.components:
         kids, mis, incr, det, rows = [], [], [], {}, []
         for p_idx, parent in enumerate(comp.hypotheses):
-            log_weight, existence = mbm._misdetection_weight(parent, model)
+            log_weight, existence = misdetection_weight(parent, model)
             mis.append(len(kids))
             incr.append(log_weight - parent.log_weight)
             kids.append(
@@ -759,7 +819,9 @@ def eager_update(state, zs, model, params):
                 child[i] = det_index[i][(vec[i], j)]
             new_globals.append(GlobalHypothesis(base_log_weight - cost, tuple(child)))
     components = tuple(BernoulliComponent(tuple(kids)) for kids in children)
-    return MbmState(components, mbm._normalized(tuple(new_globals)), state.time)
+    total = mbm._logsumexp([g.log_weight for g in new_globals])
+    normalized = tuple(GlobalHypothesis(g.log_weight - total, g.assignment_vector) for g in new_globals)
+    return MbmState(components, normalized, state.time)
 
 
 def assert_states_identical(a, b):
@@ -790,11 +852,9 @@ class TestDeferredChildren:
         for k, zs in enumerate(scans, start=1):
             model = scenario.model.with_detection_prob(scenario.detection_prob_at(k))
             updated = mbm.update(mbm.predict(state, model, scenario.birth), zs, model, params)
-            check_invariants(updated)
-            for i, comp in enumerate(updated.components):
-                referenced = {g.assignment_vector[i] for g in updated.global_hypotheses}
-                assert referenced == set(range(len(comp.hypotheses)))
+            check_state(updated)  # also asserts that every hypothesis is referenced
             state = mbm.prune(updated, params)
+            check_state(state)
 
     @pytest.mark.parametrize("max_globals", [1, 200])
     def test_pruned_state_and_estimates_match_eager_build(self, max_globals):
@@ -816,7 +876,18 @@ class TestDeferredChildren:
             for e_lazy, e_eager in zip(lazy_estimates, eager_estimates):
                 assert np.array_equal(e_lazy.state, e_eager.state)
             state = mbm.prune(lazy, params)
+            check_state(state)
             assert_states_identical(state, mbm.prune(eager, params))
         # the eager build made children no global used, so the comparison
         # exercised the renumbering
         assert unreferenced > 0
+
+    @pytest.mark.parametrize("name", ["scenario2", "scenario3"])
+    def test_other_scenarios_keep_state_invariants(self, name):
+        scenario = generate_truth(builtin_scenario(name), 2026)
+        params = FilterParams(max_globals=200)
+        state = mbm.init_empty()
+        for k, zs in enumerate(generate_run_measurements(scenario, 2027)[:25], start=1):
+            model = scenario.model.with_detection_prob(scenario.detection_prob_at(k))
+            state, _ = mbm.step(state, zs, model, scenario.birth, params)
+            check_state(state)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import gospa_oracle
 
 from mbmtrack.errors import InputError
@@ -114,6 +116,41 @@ class TestGospaAgainstBruteForce:
             assert result.total >= 0.0
             for i, j in result.matching:
                 assert np.linalg.norm(truth[i] - estimate[j]) ** 2 < 100.0
+
+
+def point_sets(max_size=4):
+    coordinate = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
+    point = st.tuples(coordinate, coordinate).map(np.array)
+    return st.lists(point, max_size=max_size)
+
+
+metric_params = st.builds(
+    GospaParams,
+    cutoff=st.floats(min_value=0.5, max_value=20.0),
+    order=st.floats(min_value=1.0, max_value=4.0),
+)
+
+
+class TestGospaMetricAxioms:
+    """GOSPA with alpha = 2 is a metric for every order p >= 1."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets(), metric_params)
+    def test_identity(self, points, params):
+        assert gospa(points, [p.copy() for p in points], params).total == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets(), point_sets(), metric_params)
+    def test_symmetry(self, xs, ys, params):
+        assert gospa(xs, ys, params).total == pytest.approx(
+            gospa(ys, xs, params).total, rel=1e-12, abs=1e-12
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets(3), point_sets(3), point_sets(3), metric_params)
+    def test_triangle_inequality(self, xs, ys, zs, params):
+        d_xz = gospa(xs, zs, params).total
+        assert d_xz <= (gospa(xs, ys, params).total + gospa(ys, zs, params).total) * (1 + 1e-9)
 
 
 def test_rms_aggregate():
