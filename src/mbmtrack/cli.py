@@ -86,6 +86,8 @@ def read_labeled_state_file(path) -> list[list[tuple[tuple[int, int], np.ndarray
                 raise InputError(f"{path}:{line_no}: bad labeled state {token!r}") from exc
             if state.size == 0:
                 raise InputError(f"{path}:{line_no}: labeled state {token!r} has no coordinates")
+            if not np.isfinite(state).all():
+                raise InputError(f"{path}:{line_no}: labeled state {token!r} must be finite")
             entries.append((label, state))
         per_step.append(entries)
     return per_step

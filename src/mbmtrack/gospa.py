@@ -62,6 +62,8 @@ def _as_points(vectors, projection) -> np.ndarray:
     if any(p.size != dim for p in pts):
         raise InputError("set elements have inconsistent dimensions")
     block = np.vstack(pts)
+    if not np.isfinite(block).all():
+        raise InputError("set elements must be finite")
     if projection is not None:
         if max(projection) >= dim:
             raise InputError(f"projection {projection} out of range for dimension {dim}")

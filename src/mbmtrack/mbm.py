@@ -292,7 +292,8 @@ def update(
     (parents, m) tables of detection log-weights and of assignment costs
     (misdetection/detection log-ratios).  Each prior global takes the rows
     of its parents as its cost matrix and spawns its ceil(max_globals *
-    weight) best children via k-best assignment; weights are renormalized.
+    weight) best children; one k-best call ranks the whole stack of these
+    matrices.  Weights are renormalized.
     A child is keyed ``parent * (m + 1) + association`` (0 misdetection,
     j + 1 measurement j), which sorts by parent, misdetection first.  Only
     the children some new global selects are built, in key order, with one
@@ -343,14 +344,21 @@ def update(
     base_log_weight = np.cumsum(
         np.column_stack((state.global_log_weights, mis_increment[rows])), axis=1
     )[:, -1]
+    # Global g spawns its k_u = ceil(max_globals * weight) best children.
+    k_us = [
+        max(1, math.ceil(params.max_globals * math.exp(min(w, 0.0))))
+        for w in state.global_log_weights.tolist()
+    ]
+    ranked = k_best(cost[rows], k_us, resolve_ties=False)
     weights, keys = [], []
-    for g, log_weight in enumerate(state.global_log_weights.tolist()):
-        base_keys = (rows[g] * (m + 1)).tolist()
-        for assigned, assigned_cost in _ranked_assignments(cost[rows[g]], log_weight, params):
+    for base_keys, base_weight, assignments in zip(
+        (rows * (m + 1)).tolist(), base_log_weight.tolist(), ranked
+    ):
+        for assignment in assignments:
             child_keys = base_keys.copy()
-            for i, j in assigned.items():
+            for i, j in assignment.row_to_col.items():
                 child_keys[i] += j + 1
-            weights.append(base_log_weight[g] - assigned_cost)
+            weights.append(base_weight - assignment.total_cost)
             keys.append(child_keys)
 
     # Build the selected children in key order and renumber the vectors to
@@ -385,21 +393,6 @@ def update(
         np.searchsorted(used, keys) - starts,
         _normalized(np.array(weights)),
     )
-
-
-def _ranked_assignments(
-    cost: np.ndarray, log_weight: float, params: FilterParams
-) -> list[tuple[dict[int, int], float]]:
-    """(row->measurement map, cost) for the k_u best assignments of one global.
-
-    ``log_weight`` sets k_u.  A global with no gated pair has only the empty
-    assignment and skips ``k_best``; otherwise ``k_best`` drops the rows with
-    no gated measurement and the columns gated by no row itself.
-    """
-    if not np.isfinite(cost).any():
-        return [({}, 0.0)]
-    k_u = max(1, math.ceil(params.max_globals * math.exp(min(log_weight, 0.0))))
-    return [(a.row_to_col, a.total_cost) for a in k_best(cost, k_u, resolve_ties=False)]
 
 
 def _as_measurement_block(measurements, meas_dim: int) -> np.ndarray:

@@ -238,6 +238,93 @@ class TestMurtyReference:
             assert bitwise(ranked) == bitwise(murty_reference(costs, k, resolve_ties=False))
 
 
+@st.composite
+def _cost_stacks(draw):
+    """Stacks of one shape with forbidden rows, columns and whole matrices,
+    and duplicate rows, which tie exactly."""
+    n_mats = draw(st.integers(1, 6))
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    costs = rng.uniform(-10.0, 4.0, size=(n_mats, n_rows, n_cols))
+    costs[rng.random(costs.shape) < draw(st.floats(0.0, 1.0))] = F
+    costs[rng.random((n_mats, n_rows)) < 0.2] = F
+    costs[np.broadcast_to(rng.random((n_mats, 1, n_cols)) < 0.2, costs.shape)] = F
+    costs[rng.random(n_mats) < 0.2] = F
+    if n_rows > 1 and draw(st.booleans()):
+        costs[:, 1] = costs[:, 0]
+    if draw(st.booleans()):
+        k = draw(st.lists(st.integers(1, 12), min_size=n_mats, max_size=n_mats))
+    else:
+        k = draw(st.integers(1, 12))
+    return costs, k
+
+
+class TestStackedKBest:
+    """A stack ranks each matrix bitwise as k_best ranks it alone."""
+
+    @staticmethod
+    def one_by_one(costs, k, resolve_ties):
+        ks = k if isinstance(k, list) else [k] * len(costs)
+        return [bitwise(k_best(c, kg, resolve_ties=resolve_ties)) for c, kg in zip(costs, ks)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cost_stacks(), st.booleans())
+    def test_stack_equals_each_matrix_alone(self, stack, resolve_ties):
+        costs, k = stack
+        got = k_best(costs, k, resolve_ties=resolve_ties)
+        assert [bitwise(ranked) for ranked in got] == self.one_by_one(costs, k, resolve_ties)
+
+    def test_stack_longer_than_a_chunk(self, monkeypatch):
+        # Matrices of very different scales share chunks, and the stack
+        # spans several of them.  Every LSAP input, sentinel entries
+        # included, is bitwise the one the matrix gets alone.
+        rng = np.random.default_rng(23)
+        n_mats = 2 * assignment._CHUNK + 5
+        costs = rng.uniform(-10.0, 4.0, size=(n_mats, 6, 5))
+        costs *= 10.0 ** rng.integers(-3, 4, size=(n_mats, 1, 1))
+        costs[rng.random(costs.shape) < 0.5] = F
+        costs[::7] = F
+        ks = rng.integers(1, 20, size=n_mats).tolist()
+        solve, inputs = assignment.linear_sum_assignment, []
+
+        def recorded(node):
+            inputs.append(node.copy())
+            return solve(node)
+
+        monkeypatch.setattr(assignment, "linear_sum_assignment", recorded)
+        for resolve_ties in (True, False):
+            got = k_best(costs, ks, resolve_ties=resolve_ties)
+            stacked_inputs = inputs.copy()
+            inputs.clear()
+            assert [bitwise(ranked) for ranked in got] == self.one_by_one(costs, ks, resolve_ties)
+            assert len(inputs) == len(stacked_inputs) > n_mats
+            for a, b in zip(stacked_inputs, inputs):
+                assert a.shape == b.shape and np.array_equal(a, b)
+            inputs.clear()
+            for c, kg, ranked in zip(costs, ks, got):
+                assert bitwise(ranked) == bitwise(murty_reference(c, kg, resolve_ties))
+
+    def test_empty_shapes(self):
+        assert k_best(np.zeros((0, 3, 2)), 1) == []
+        for shape in [(1, 0, 3), (3, 4, 0), (2, 0, 0)]:
+            assert k_best(np.zeros(shape), [2] * shape[0]) == [[Assignment({}, 0.0)]] * shape[0]
+
+    def test_stack_validation(self):
+        good = np.zeros((2, 2, 2))
+        assert k_best(good, (1, 2)) == k_best(good, [1, 2])
+        for k in ([1], [1, 2, 3], [1, 0], [1, True], [1, 2.0], 2.0, None, np.array(2.0),
+                  np.ones((2, 1), dtype=int)):
+            with pytest.raises(InputError, match="k must be"):
+                k_best(good, k)
+        for value in (np.nan, -np.inf):
+            bad = good.copy()
+            bad[1, 0, 1] = value
+            with pytest.raises(InputError):
+                k_best(bad, [1, 1])
+        with pytest.raises(InputError):
+            k_best(np.zeros((1, 1, 1, 1)), 1)
+
+
 class TestNoWastedSolve:
     """Every LSAP solve k_best makes is feasible, and it makes one per pushed child."""
 

@@ -204,6 +204,25 @@ class TestTrackAndEvaluate:
             ["evaluate", "--truth", "no_such.txt", "--estimates", "nope.txt", "--out", str(tmp_path)]
         ) == 2
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_estimate_exits_2(self, tmp_path, capsys, token):
+        truth, estimates = tmp_path / "truth.txt", tmp_path / "est.txt"
+        truth.write_text("1:1 0 0 0 0\n", encoding="utf-8")
+        estimates.write_text(f"1:1 {token} 0 0 0\n", encoding="utf-8")
+        out = tmp_path / "eval"
+        assert main(
+            ["evaluate", "--truth", str(truth), "--estimates", str(estimates), "--out", str(out)]
+        ) == 2
+        assert "est.txt:1: labeled state" in capsys.readouterr().err
+        assert not (out / "gospa.csv").exists()
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_reader_rejects_non_finite_state(self, tmp_path, token):
+        path = tmp_path / "states.txt"
+        path.write_text(f"1:1 0 0 0 0;1:2 0 {token} 0 0\n", encoding="utf-8")
+        with pytest.raises(InputError, match="must be finite"):
+            read_labeled_state_file(path)
+
 
 class TestBenchmark:
     def test_nh_sweep_rows_and_determinism(self, tmp_path):

@@ -8,8 +8,9 @@ from oracles import ExhaustiveMbm, check_state
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+import mbmtrack.assignment as assignment
 import mbmtrack.mbm as mbm
-from mbmtrack.assignment import FORBIDDEN
+from mbmtrack.assignment import FORBIDDEN, k_best
 from mbmtrack.errors import InputError
 from mbmtrack.gaussian import (
     GaussianDensity,
@@ -813,11 +814,15 @@ def eager_update(state, zs, model, params):
         for i in range(n):
             base_log_weight += mis_increment[i][vec[i]]
         cost_matrix = np.array([cost_rows[i][vec[i]] for i in range(n)]).reshape(n, m)
-        for assigned, cost in mbm._ranked_assignments(cost_matrix, g.log_weight, params):
+        # One matrix at a time, so the filter's stacked call is checked against it.
+        k_u = max(1, math.ceil(params.max_globals * math.exp(min(g.log_weight, 0.0))))
+        for assigned in k_best(cost_matrix, k_u, resolve_ties=False):
             child = base.copy()
-            for i, j in assigned.items():
+            for i, j in assigned.row_to_col.items():
                 child[i] = det_index[i][(vec[i], j)]
-            new_globals.append(GlobalHypothesis(base_log_weight - cost, tuple(child)))
+            new_globals.append(
+                GlobalHypothesis(base_log_weight - assigned.total_cost, tuple(child))
+            )
     components = tuple(BernoulliComponent(tuple(kids)) for kids in children)
     total = mbm._logsumexp([g.log_weight for g in new_globals])
     normalized = tuple(GlobalHypothesis(g.log_weight - total, g.assignment_vector) for g in new_globals)
@@ -891,3 +896,41 @@ class TestDeferredChildren:
             model = scenario.model.with_detection_prob(scenario.detection_prob_at(k))
             state, _ = mbm.step(state, zs, model, scenario.birth, params)
             check_state(state)
+
+
+class TestStackedRanking:
+    def test_lsap_solves_match_per_global_k_best(self, monkeypatch):
+        """The step's one stacked k_best makes exactly the LSAP solves, and
+        gives bitwise the rankings, of a 2-D k_best per global."""
+        solve = assignment.linear_sum_assignment
+        solves = [0]
+
+        def counted(node):
+            solves[0] += 1
+            return solve(node)
+
+        calls = []
+
+        def recorded(costs, k, **kwargs):
+            ranked = k_best(costs, k, **kwargs)
+            calls.append((costs, k, ranked))
+            return ranked
+
+        monkeypatch.setattr(assignment, "linear_sum_assignment", counted)
+        monkeypatch.setattr(mbm, "k_best", recorded)
+        scenario, scans = scenario1_scans(25)
+        params = FilterParams(max_globals=200)
+        state = mbm.init_empty()
+        for k, zs in enumerate(scans, start=1):
+            model = scenario.model.with_detection_prob(scenario.detection_prob_at(k))
+            state, _ = mbm.step(state, zs, model, scenario.birth, params)
+        stacked_solves, solves[0] = solves[0], 0
+        assert len(calls) == len(scans)
+        for costs, ks, ranked in calls:
+            assert costs.ndim == 3 and len(costs) == len(ks)
+            for matrix, k_u, assignments in zip(costs, ks, ranked):
+                alone = k_best(matrix, k_u, resolve_ties=False)
+                assert [(a.row_to_col, a.total_cost.hex()) for a in alone] == [
+                    (a.row_to_col, a.total_cost.hex()) for a in assignments
+                ]
+        assert solves[0] == stacked_solves > 0

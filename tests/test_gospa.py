@@ -54,6 +54,14 @@ class TestGospaBasics:
         with pytest.raises(InputError):
             gospa([np.zeros(2)], [np.zeros(3)], P10)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["truth", "estimate"])
+    def test_non_finite_elements_rejected(self, value, side):
+        bad = [np.array([0.0, value])]
+        sets = {"truth": [np.zeros(2)], "estimate": [np.zeros(2)], side: bad}
+        with pytest.raises(InputError, match="finite"):
+            gospa(sets["truth"], sets["estimate"], P10)
+
     def test_projection(self):
         params = GospaParams(cutoff=10.0, order=2.0, projection=(0, 2))
         truth = [np.array([1.0, 99.0, 2.0, -99.0])]
