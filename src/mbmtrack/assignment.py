@@ -13,10 +13,11 @@ one-to-one to a partial assignment of the original.  A stack of matrices
 shares this setup: it is computed for many matrices at once.  Each augmented
 matrix is solved with scipy's Hungarian-family solver, and ranked enumeration
 partitions the solution space around each emitted assignment (Murty's
-scheme) with a lazy priority queue of subproblems, so k-best costs O(k)
-subproblem rounds beyond the root.  A node is partitioned only on the rows
-its ancestors left unpinned, and an exact feasibility pretest skips every
-child that has no assignment at all, so every solve yields a subproblem.
+scheme).  A node is partitioned only on the rows its ancestors left
+unpinned, and an exact feasibility pretest skips every child that has no
+assignment at all.  The others wait in the queue under a cheap lower bound
+on their cost and are solved only on reaching its top: one solve for the
+root and one per child popped, and the output of solving every child at once.
 
 Ties are broken deterministically: with ``resolve_ties`` equal-cost
 assignments are ordered lexicographically by their row-to-column mapping,
@@ -78,7 +79,8 @@ def k_best(costs, k, resolve_ties: bool = True) -> list[Assignment] | list[list[
     part in any assignment, so they are dropped before the augmented matrix
     is built; the returned maps use the caller's indices.  The validation,
     this reduction and the augmented matrices are computed for a whole
-    stack at once, in chunks of ``_CHUNK`` matrices.
+    stack at once, in chunks of ``_CHUNK`` matrices.  A matrix costs one
+    solve plus one per Murty child whose lower bound reaches the queue's top.
 
     With ``resolve_ties`` (the default), exact cost ties across the k-th
     position are resolved by the lexicographic rule, which requires
@@ -194,8 +196,9 @@ def _murty(aug: np.ndarray, n_cols: int, large: float, k: int, resolve_ties: boo
     n_rows = rows.size
     counter = itertools.count()
     root_sol, root_cost = solve(aug)
-    # Entries: (cost, discovery, first free row, node, solution).
-    heap = [(root_cost, next(counter), 0, aug, root_sol)]
+    # Entries: (cost, discovery, first free row, node, solution, exact).  An
+    # inexact entry is child `first` of `node`, unsolved, under a lower bound.
+    heap = [(root_cost, next(counter), 0, aug, root_sol, True)]
     emitted: list[tuple[float, np.ndarray]] = []
 
     while heap:
@@ -205,7 +208,18 @@ def _murty(aug: np.ndarray, n_cols: int, large: float, k: int, resolve_ties: boo
             kth = emitted[k - 1][0]
             if heap[0][0] > kth + _TIE_RTOL * max(1.0, abs(kth)):
                 break
-        cost, _, first, node, sol = heapq.heappop(heap)
+        cost, order, first, node, sol, exact = heapq.heappop(heap)
+        if not exact:
+            # Solve the child now.  Its exact cost is >= the bound and it keeps
+            # its discovery number, so exact entries leave in eager order.
+            child = node.copy()
+            child[:first] = large
+            child[rows[:first], sol[:first]] = node[rows[:first], sol[:first]]
+            child[first, sol[first]] = large
+            child_sol, child_cost = solve(child)
+            if child_sol is not None:
+                heapq.heappush(heap, (child_cost, order, first, child, child_sol, True))
+            continue
         emitted.append((cost, sol))
         if not resolve_ties and len(emitted) >= k:
             break
@@ -215,19 +229,22 @@ def _murty(aug: np.ndarray, n_cols: int, large: float, k: int, resolve_ties: boo
         # lie in rows <= first, so rows < first are pinned already (their
         # children are empty) and every row > t keeps its zero-cost slack.
         # Child t is therefore feasible exactly when row t admits a column
-        # held by no row <= t, and only those children are solved.
+        # held by no row <= t.  Its cost is then at least the pinned values
+        # of rows < t, plus row t's least such entry, plus the minimum of
+        # each row > t; added in `solve`'s row order, the float sum stays a
+        # lower bound, since rounding is monotone.
         holder = np.full(n_cols + n_rows, n_rows)
         holder[sol] = rows
-        feasible = ((node[first:] < large) & (holder > rows[first:, None])).any(axis=1)
-        pinned = np.full_like(node, large)
-        pinned[rows, sol] = node[rows, sol]
-        for t in (feasible.nonzero()[0] + first).tolist():
-            child = node.copy()
-            child[:t] = pinned[:t]
-            child[t, sol[t]] = large
-            child_sol, child_cost = solve(child)
-            if child_sol is not None:
-                heapq.heappush(heap, (child_cost, next(counter), t, child, child_sol))
+        free = holder > rows[first:, None]
+        free_min = np.minimum.reduce(node[first:], axis=1, where=free, initial=large).tolist()
+        row_min = np.minimum.reduce(node, axis=1).tolist()
+        pinned = node[rows, sol].tolist()
+        for t, row_t in enumerate(free_min, first):
+            if row_t < large:
+                bound = 0.0
+                for value in pinned[:t] + [row_t] + row_min[t + 1:]:
+                    bound += value
+                heapq.heappush(heap, (bound, next(counter), t, node, sol, False))
     return emitted
 
 

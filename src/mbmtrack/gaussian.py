@@ -102,12 +102,16 @@ class LinearGaussianModel:
             raise InputError(f"observation matrix must have {n_x} columns, got {H.shape}")
         n_z = H.shape[0]
         R = _check_square("measurement_noise", self.measurement_noise, n_z)
+        for name, mat in (("transition", F), ("process_noise", Q), ("observation", H),
+                          ("measurement_noise", R)):
+            if not np.isfinite(mat).all():
+                raise InputError(f"{name} must be finite")
         if not 0.0 <= self.survival_prob <= 1.0:
             raise InputError("survival_prob must lie in [0, 1]")
         if not 0.0 <= self.detection_prob <= 1.0:
             raise InputError("detection_prob must lie in [0, 1]")
-        if self.clutter_intensity < 0.0:
-            raise InputError("clutter_intensity must be nonnegative")
+        if not 0.0 <= self.clutter_intensity < math.inf:
+            raise InputError("clutter_intensity must be finite and nonnegative")
         object.__setattr__(self, "transition", F)
         object.__setattr__(self, "process_noise", _symmetrized(Q))
         object.__setattr__(self, "observation", H)

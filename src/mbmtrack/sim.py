@@ -9,6 +9,7 @@ seed.
 from __future__ import annotations
 
 import importlib.resources
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -105,6 +106,14 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def _noise_factor(name: str, covariance: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a noise covariance that samples are drawn from."""
+    try:
+        return np.linalg.cholesky(covariance)
+    except np.linalg.LinAlgError:
+        raise InputError(f"simulation needs a positive definite {name} covariance") from None
+
+
 def make_crossing_truth(
     model: LinearGaussianModel, rng: np.random.Generator, duration: int = 81
 ) -> tuple[Trajectory, ...]:
@@ -126,7 +135,7 @@ def make_crossing_truth(
     midpoint_step = min(_MIDPOINT_STEP, (duration + 1) // 2)
     F = model.transition
     F_inv = np.linalg.inv(F)
-    chol_q = np.linalg.cholesky(model.process_noise)
+    chol_q = _noise_factor("process noise", model.process_noise)
     dim = model.state_dim
     out = []
     for label, first, last in specs:
@@ -158,7 +167,7 @@ def generate_measurements(
 ) -> np.ndarray:
     """Detections plus Poisson clutter for one scan, in shuffled order."""
     H = model.observation
-    chol_r = np.linalg.cholesky(model.measurement_noise)
+    chol_r = _noise_factor("measurement noise", model.measurement_noise)
     n_z = model.meas_dim
     points = []
     for x in states:
@@ -326,6 +335,8 @@ def _parse_birth(entries) -> BirthModel:
         std = np.asarray(entry["std"], dtype=float)
         if std.shape != mean.shape:
             raise InputError("birth std and mean must have the same length")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise InputError("birth mean and std must be finite")
         comps.append(
             BirthComponent(float(entry["existence"]), GaussianDensity(mean, np.diag(std**2)))
         )
@@ -341,6 +352,8 @@ def _parse_schedule(raw, duration: int, default: float) -> tuple[float, ...] | N
         if not 1 <= first <= last <= duration:
             raise InputError(f"detection schedule steps {block['steps']} out of range")
         value = float(block["detection_prob"])
+        if not 0.0 <= value <= 1.0:
+            raise InputError("detection schedule detection_prob must lie in [0, 1]")
         for k in range(first, last + 1):
             schedule[k - 1] = value
     return tuple(schedule)
@@ -367,16 +380,28 @@ def scenario_from_mapping(raw: dict) -> Scenario:
         clutter_rate = float(raw["clutter_rate"])
         duration = int(raw["duration"])
         area = (region[0][1] - region[0][0]) * (region[1][1] - region[1][0])
-        if area <= 0:
-            raise InputError("region must have positive area")
+        if not (math.isfinite(area) and area > 0):
+            raise InputError("region bounds must be finite and enclose a positive area")
+        if not 0.0 <= clutter_rate < math.inf:
+            raise InputError("clutter_rate must be finite and nonnegative")
+        if duration < 1:
+            raise InputError("duration must be at least one step")
         model_raw = raw.get("model", {})
-        noise = model_raw.get("measurement_noise_std", 1.0)
+        sampling_time = float(model_raw.get("sampling_time", 1.0))
+        if not 0.0 < sampling_time < math.inf:
+            raise InputError("sampling_time must be finite and positive")
+        noise_intensity = float(model_raw.get("process_noise_intensity", 0.01))
+        noise = float(model_raw.get("measurement_noise_std", 1.0))
+        if not (0.0 <= noise_intensity < math.inf and 0.0 <= noise < math.inf):
+            raise InputError(
+                "process_noise_intensity and measurement_noise_std must be finite and nonnegative"
+            )
         model = constant_velocity_model(
-            sampling_time=float(model_raw.get("sampling_time", 1.0)),
-            noise_intensity=float(model_raw.get("process_noise_intensity", 0.01)),
+            sampling_time=sampling_time,
+            noise_intensity=noise_intensity,
             survival_prob=float(model_raw.get("survival_prob", 0.99)),
             detection_prob=float(model_raw.get("detection_prob", 0.9)),
-            measurement_noise=np.eye(2) * float(noise) ** 2,
+            measurement_noise=np.eye(2) * noise**2,
             clutter_intensity=clutter_rate / area,
         )
         birth = _parse_birth(raw["birth"])
@@ -396,7 +421,7 @@ def scenario_from_mapping(raw: dict) -> Scenario:
             detection_schedule=schedule,
             filter_defaults=params,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, InputError):
             raise
         raise InputError(f"bad scenario configuration: {exc!r}") from exc

@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import oracles
 import pytest
@@ -325,8 +327,26 @@ class TestStackedKBest:
             k_best(np.zeros((1, 1, 1, 1)), 1)
 
 
+class _RecordingHeap:
+    """Stands in for ``heapq`` in the assignment module and keeps every entry
+    pushed and popped: (cost or bound, discovery, row, node, solution, exact)."""
+
+    def __init__(self):
+        self.pushed, self.popped = [], []
+
+    def heappush(self, heap, entry):
+        self.pushed.append(entry)
+        heapq.heappush(heap, entry)
+
+    def heappop(self, heap):
+        entry = heapq.heappop(heap)
+        self.popped.append(entry)
+        return entry
+
+
 class TestNoWastedSolve:
-    """Every LSAP solve k_best makes is feasible, and it makes one per pushed child."""
+    """Every LSAP solve k_best makes is feasible, and it solves only the
+    children that reach the top of its queue."""
 
     @staticmethod
     def _counting(monkeypatch, module, scale):
@@ -344,9 +364,9 @@ class TestNoWastedSolve:
         monkeypatch.setattr(module, "linear_sum_assignment", counted)
         return solves
 
-    def test_solves_are_feasible_and_one_per_pushed_child(self, monkeypatch):
+    def test_solves_are_feasible_and_one_per_popped_child(self, monkeypatch):
         rng = np.random.default_rng(17)
-        wasted_by_reference = 0
+        fewer_than_reference = 0
         for _ in range(200):
             costs = forbidden_pattern(rng)
             finite = np.isfinite(costs)
@@ -355,17 +375,74 @@ class TestNoWastedSolve:
             scale = float(np.abs(costs[finite]).max())
             k = int(rng.integers(1, 31))
             for resolve_ties in (True, False):
+                queue = _RecordingHeap()
                 with monkeypatch.context() as patch:
                     ours = self._counting(patch, assignment, scale)
                     reference = self._counting(patch, oracles, scale)
+                    patch.setattr(assignment, "heapq", queue)
                     k_best(costs, k, resolve_ties=resolve_ties)
                     murty_reference(costs, k, resolve_ties=resolve_ties)
                 assert ours["all"] == ours["feasible"]
-                # The reference pushes the root and every feasible child.
-                pushed_children = reference["feasible"] - 1
-                assert ours["all"] == 1 + pushed_children
-                wasted_by_reference += reference["all"] - reference["feasible"]
-        assert wasted_by_reference > 0
+                # The root, then one solve per unsolved child popped.
+                assert ours["all"] == 1 + sum(not entry[-1] for entry in queue.popped)
+                # The reference solves the root and every child of every
+                # popped node; its feasible solves are the children the
+                # eager queue pushed.
+                assert ours["all"] <= reference["feasible"]
+                fewer_than_reference += ours["all"] < reference["feasible"]
+        assert fewer_than_reference > 0
+
+
+@st.composite
+def _bound_cases(draw):
+    """Costs whose entries span twelve decades, with forbidden entries, rows
+    and columns, and duplicate rows, which tie exactly."""
+    n_rows, n_cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    costs = rng.uniform(-10.0, 4.0, size=(n_rows, n_cols))
+    costs *= 10.0 ** rng.integers(-6, 7, size=costs.shape)
+    costs[rng.random(costs.shape) < draw(st.floats(0.0, 0.8))] = F
+    costs[rng.random(n_rows) < 0.15] = F
+    costs[:, rng.random(n_cols) < 0.15] = F
+    if n_rows > 1 and draw(st.booleans()):
+        costs[1:] = costs[rng.integers(0, n_rows, size=n_rows - 1)]
+    return costs
+
+
+class TestLazyChildBound:
+    """A child waits in k_best's queue under a bound; once solved it is queued
+    again under its exact cost, which is never below the bound, and keeps its
+    discovery number, so exact ties leave the queue as if solved at once."""
+
+    @staticmethod
+    def check_queue(costs, k, resolve_ties):
+        queue = _RecordingHeap()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(assignment, "heapq", queue)
+            k_best(costs, k, resolve_ties=resolve_ties)
+        bounds = {order: bound for bound, order, *_, exact in queue.pushed if not exact}
+        solved = [(order, cost) for cost, order, *_, exact in queue.pushed if exact]
+        assert len({order for order, _ in solved}) == len(solved)
+        for order, cost in solved:
+            assert order in bounds
+            assert bounds[order] <= cost
+        return len(solved)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_bound_cases(), st.integers(1, 30), st.booleans())
+    def test_bound_is_at_most_the_exact_cost(self, costs, k, resolve_ties):
+        self.check_queue(costs, k, resolve_ties)
+
+    def test_bound_on_seeded_mixed_scales(self):
+        rng = np.random.default_rng(31)
+        solved = 0
+        for _ in range(300):
+            costs = rng.uniform(-10.0, 4.0, size=rng.integers(2, 8, size=2))
+            costs *= 10.0 ** rng.integers(-6, 7, size=costs.shape)
+            costs[rng.random(costs.shape) < 0.3] = F
+            for resolve_ties in (True, False):
+                solved += self.check_queue(costs, int(rng.integers(2, 31)), resolve_ties)
+        assert solved > 1000
 
 
 class TestParseCostMatrix:

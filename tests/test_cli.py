@@ -328,6 +328,47 @@ class TestBenchmark:
         assert not (tmp_path / "out" / "runs_nh5.csv").exists()
 
 
+# One bad field per case, as a dotted path into small_scenario_file's config.
+_NAN = float("nan")
+BAD_SCENARIO_FIELDS = {
+    "nan_clutter_rate": ("clutter_rate", _NAN, "clutter_rate"),
+    "zero_duration": ("duration", 0, "duration"),
+    "negative_duration": ("duration", -3, "duration"),
+    "infinite_duration": ("duration", float("inf"), "bad scenario configuration"),
+    "zero_measurement_noise": ("model.measurement_noise_std", 0.0, "measurement noise"),
+    "nan_region_bound": ("region.x", [0.0, _NAN], "region"),
+    "nan_birth_mean": ("birth.0.mean", [_NAN, 0.0, 170.0, 0.0], "birth"),
+    "nan_birth_std": ("birth.0.std", [3.0, _NAN, 3.0, 1.0], "birth"),
+    "nan_sampling_time": ("model.sampling_time", _NAN, "sampling_time"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCENARIO_FIELDS))
+def test_bad_scenario_file_exits_2(tmp_path, capsys, case):
+    path, value, message = BAD_SCENARIO_FIELDS[case]
+    scenario = small_scenario_file(tmp_path)
+    config = yaml.safe_load(scenario.read_text(encoding="utf-8"))
+    *parents, leaf = path.split(".")
+    node = config
+    for key in parents:
+        node = node[int(key)] if key.isdigit() else node[key]
+    node[leaf] = value
+    scenario.write_text(yaml.safe_dump(config), encoding="utf-8")
+    args = ["benchmark", "--scenario", str(scenario), "--runs", "1"]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("value", [1.5, float("nan")])
+def test_bad_detection_schedule_exits_2(tmp_path, capsys, value):
+    schedule = [{"steps": [2, 3], "detection_prob": value}]
+    scenario = small_scenario_file(tmp_path, extra={"detection_schedule": schedule})
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert "detection_prob" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "measurements.txt").exists()
+
+
 class TestFilterParamsFromArgs:
     def test_unset_flags_keep_scenario_defaults(self):
         args = build_parser().parse_args(["track", "--measurements", "m.txt"])

@@ -75,6 +75,13 @@ def test_model_validation_errors():
         LinearGaussianModel([[1.0]], [[0.0]], [[1.0]], [[1.0]], 0.9, 0.9, -1.0)
     with pytest.raises(InputError):
         LinearGaussianModel([[1.0, 0.0]], [[0.0]], [[1.0]], [[1.0]], 0.9, 0.9, 1e-4)
+    for intensity in (np.nan, np.inf):
+        with pytest.raises(InputError, match="clutter_intensity"):
+            LinearGaussianModel([[1.0]], [[0.0]], [[1.0]], [[1.0]], 0.9, 0.9, intensity)
+    with pytest.raises(InputError, match="transition"):
+        LinearGaussianModel([[np.nan]], [[0.0]], [[1.0]], [[1.0]], 0.9, 0.9, 1e-4)
+    with pytest.raises(InputError, match="measurement_noise"):
+        LinearGaussianModel([[1.0]], [[0.0]], [[1.0]], [[np.inf]], 0.9, 0.9, 1e-4)
 
 
 class TestKalmanUpdate:
