@@ -33,13 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InputError
+from .errors import InputError, is_int
 
 #: Marker for an excluded row/column pair (a gated-out association).
 FORBIDDEN = float("inf")
 
-# Costs within this relative slack of the k-th best are treated as tied and
-# kept for deterministic lexicographic resolution.
+# With ``resolve_ties``, queue entries within this relative slack of the k-th
+# best cost are still expanded.  An LSAP optimum's row-order float sum can
+# land an ulp above an exactly tied assignment in its own subtree, which only
+# expanding that subtree finds.  Ties are still broken on the exact float
+# cost, not within the window.
 _TIE_RTOL = 1e-9
 
 # Matrices per shared setup in a stacked ``k_best``: the augmented block of a
@@ -96,7 +99,7 @@ def k_best(costs, k, resolve_ties: bool = True) -> list[Assignment] | list[list[
     stack = costs if costs.ndim == 3 else costs[None]
     n_mats = stack.shape[0]
     ks = list(k) if isinstance(k, (list, tuple)) else [k] * n_mats
-    if len(ks) != n_mats or not all(map(_is_rank, ks)):
+    if len(ks) != n_mats or not all(is_int(rank) and rank >= 1 for rank in ks):
         raise InputError("k must be a positive integer, or one per cost matrix")
     # Entries are finite or FORBIDDEN: the minimum is NaN if any entry is,
     # and -inf if any entry is.
@@ -108,10 +111,6 @@ def k_best(costs, k, resolve_ties: bool = True) -> list[Assignment] | list[list[
     for start in range(0, n_mats, _CHUNK):
         results += _rank_chunk(stack[start:start + _CHUNK], ks[start:start + _CHUNK], resolve_ties)
     return results if costs.ndim == 3 else results[0]
-
-
-def _is_rank(k) -> bool:
-    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1
 
 
 def _rank_chunk(costs: np.ndarray, ks: list, resolve_ties: bool) -> list[list[Assignment]]:

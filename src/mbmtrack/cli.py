@@ -22,7 +22,7 @@ import numpy as np
 
 from .assignment import k_best, parse_cost_matrix
 from .errors import InputError, NumericalError
-from .gospa import POSITION_PROJECTION, GospaParams, gospa, rms
+from .gospa import POSITION_PROJECTION, GospaParams, component_rms, gospa, rms
 from .mbm import FilterParams
 from .sim import (
     generate_run_measurements,
@@ -53,6 +53,8 @@ def read_measurement_file(path) -> list[np.ndarray]:
                 points.append([float(v) for v in token.split()])
             except ValueError as exc:
                 raise InputError(f"{path}:{line_no}: bad measurement {token!r}") from exc
+        if any(len(point) != len(points[0]) for point in points):
+            raise InputError(f"{path}:{line_no}: measurements have inconsistent dimensions")
         scan = np.asarray(points, dtype=float) if points else np.zeros((0, 2))
         if not np.isfinite(scan).all():
             raise InputError(f"{path}:{line_no}: measurements must be finite")
@@ -100,29 +102,15 @@ def _out_dir(args) -> Path:
     return path
 
 
-# Filter flag (argparse dest) -> FilterParams field it overrides.
-_PARAM_FLAGS = {
-    "max_globals": "max_globals",
-    "gate": "gate_threshold",
-    "prune_weight": "prune_global_weight",
-    "prune_existence": "prune_existence",
-    "estimate_threshold": "estimate_existence",
-}
-
-
 def _params_from_args(args, defaults: FilterParams, max_globals: int | None = None) -> FilterParams:
     given = {
-        field: getattr(args, flag)
-        for flag, field in _PARAM_FLAGS.items()
-        if getattr(args, flag) is not None
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(FilterParams)
+        if getattr(args, f.name, None) is not None
     }
     if max_globals is not None:
         given["max_globals"] = max_globals
     return dataclasses.replace(defaults, **given)
-
-
-def _gospa_params_from_args(args) -> GospaParams:
-    return GospaParams(cutoff=args.gospa_c, order=args.gospa_p, projection=POSITION_PROJECTION)
 
 
 def cmd_simulate(args) -> int:
@@ -155,7 +143,7 @@ def cmd_evaluate(args) -> int:
         raise InputError(
             f"step-count mismatch: truth has {len(truth)} steps, estimates {len(estimates)}"
         )
-    gospa_params = _gospa_params_from_args(args)
+    gospa_params = GospaParams(cutoff=args.gospa_c, order=args.gospa_p)
     out = _out_dir(args)
     rows = ["step,total,loc_p,missed_p,false_p,n_missed,n_false"]
     results = []
@@ -163,7 +151,7 @@ def cmd_evaluate(args) -> int:
         result = gospa(
             [_positions(state) for _, state in truth_entries],
             [_positions(state) for _, state in est_entries],
-            dataclasses.replace(gospa_params, projection=None),
+            gospa_params,
         )
         results.append(result)
         rows.append(
@@ -178,9 +166,9 @@ def cmd_evaluate(args) -> int:
             [
                 str(len(results)),
                 _fmt(rms(r.total for r in results)),
-                _fmt(float(np.mean([r.localisation_p for r in results])) ** (1.0 / order)),
-                _fmt(float(np.mean([r.missed_p for r in results])) ** (1.0 / order)),
-                _fmt(float(np.mean([r.false_p for r in results])) ** (1.0 / order)),
+                _fmt(component_rms(results, "localisation_p", order)),
+                _fmt(component_rms(results, "missed_p", order)),
+                _fmt(component_rms(results, "false_p", order)),
             ]
         ),
     ]
@@ -201,15 +189,15 @@ def _positions(state: np.ndarray) -> np.ndarray:
 def cmd_benchmark(args) -> int:
     scenario = resolve_scenario(args.scenario)
     try:
-        nh_values = [int(v) for v in str(args.max_globals).split(",") if v.strip()]
+        nh_values = [int(v) for v in str(args.max_globals_list).split(",") if v.strip()]
     except ValueError as exc:
-        raise InputError(f"bad --max-globals list {args.max_globals!r}") from exc
+        raise InputError(f"bad --max-globals list {args.max_globals_list!r}") from exc
     if not nh_values:
         raise InputError("--max-globals must list at least one value")
     all_params = [
         _params_from_args(args, scenario.filter_defaults, max_globals=nh) for nh in nh_values
     ]
-    gospa_params = _gospa_params_from_args(args)
+    gospa_params = GospaParams(args.gospa_c, args.gospa_p, POSITION_PROJECTION)
     out = _out_dir(args)
     summary_rows = [
         "max_globals,n_runs,seed,gospa_c,gospa_p,mean_rms_gospa,mean_rms_loc,mean_rms_missed,mean_rms_false"
@@ -280,11 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV} or .)")
 
     def add_params(p):
-        # --max-globals is added by each subcommand: benchmark takes a list.
-        p.add_argument("--gate", type=float, default=None)
-        p.add_argument("--prune-weight", type=float, default=None, dest="prune_weight")
-        p.add_argument("--prune-existence", type=float, default=None, dest="prune_existence")
-        p.add_argument("--estimate-threshold", type=float, default=None, dest="estimate_threshold")
+        # Each dest is a FilterParams field; each subcommand adds its own --max-globals.
+        p.add_argument("--gate", type=float, dest="gate_threshold")
+        p.add_argument("--prune-weight", type=float, dest="prune_global_weight")
+        p.add_argument("--prune-existence", type=float)
+        p.add_argument("--estimate-threshold", type=float, dest="estimate_existence")
 
     def add_gospa(p):
         p.add_argument("--gospa-c", type=float, default=10.0, dest="gospa_c")
@@ -298,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="run the filter over a measurement file")
     add_common(p)
     p.add_argument("--measurements", required=True)
-    p.add_argument("--max-globals", type=int, default=None, dest="max_globals")
+    p.add_argument("--max-globals", type=int)
     add_params(p)
     p.set_defaults(func=cmd_track)
 
@@ -316,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-globals",
         default="200",
-        dest="max_globals",
+        dest="max_globals_list",
         help="comma-separated list of global-hypothesis caps",
     )
     add_params(p)

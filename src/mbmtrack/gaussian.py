@@ -29,7 +29,7 @@ _LOG_TINY = math.log(sys.float_info.min)
 
 
 def _symmetrized(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
 def floor_log(value: float) -> float:
@@ -139,7 +139,7 @@ def predict_stack(
     """One-step prediction of N densities: means (N, n_x) -> F x, covariances -> F P F' + Q."""
     F = model.transition
     covs = F @ covariances @ F.T + model.process_noise
-    return (F @ means[:, :, None])[:, :, 0], 0.5 * (covs + covs.swapaxes(1, 2))
+    return (F @ means[:, :, None])[:, :, 0], _symmetrized(covs)
 
 
 def innovation_factors(
@@ -153,8 +153,7 @@ def innovation_factors(
     """
     H = model.observation
     predicted = (H @ means[:, :, None])[:, :, 0]
-    S = H @ covariances @ H.T + model.measurement_noise
-    S = 0.5 * (S + S.swapaxes(1, 2))
+    S = _symmetrized(H @ covariances @ H.T + model.measurement_noise)
     # Closed-form Cholesky for the ubiquitous planar case; a general
     # factorization's overhead dominates at this size.  pivots[k] holds the
     # k-th squared diagonal entry of every factor.
@@ -229,7 +228,7 @@ def kalman_gains(
         ).reshape(len(chol), *H.T.shape)
     joseph = np.eye(H.shape[1]) - gains @ H
     covs = joseph @ covariances @ joseph.swapaxes(1, 2) + gains @ R @ gains.swapaxes(1, 2)
-    return gains, 0.5 * (covs + covs.swapaxes(1, 2))
+    return gains, _symmetrized(covs)
 
 
 def posterior_means(
@@ -237,6 +236,20 @@ def posterior_means(
 ) -> np.ndarray:
     """x + K (z - H x) for N (prior, measurement) pairs, row by row."""
     return means + (gains @ (zs - predicted)[:, :, None])[:, :, 0]
+
+
+def _check_prior(prior: GaussianDensity, model: LinearGaussianModel) -> None:
+    if prior.dim != model.state_dim:
+        raise InputError(
+            f"prior dimension {prior.dim} does not match model state dimension {model.state_dim}"
+        )
+
+
+def _check_measurement(z, meas_dim: int) -> np.ndarray:
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.shape != (meas_dim,):
+        raise InputError(f"measurement must have dimension {meas_dim}, got {z.shape}")
+    return z
 
 
 class PreparedMeasurementUpdate:
@@ -247,34 +260,16 @@ class PreparedMeasurementUpdate:
     """
 
     def __init__(self, prior: GaussianDensity, model: LinearGaussianModel):
-        if prior.dim != model.state_dim:
-            raise InputError(
-                f"prior dimension {prior.dim} does not match model state dimension {model.state_dim}"
-            )
+        _check_prior(prior, model)
         self.prior = prior
         self.meas_dim = model.meas_dim
         self._factors = innovation_factors(prior.mean[None], prior.covariance[None], model)
-        self.predicted_measurement = self._factors[0][0]
         self._gains, covs = kalman_gains(prior.covariance[None], self._factors[1], model)
         self._posterior_cov = covs[0]
 
-    def _check_measurement(self, z) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        if z.shape != (self.meas_dim,):
-            raise InputError(f"measurement must have dimension {self.meas_dim}, got {z.shape}")
-        return z
-
-    def gating_statistic(self, z) -> float:
-        """Squared Mahalanobis distance of z from the predicted measurement."""
-        return float(self.batch_statistics(self._check_measurement(z))[0][0])
-
-    def update(self, z) -> tuple[GaussianDensity, float]:
-        """Posterior density and predictive log-likelihood for measurement z."""
-        return self.posterior(z), float(self.batch_statistics(z)[1][0])
-
     def posterior(self, z) -> GaussianDensity:
-        """Posterior density only (likelihood already known from a batch)."""
-        z = self._check_measurement(z)
+        """Posterior density for measurement z."""
+        z = _check_measurement(z, self.meas_dim)
         mean = posterior_means(self.prior.mean[None], self._factors[0], self._gains, z[None])
         return GaussianDensity(mean[0], self._posterior_cov)
 
@@ -287,10 +282,7 @@ class PreparedMeasurementUpdate:
 
 def kalman_predict(prior: GaussianDensity, model: LinearGaussianModel) -> GaussianDensity:
     """One-step prediction: mean -> F mean, covariance -> F P F' + Q."""
-    if prior.dim != model.state_dim:
-        raise InputError(
-            f"prior dimension {prior.dim} does not match model state dimension {model.state_dim}"
-        )
+    _check_prior(prior, model)
     means, covs = predict_stack(prior.mean[None], prior.covariance[None], model)
     return GaussianDensity(means[0], covs[0])
 
@@ -299,9 +291,11 @@ def kalman_update(
     prior: GaussianDensity, z, model: LinearGaussianModel
 ) -> tuple[GaussianDensity, float]:
     """Measurement update returning the posterior and log N(z; H x, S)."""
-    return PreparedMeasurementUpdate(prior, model).update(z)
+    prepared = PreparedMeasurementUpdate(prior, model)
+    return prepared.posterior(z), float(prepared.batch_statistics(z)[1][0])
 
 
 def gating_statistic(prior: GaussianDensity, z, model: LinearGaussianModel) -> float:
     """(z - H x)' S^-1 (z - H x) with S = H P H' + R."""
-    return PreparedMeasurementUpdate(prior, model).gating_statistic(z)
+    prepared = PreparedMeasurementUpdate(prior, model)
+    return float(prepared.batch_statistics(_check_measurement(z, model.meas_dim))[0][0])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import FORBIDDEN, solve_optimal
-from .errors import InputError
+from .errors import InputError, is_int
 
 #: Euclidean distance on the planar position slots of a
 #: [px, vx, py, vy] state vector.
@@ -28,8 +28,9 @@ POSITION_PROJECTION = (0, 2)
 class GospaParams:
     """Cutoff c > 0, order 1 <= p < inf, and an optional state projection.
 
-    ``projection`` selects the vector indices the base Euclidean distance
-    acts on; None uses the full vectors.
+    c**p must be a positive finite float.  ``projection`` selects the vector
+    indices (at least one, each >= 0) the base Euclidean distance acts on;
+    None uses the full vectors.
     """
 
     cutoff: float = 10.0
@@ -37,10 +38,24 @@ class GospaParams:
     projection: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not self.cutoff > 0.0:
-            raise InputError("GOSPA cutoff c must be positive")
+        if not 0.0 < self.cutoff < math.inf:
+            raise InputError("GOSPA cutoff c must be finite and positive")
         if not (1.0 <= self.order < math.inf):
             raise InputError("GOSPA order p must lie in [1, inf)")
+        try:
+            c_p = self.cutoff**self.order
+        except OverflowError:
+            c_p = math.inf
+        if not 0.0 < c_p < math.inf:
+            raise InputError(
+                f"GOSPA c**p must be a positive finite float, got c={self.cutoff!r}, p={self.order!r}"
+            )
+        if self.projection is not None and not (
+            len(self.projection) and all(is_int(i) and i >= 0 for i in self.projection)
+        ):
+            raise InputError(
+                f"GOSPA projection must list one or more indices >= 0, got {self.projection!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -82,8 +97,12 @@ def gospa(truth, estimate, params: GospaParams = GospaParams()) -> GospaResult:
     c_p = params.cutoff**params.order
     half_cp = 0.5 * c_p
     if n_truth and n_est:
-        diffs = xs[:, None, :] - ys[None, :, :]
-        dist_p = np.linalg.norm(diffs, axis=2) ** params.order
+        # Coordinates near the float limit overflow to a distance of inf.
+        # That is the right value: such a pair lies beyond the finite cutoff
+        # either way, so it is never matched.
+        with np.errstate(over="ignore"):
+            diffs = xs[:, None, :] - ys[None, :, :]
+            dist_p = np.linalg.norm(diffs, axis=2) ** params.order
         costs = np.where(dist_p < c_p, dist_p - c_p, FORBIDDEN)
         matching = solve_optimal(costs).pairs()
     else:
@@ -108,3 +127,9 @@ def rms(values) -> float:
     if values.size == 0:
         return 0.0
     return float(np.sqrt(np.mean(values**2)))
+
+
+def component_rms(results, name: str, order: float) -> float:
+    """Run-level aggregate of a decomposition term: (its mean over steps)^(1/order)."""
+    values = [getattr(r, name) for r in results]
+    return float(np.mean(values)) ** (1.0 / order) if values else 0.0

@@ -14,14 +14,13 @@ zero, while single-target hypothesis weights stay unnormalized.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .assignment import FORBIDDEN, k_best
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, is_int
 # kalman_predict and PreparedMeasurementUpdate stay module attributes here:
 # perfbench/tracing.py rebinds them.
 from .gaussian import (  # noqa: F401
@@ -166,7 +165,7 @@ class FilterParams:
     estimate_existence: float = 0.4
 
     def __post_init__(self):
-        if not _is_int(self.max_globals) or self.max_globals < 1:
+        if not is_int(self.max_globals) or self.max_globals < 1:
             raise InputError(f"max_globals must be an integer >= 1, got {self.max_globals!r}")
         if not self.gate_threshold > 0.0:
             raise InputError(f"gate_threshold must be positive, got {self.gate_threshold!r}")
@@ -177,10 +176,6 @@ class FilterParams:
             raise InputError(
                 f"estimate_existence must lie in [0, 1], got {self.estimate_existence!r}"
             )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -296,8 +291,8 @@ def update(
     matrices.  Weights are renormalized.
     A child is keyed ``parent * (m + 1) + association`` (0 misdetection,
     j + 1 measurement j), which sorts by parent, misdetection first.  Only
-    the children some new global selects are built, in key order, with one
-    gain per detected parent from the gate's factors of S.
+    the children some new global selects are built, in key order; one gain
+    call on the gate's factors of S serves every detected child.
     """
     zs = _as_measurement_block(measurements, model.meas_dim)
     m, p_d = len(zs), model.detection_prob
@@ -370,17 +365,12 @@ def update(
     parent, association = np.divmod(used, m + 1)
     means, covariances = state.means[parent], state.covariances[parent]
     detected = association > 0
-    if detected.any():  # then the gate ran and ``factors`` holds its factors of S
-        gated = np.unique(parent[detected])
-        pair = np.searchsorted(gated, parent[detected])
-        factor_rows = np.searchsorted(detectable, gated)
-        gains, posterior_covs = kalman_gains(
-            state.covariances[gated], factors[1][factor_rows], model
-        )
+    if detected.any():  # then the gate ran: ``factors`` holds the detectable parents' S
+        gains, posterior_covs = kalman_gains(state.covariances[detectable], factors[1], model)
+        pair = np.searchsorted(detectable, parent[detected])
         covariances[detected] = posterior_covs[pair]
         means[detected] = posterior_means(
-            means[detected], factors[0][factor_rows][pair], gains[pair],
-            zs[association[detected] - 1],
+            means[detected], factors[0][pair], gains[pair], zs[association[detected] - 1]
         )
     return MbmState._stacked(
         state.time,

@@ -12,14 +12,14 @@ import importlib.resources
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import yaml
 
-from .errors import InputError
+from .errors import InputError, is_int
 from .gaussian import GaussianDensity, LinearGaussianModel
-from .gospa import POSITION_PROJECTION, GospaParams, GospaResult, gospa, rms
+from .gospa import POSITION_PROJECTION, GospaParams, GospaResult, component_rms, gospa, rms
 from .mbm import (
     BirthComponent,
     BirthModel,
@@ -227,9 +227,6 @@ class RunRecord:
     def rms_total(self) -> float:
         return rms(g.total for g in self.gospa)
 
-    def mean_component(self, name: str) -> float:
-        return float(np.mean([getattr(g, name) for g in self.gospa]))
-
 
 @dataclass(frozen=True)
 class MonteCarloReport:
@@ -245,10 +242,8 @@ class MonteCarloReport:
         return float(np.mean([r.rms_total for r in self.records]))
 
     def mean_component_rms(self, name: str) -> float:
-        # For order p the per-run aggregate of a decomposition term is
-        # (mean over steps of the p-powered cost)^(1/p).
         p = self.gospa_params.order
-        return float(np.mean([r.mean_component(name) ** (1.0 / p) for r in self.records]))
+        return float(np.mean([component_rms(r.gospa, name, p) for r in self.records]))
 
     @property
     def mean_runtime_s(self) -> float:
@@ -260,14 +255,7 @@ def _single_run(
     params: FilterParams,
     run_seed: int,
     gospa_params: GospaParams,
-    regenerate_truth: bool,
 ) -> RunRecord:
-    if regenerate_truth:
-        # Fresh truth per run, on a stream distinct from the measurements.
-        rng = make_rng((run_seed, 1))
-        scenario = replace(
-            scenario, truth=make_crossing_truth(scenario.model, rng, scenario.duration)
-        )
     scans = generate_run_measurements(scenario, run_seed)
     t0 = time.perf_counter()
     estimates = run_filter(scenario, scans, params)
@@ -286,13 +274,11 @@ def run_monte_carlo(
     n_runs: int,
     seed: int,
     gospa_params: GospaParams | None = None,
-    regenerate_truth: bool = False,
     workers: int = 1,
 ) -> MonteCarloReport:
     """Independently seeded filter runs over the scenario's ground truth.
 
-    Truth is drawn once from the base seed and shared across runs unless
-    ``regenerate_truth`` asks for a fresh draw per run.  Runs are
+    Truth is drawn once from the base seed and shared across runs.  Runs are
     embarrassingly parallel; ``workers > 1`` fans them out over processes
     while records are still collected in run-index order, so the report is
     identical (timings aside) for any worker count.
@@ -314,12 +300,11 @@ def run_monte_carlo(
                     [params] * n_runs,
                     run_seeds,
                     [gospa_params] * n_runs,
-                    [regenerate_truth] * n_runs,
                 )
             )
     else:
         records = [
-            _single_run(base, params, rs, gospa_params, regenerate_truth) for rs in run_seeds
+            _single_run(base, params, rs, gospa_params) for rs in run_seeds
         ]
     return MonteCarloReport(scenario.name, n_runs, seed, params, gospa_params, records)
 
@@ -348,7 +333,7 @@ def _parse_schedule(raw, duration: int, default: float) -> tuple[float, ...] | N
         return None
     schedule = [default] * duration
     for block in raw:
-        first, last = (int(v) for v in block["steps"])
+        first, last = (_integer("detection schedule steps", v) for v in block["steps"])
         if not 1 <= first <= last <= duration:
             raise InputError(f"detection schedule steps {block['steps']} out of range")
         value = float(block["detection_prob"])
@@ -359,14 +344,10 @@ def _parse_schedule(raw, duration: int, default: float) -> tuple[float, ...] | N
     return tuple(schedule)
 
 
-# Filter fields a scenario file may set; the rest keep FilterParams' defaults.
-_FILTER_FIELDS = {
-    "max_globals": int,
-    "gate_threshold": float,
-    "prune_global_weight": float,
-    "prune_existence": float,
-    "estimate_existence": float,
-}
+def _integer(name: str, value) -> int:
+    if not is_int(value):
+        raise InputError(f"bad scenario configuration: {name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def scenario_from_mapping(raw: dict) -> Scenario:
@@ -378,7 +359,7 @@ def scenario_from_mapping(raw: dict) -> Scenario:
             (float(region_raw["y"][0]), float(region_raw["y"][1])),
         )
         clutter_rate = float(raw["clutter_rate"])
-        duration = int(raw["duration"])
+        duration = _integer("duration", raw["duration"])
         area = (region[0][1] - region[0][0]) * (region[1][1] - region[1][0])
         if not (math.isfinite(area) and area > 0):
             raise InputError("region bounds must be finite and enclose a positive area")
@@ -406,10 +387,14 @@ def scenario_from_mapping(raw: dict) -> Scenario:
         )
         birth = _parse_birth(raw["birth"])
         schedule = _parse_schedule(raw.get("detection_schedule"), duration, model.detection_prob)
+        # Any FilterParams field; floats are cast, max_globals is left to its check.
         filt = raw.get("filter", {})
         params = replace(
             FilterParams(),
-            **{name: cast(filt[name]) for name, cast in _FILTER_FIELDS.items() if name in filt},
+            **{
+                f.name: float(filt[f.name]) if isinstance(f.default, float) else filt[f.name]
+                for f in fields(FilterParams) if f.name in filt
+            },
         )
         return Scenario(
             name=str(raw.get("name", "custom")),
@@ -439,8 +424,8 @@ def builtin_scenario(name: str) -> Scenario:
     if name not in SCENARIO_NAMES:
         raise InputError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
     resource = importlib.resources.files("mbmtrack").joinpath(f"data/{name}.yaml")
-    raw = yaml.safe_load(resource.read_text(encoding="utf-8"))
-    return scenario_from_mapping(raw)
+    with importlib.resources.as_file(resource) as path:
+        return load_scenario_file(path)
 
 
 def builtin_scenarios() -> dict[str, Scenario]:

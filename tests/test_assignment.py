@@ -141,6 +141,32 @@ class TestKBest:
                 assert a.total_cost == e_cost
                 assert a.row_to_col == e_map
 
+    @pytest.mark.parametrize(
+        "costs, k",
+        [
+            (
+                [[F, -0.004, -0.003, 0.002, -0.003], [-0.002, -0.001, -0.003, 0.002, -0.001],
+                 [F, -0.004, -0.004, 0.001, F], [0, F, -0.001, -0.004, 0.002],
+                 [-0.002, F, F, 0.002, F]],
+                10,
+            ),
+            (
+                [[F, -0.001, F, -0.004], [-0.001, F, -0.002, F], [F, F, -0.004, F],
+                 [0.001, -0.002, 0, F], [-0.003, 0.002, -0.003, -0.003],
+                 [-0.002, F, -0.002, -0.004]],
+                11,
+            ),
+        ],
+    )
+    def test_float_sum_near_ties_match_oracle(self, costs, k):
+        # In each matrix a Murty node's optimum sums, in row order, to an ulp
+        # above an assignment of its subtree whose exact cost ties with it and
+        # whose float cost ties with the k-th best.  Without the tie window
+        # of _TIE_RTOL the ranking never expands that subtree.
+        expected = k_best_oracle(costs, k)
+        got = k_best(np.array(costs), k)
+        assert [(a.row_to_col, a.total_cost) for a in got] == expected
+
     def test_row_shift_property(self):
         rng = np.random.default_rng(31)
         for _ in range(30):

@@ -189,6 +189,15 @@ class TestTrackAndEvaluate:
         assert float(row[3]) == pytest.approx(50.0)
         assert row[5] == "1"
 
+    def test_evaluate_empty_files_score_zero(self, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "eval"
+        assert main(
+            ["evaluate", "--truth", str(empty), "--estimates", str(empty), "--out", str(out)]
+        ) == 0
+        assert (out / "gospa_summary.csv").read_text().splitlines()[1] == "0,0,0,0,0"
+
     def test_step_count_mismatch_exits_2(self, tmp_path, capsys):
         truth = tmp_path / "truth.txt"
         write_labeled_state_file(truth, [[], []])
@@ -214,6 +223,24 @@ class TestTrackAndEvaluate:
             ["evaluate", "--truth", str(truth), "--estimates", str(estimates), "--out", str(out)]
         ) == 2
         assert "est.txt:1: labeled state" in capsys.readouterr().err
+        assert not (out / "gospa.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--gospa-p", "400"], "c**p"),
+            (["--gospa-c", "1e200"], "c**p"),
+            (["--gospa-c", "inf"], "cutoff c must be finite"),
+        ],
+    )
+    def test_gospa_params_out_of_range_exit_2(self, tmp_path, capsys, flags, message):
+        truth = tmp_path / "truth.txt"
+        write_labeled_state_file(truth, [[((1, 1), np.array([10.0, 0.0, 20.0, 0.0]))]])
+        out = tmp_path / "eval"
+        assert main(
+            ["evaluate", "--truth", str(truth), "--estimates", str(truth), "--out", str(out), *flags]
+        ) == 2
+        assert message in capsys.readouterr().err
         assert not (out / "gospa.csv").exists()
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
@@ -424,6 +451,17 @@ class TestRejectedTrackInput:
     def test_negative_gate_exits_2(self, tmp_path, capsys):
         assert self.run_track(tmp_path, "140 170\n", ["--gate", "-1"]) == 2
         assert "gate_threshold" in capsys.readouterr().err
+
+    def test_ragged_measurements_exit_2(self, tmp_path, capsys):
+        assert self.run_track(tmp_path, "140 170\n1 2;3 4 5\n") == 2
+        assert "meas.txt:2: measurements have inconsistent dimensions" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "estimates.txt").exists()
+
+    def test_reader_rejects_ragged_points(self, tmp_path):
+        path = tmp_path / "meas.txt"
+        path.write_text("1 2;3 4 5\n", encoding="utf-8")
+        with pytest.raises(InputError, match="inconsistent dimensions"):
+            read_measurement_file(path)
 
 
 class TestAssign:

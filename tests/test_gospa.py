@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from oracles import gospa_oracle
 
 from mbmtrack.errors import InputError
-from mbmtrack.gospa import GospaParams, gospa, rms
+from mbmtrack.gospa import GospaParams, GospaResult, component_rms, gospa, rms
 
 P10 = GospaParams(cutoff=10.0, order=2.0)
 
@@ -73,6 +73,29 @@ class TestGospaBasics:
             GospaParams(cutoff=0.0)
         with pytest.raises(InputError):
             GospaParams(order=0.5)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"order": 400.0}, "c\\*\\*p"),  # 10**400 overflows a float
+            ({"cutoff": 1e200}, "c\\*\\*p"),
+            ({"cutoff": 1e-200}, "c\\*\\*p"),  # underflows to 0
+            ({"cutoff": np.inf}, "cutoff"),
+            ({"cutoff": np.nan}, "cutoff"),
+            ({"projection": (-5,)}, "projection"),
+            ({"projection": ()}, "projection"),
+            ({"projection": (0, True)}, "projection"),
+        ],
+    )
+    def test_params_out_of_range_rejected(self, kwargs, message):
+        with pytest.raises(InputError, match=message):
+            GospaParams(**kwargs)
+
+    def test_pair_beyond_float_range_is_unmatched(self):
+        # The distance overflows to inf, silently: the pair lies beyond the cutoff.
+        result = gospa([np.zeros(2)], [np.array([1e200, -1e200])], P10)
+        assert result.n_missed == 1 and result.n_false == 1
+        assert result.total == pytest.approx(10.0)
 
 
 class TestGospaAgainstBruteForce:
@@ -164,3 +187,10 @@ class TestGospaMetricAxioms:
 def test_rms_aggregate():
     assert rms([3.0, 4.0]) == pytest.approx(np.sqrt(12.5))
     assert rms([]) == 0.0
+
+
+def test_component_rms_aggregate():
+    results = [GospaResult(0.0, 0.0, m, 0.0, 0, 0, ()) for m in (1.0, 8.0)]
+    assert component_rms(results, "missed_p", 2.0) == pytest.approx(4.5**0.5)
+    assert component_rms(results, "missed_p", 3.0) == pytest.approx(4.5 ** (1.0 / 3.0))
+    assert component_rms([], "missed_p", 2.0) == 0.0
