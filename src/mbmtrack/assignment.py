@@ -156,6 +156,10 @@ def _rank_chunk(costs: np.ndarray, ks: list, resolve_ties: bool) -> list[list[As
         fill,
         out=aug[:, :, :n_c],
     )
+    # The columns outside a matrix's view hold `large`, above its row's zero
+    # slack, so these are the row minima of each view.
+    row_mins = np.minimum.reduce(aug, axis=2, initial=np.inf).tolist()
+    row_maps, col_maps = row_ids.tolist(), col_ids.tolist()
 
     results = []
     for g, (n_row, n_col, big, k) in enumerate(zip(n_rows, n_cols, large, ks)):
@@ -163,8 +167,8 @@ def _rank_chunk(costs: np.ndarray, ks: list, resolve_ties: bool) -> list[list[As
             results.append([Assignment({}, 0.0)])
             continue
         node = aug[g, :n_row, n_c - n_col:n_c + n_row]
-        emitted = _murty(node, n_col, big, k, resolve_ties, rows[:n_row])
-        row_map, col_map = row_ids[g, :n_row].tolist(), col_ids[g, n_c - n_col:].tolist()
+        emitted = _murty(node, n_col, big, k, resolve_ties, rows[:n_row], row_mins[g][:n_row])
+        row_map, col_map = row_maps[g][:n_row], col_maps[g][n_c - n_col:]
         ranked = [
             Assignment(
                 {row_map[r]: col_map[c] for r, c in enumerate(sol.tolist()) if c < n_col}, cost
@@ -178,26 +182,37 @@ def _rank_chunk(costs: np.ndarray, ks: list, resolve_ties: bool) -> list[list[As
 
 
 def _murty(aug: np.ndarray, n_cols: int, large: float, k: int, resolve_ties: bool,
-           rows: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """(cost, slot per row) of the ranked solutions of one augmented matrix."""
+           rows: np.ndarray, row_min: list[float]) -> list[tuple[float, np.ndarray]]:
+    """(cost, slot per row) of the ranked solutions of one augmented matrix.
+
+    ``row_min`` holds the row minima of ``aug``.  A node of the search is a
+    copy of ``aug`` with its rows before some row ``first`` pinned and row
+    ``first`` short of some entries, so its rows after ``first`` are the
+    root's and share these minima.  Each solve also keeps the entries it
+    selected, ``node[rows, sol]``: a node's children take their pinned
+    values from them.
+    """
 
     def solve(node: np.ndarray):
         cols = linear_sum_assignment(node)[1]
         selected = node[rows, cols].tolist()
+        # A feasible solution's slack entries are its rows' own, exactly
+        # +0.0, and a row-order sum from +0.0 is never -0.0: adding them
+        # leaves the sum of the assigned entries bitwise as it is.
         total = 0.0
-        for c, value in zip(cols.tolist(), selected):
+        for value in selected:
             if value >= large:
-                return None, 0.0
-            if c < n_cols:
-                total += value
-        return cols, total
+                return None, 0.0, None
+            total += value
+        return cols, total, selected
 
     n_rows = rows.size
     counter = itertools.count()
-    root_sol, root_cost = solve(aug)
-    # Entries: (cost, discovery, first free row, node, solution, exact).  An
-    # inexact entry is child `first` of `node`, unsolved, under a lower bound.
-    heap = [(root_cost, next(counter), 0, aug, root_sol, True)]
+    root_sol, root_cost, root_values = solve(aug)
+    # Entries: (cost, discovery, first free row, node, solution, selected
+    # entries, exact).  An inexact entry is child `first` of `node`,
+    # unsolved, under a lower bound.
+    heap = [(root_cost, next(counter), 0, aug, root_sol, root_values, True)]
     emitted: list[tuple[float, np.ndarray]] = []
 
     while heap:
@@ -207,17 +222,19 @@ def _murty(aug: np.ndarray, n_cols: int, large: float, k: int, resolve_ties: boo
             kth = emitted[k - 1][0]
             if heap[0][0] > kth + _TIE_RTOL * max(1.0, abs(kth)):
                 break
-        cost, order, first, node, sol, exact = heapq.heappop(heap)
+        cost, order, first, node, sol, values, exact = heapq.heappop(heap)
         if not exact:
             # Solve the child now.  Its exact cost is >= the bound and it keeps
             # its discovery number, so exact entries leave in eager order.
             child = node.copy()
             child[:first] = large
-            child[rows[:first], sol[:first]] = node[rows[:first], sol[:first]]
+            child[rows[:first], sol[:first]] = values[:first]
             child[first, sol[first]] = large
-            child_sol, child_cost = solve(child)
+            child_sol, child_cost, child_values = solve(child)
             if child_sol is not None:
-                heapq.heappush(heap, (child_cost, order, first, child, child_sol, True))
+                heapq.heappush(
+                    heap, (child_cost, order, first, child, child_sol, child_values, True)
+                )
             continue
         emitted.append((cost, sol))
         if not resolve_ties and len(emitted) >= k:
@@ -231,19 +248,22 @@ def _murty(aug: np.ndarray, n_cols: int, large: float, k: int, resolve_ties: boo
         # held by no row <= t.  Its cost is then at least the pinned values
         # of rows < t, plus row t's least such entry, plus the minimum of
         # each row > t; added in `solve`'s row order, the float sum stays a
-        # lower bound, since rounding is monotone.
+        # lower bound, since rounding is monotone.  The pinned sum is carried
+        # from child to child, which keeps that order.
         holder = np.full(n_cols + n_rows, n_rows)
         holder[sol] = rows
         free = holder > rows[first:, None]
         free_min = np.minimum.reduce(node[first:], axis=1, where=free, initial=large).tolist()
-        row_min = np.minimum.reduce(node, axis=1).tolist()
-        pinned = node[rows, sol].tolist()
+        pinned = 0.0
+        for value in values[:first]:
+            pinned += value
         for t, row_t in enumerate(free_min, first):
             if row_t < large:
-                bound = 0.0
-                for value in pinned[:t] + [row_t] + row_min[t + 1:]:
+                bound = pinned + row_t
+                for value in row_min[t + 1:]:
                     bound += value
-                heapq.heappush(heap, (bound, next(counter), t, node, sol, False))
+                heapq.heappush(heap, (bound, next(counter), t, node, sol, values, False))
+            pinned += values[t]
     return emitted
 
 

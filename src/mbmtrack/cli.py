@@ -44,7 +44,8 @@ def write_measurement_file(path, scans) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_measurement_file(path) -> list[np.ndarray]:
+def read_measurement_file(path, meas_dim: int) -> list[np.ndarray]:
+    """One (points, meas_dim) scan per line: points split by ';', coordinates by spaces."""
     scans = []
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         points = []
@@ -55,7 +56,12 @@ def read_measurement_file(path) -> list[np.ndarray]:
                 raise InputError(f"{path}:{line_no}: bad measurement {token!r}") from exc
         if any(len(point) != len(points[0]) for point in points):
             raise InputError(f"{path}:{line_no}: measurements have inconsistent dimensions")
-        scan = np.asarray(points, dtype=float) if points else np.zeros((0, 2))
+        if points and len(points[0]) != meas_dim:
+            raise InputError(
+                f"{path}:{line_no}: measurements must have {meas_dim} coordinates, "
+                f"got {len(points[0])}"
+            )
+        scan = np.asarray(points, dtype=float).reshape(len(points), meas_dim)
         if not np.isfinite(scan).all():
             raise InputError(f"{path}:{line_no}: measurements must be finite")
         scans.append(scan)
@@ -127,7 +133,7 @@ def cmd_simulate(args) -> int:
 def cmd_track(args) -> int:
     scenario = resolve_scenario(args.scenario)
     params = _params_from_args(args, scenario.filter_defaults)
-    scans = read_measurement_file(args.measurements)
+    scans = read_measurement_file(args.measurements, scenario.model.meas_dim)
     estimates = run_filter(scenario, scans, params)
     out = _out_dir(args)
     per_step = [[(e.label, e.state) for e in step_estimates] for step_estimates in estimates]

@@ -15,5 +15,11 @@ class NumericalError(ArithmeticError):
 
 
 def is_int(value) -> bool:
-    """An integer that is not a bool (numpy integers included)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """An integer that is not a bool (numpy integers included).
+
+    A plain int returns before the slower ``numbers.Integral`` check; ``bool``
+    is a subclass of int, not int itself, so it still takes that check.
+    """
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -76,25 +77,33 @@ class MbmState:
     """Stacked single-target hypotheses plus global hypotheses.
 
     Rows ``offsets[i]:offsets[i + 1]`` of ``means`` (H, n_x), ``covariances``
-    (H, n_x, n_x), ``existences``, ``log_weights`` and ``metas`` (a tuple of
-    ``HypothesisMeta``) are the hypotheses of component i.  Global hypothesis
-    g has log-weight ``global_log_weights[g]`` and picks hypothesis
+    (H, n_x, n_x), ``existences``, ``log_weights``, ``labels`` and
+    ``histories`` are the hypotheses of component i.  ``labels`` (H, 2) holds
+    each hypothesis's (birth_time, birth_index) and ``histories`` (H, width)
+    its association history, left-padded with -1.  Global hypothesis g has
+    log-weight ``global_log_weights[g]`` and picks hypothesis
     ``vectors[g, i]`` of component i.  The arrays are never written, so states
     share them.  ``MbmState(components, global_hypotheses, time)`` builds a
     state from the dataclass form that ``components`` and
-    ``global_hypotheses`` give back.
+    ``global_hypotheses`` give back; ``HypothesisMeta`` exists only in that form.
     """
 
     def __init__(self, components, global_hypotheses, time: int):
         hyps = [h for comp in components for h in comp.hypotheses]
         n_x = hyps[0].density.dim if hyps else 0
+        histories = [h.meta.association_history for h in hyps]
+        width = max(map(len, histories), default=0)
         self._set(
             time,
             np.array([h.density.mean for h in hyps]).reshape(len(hyps), n_x),
             np.array([h.density.covariance for h in hyps]).reshape(len(hyps), n_x, n_x),
             np.array([h.existence for h in hyps], dtype=float),
             np.array([h.log_weight for h in hyps], dtype=float),
-            tuple(h.meta for h in hyps),
+            np.array([h.meta.label for h in hyps], dtype=np.intp).reshape(len(hyps), 2),
+            np.array(
+                [(-1,) * (width - len(history)) + tuple(history) for history in histories],
+                dtype=np.intp,
+            ).reshape(len(hyps), width),
             np.cumsum([0] + [len(comp.hypotheses) for comp in components], dtype=np.intp),
             np.array([g.assignment_vector for g in global_hypotheses], dtype=np.intp).reshape(
                 len(global_hypotheses), len(components)
@@ -103,10 +112,11 @@ class MbmState:
         )
         self.components, self.global_hypotheses = tuple(components), tuple(global_hypotheses)
 
-    def _set(self, time, means, covariances, existences, log_weights, metas, offsets, vectors,
-             global_log_weights) -> MbmState:
+    def _set(self, time, means, covariances, existences, log_weights, labels, histories, offsets,
+             vectors, global_log_weights) -> MbmState:
         self.time, self.means, self.covariances = time, means, covariances
-        self.existences, self.log_weights, self.metas = existences, log_weights, metas
+        self.existences, self.log_weights = existences, log_weights
+        self.labels, self.histories = labels, histories
         self.offsets, self.vectors, self.global_log_weights = offsets, vectors, global_log_weights
         return self
 
@@ -117,11 +127,14 @@ class MbmState:
 
     @cached_property
     def components(self) -> tuple[BernoulliComponent, ...]:
+        pads = np.count_nonzero(self.histories < 0, axis=1).tolist()
         hyps = [
-            SingleTargetHypothesis(w, r, GaussianDensity(mean, cov), meta)
-            for w, r, mean, cov, meta in zip(
+            SingleTargetHypothesis(
+                w, r, GaussianDensity(mean, cov), HypothesisMeta(*label, tuple(history[pad:]))
+            )
+            for w, r, mean, cov, label, history, pad in zip(
                 self.log_weights.tolist(), self.existences.tolist(), self.means,
-                self.covariances, self.metas,
+                self.covariances, self.labels.tolist(), self.histories.tolist(), pads,
             )
         ]
         bounds = self.offsets.tolist()
@@ -203,7 +216,7 @@ def predict(
     identical either way).
     """
     new_time, n_x, births = state.time + 1, model.state_dim, birth.components
-    n_h = len(state.means)
+    n_h, n_b = len(state.means), len(births)
     means, covariances = predict_stack(
         state.means.reshape(n_h, n_x), state.covariances.reshape(n_h, n_x, n_x), model
     )
@@ -212,20 +225,18 @@ def predict(
         np.concatenate([means] + [b.density.mean[None] for b in births]),
         np.concatenate([covariances] + [b.density.covariance[None] for b in births]),
         np.concatenate((state.existences * model.survival_prob, [b.existence for b in births])),
-        np.concatenate((state.log_weights, np.zeros(len(births)))),
-        state.metas + tuple(
-            HypothesisMeta(new_time, index) if label_births else HypothesisMeta(0, 0)
-            for index in range(1, len(births) + 1)
-        ),
-        np.concatenate((state.offsets, state.offsets[-1] + np.arange(1, len(births) + 1))),
-        np.hstack((state.vectors, np.zeros((len(state.vectors), len(births)), dtype=np.intp))),
+        np.concatenate((state.log_weights, np.zeros(n_b))),
+        np.concatenate((
+            state.labels,
+            np.array(
+                [(new_time, index) if label_births else (0, 0) for index in range(1, n_b + 1)],
+                dtype=np.intp,
+            ).reshape(n_b, 2),
+        )),
+        np.concatenate((state.histories, np.full((n_b, state.histories.shape[1]), -1))),
+        np.concatenate((state.offsets, state.offsets[-1] + np.arange(1, n_b + 1))),
+        np.hstack((state.vectors, np.zeros((len(state.vectors), n_b), dtype=np.intp))),
         state.global_log_weights,
-    )
-
-
-def _extend_history(meta: HypothesisMeta, association: int) -> HypothesisMeta:
-    return HypothesisMeta(
-        meta.birth_time, meta.birth_index, meta.association_history + (association,)
     )
 
 
@@ -261,8 +272,15 @@ def _merge_duplicates(
     """Sum the weights of global hypotheses with identical assignment vectors.
 
     Each group takes the place of its first member, and its log-weights are
-    folded with ``np.logaddexp`` in order of appearance.
+    folded with ``np.logaddexp`` in order of appearance.  One sort finds
+    whether any vector repeats; if none does, the inputs come back as they are.
     """
+    if len(vectors) < 2:
+        return vectors, log_weights
+    if vectors.shape[1]:
+        ordered = vectors[np.lexsort(vectors.T)]
+        if not (ordered[1:] == ordered[:-1]).all(axis=1).any():
+            return vectors, log_weights
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, key in enumerate(map(tuple, vectors.tolist())):
         groups.setdefault(key, []).append(i)
@@ -290,9 +308,13 @@ def update(
     weight) best children; one k-best call ranks the whole stack of these
     matrices.  Weights are renormalized.
     A child is keyed ``parent * (m + 1) + association`` (0 misdetection,
-    j + 1 measurement j), which sorts by parent, misdetection first.  Only
-    the children some new global selects are built, in key order; one gain
-    call on the gate's factors of S serves every detected child.
+    j + 1 measurement j), which sorts by parent, misdetection first.  The
+    (solutions, components) key array is its globals' misdetection keys plus
+    one scatter of the ranked assignments' (solution, row, j + 1) triples.
+    Only the children some new global selects are built, in key order: they
+    gather their parents' rows, labels included, and append their
+    association to the parents' histories.  One gain call on the gate's
+    factors of S serves every detected child.
     """
     zs = _as_measurement_block(measurements, model.meas_dim)
     m, p_d = len(zs), model.detection_prob
@@ -345,21 +367,25 @@ def update(
         for w in state.global_log_weights.tolist()
     ]
     ranked = k_best(cost[rows], k_us, resolve_ties=False)
-    weights, keys = [], []
-    for base_keys, base_weight, assignments in zip(
-        (rows * (m + 1)).tolist(), base_log_weight.tolist(), ranked
-    ):
-        for assignment in assignments:
-            child_keys = base_keys.copy()
-            for i, j in assignment.row_to_col.items():
-                child_keys[i] += j + 1
-            weights.append(base_weight - assignment.total_cost)
-            keys.append(child_keys)
+    counts = [len(assignments) for assignments in ranked]
+    solutions = list(chain.from_iterable(ranked))
+    maps = [solution.row_to_col for solution in solutions]
+    sizes = [len(row_to_col) for row_to_col in maps]
+    n_pairs = sum(sizes)
+    weights = np.repeat(base_log_weight, counts) - np.array(
+        [solution.total_cost for solution in solutions]
+    )
+    # Each child starts from its global's misdetection keys; one scatter adds
+    # j + 1 at every (solution, row) that an assignment gives measurement j.
+    keys = np.repeat(rows * (m + 1), counts, axis=0)
+    keys[
+        np.repeat(np.arange(len(maps)), sizes),
+        np.fromiter(chain.from_iterable(maps), np.intp, n_pairs),
+    ] += np.fromiter(chain.from_iterable(map(dict.values, maps)), np.intp, n_pairs) + 1
 
     # Build the selected children in key order and renumber the vectors to
     # match: the hypotheses keep their relative order, so pruning and
     # estimation give the same result as if every child were built.
-    keys = np.array(keys, dtype=np.intp).reshape(len(weights), len(offsets))
     used = np.unique(keys)
     starts = np.searchsorted(used, offsets * (m + 1))
     parent, association = np.divmod(used, m + 1)
@@ -378,10 +404,11 @@ def update(
         covariances,
         np.where(detected, 1.0, mis_existence[parent]),
         child_log_weight.ravel()[used],
-        tuple(_extend_history(state.metas[p], a) for p, a in zip(parent.tolist(), association.tolist())),
+        state.labels[parent],
+        np.column_stack((state.histories[parent], association)),
         np.append(starts, len(used)),
         np.searchsorted(used, keys) - starts,
-        _normalized(np.array(weights)),
+        _normalized(weights),
     )
 
 
@@ -428,13 +455,18 @@ def prune(state: MbmState, params: FilterParams) -> MbmState:
     starts = np.searchsorted(used, state.offsets[:-1][alive])
     vectors = np.searchsorted(used, rows[:, alive]) - starts
     vectors, weights = _merge_duplicates(vectors, weights[kept])
+    # Left padding makes the columns that every kept history leaves at -1 a
+    # prefix; dropping them bounds the width by the oldest kept history.
+    histories = state.histories[used]
+    histories = histories[:, np.count_nonzero((histories < 0).all(axis=0)):]
     return MbmState._stacked(
         state.time,
         state.means[used],
         state.covariances[used],
         state.existences[used],
         state.log_weights[used],
-        tuple(state.metas[i] for i in used.tolist()),
+        state.labels[used],
+        histories,
         np.append(starts, len(used)),
         vectors,
         _normalized(weights),
@@ -447,7 +479,10 @@ def estimate(state: MbmState, params: FilterParams) -> list[TargetEstimate]:
         raise InputError("state has no global hypotheses")
     rows = state.vectors[np.argmax(state.global_log_weights)] + state.offsets[:-1]
     rows = rows[state.existences[rows] > params.estimate_existence]
-    return [TargetEstimate(state.metas[i].label, state.means[i].copy()) for i in rows.tolist()]
+    return [
+        TargetEstimate(tuple(label), mean)
+        for label, mean in zip(state.labels[rows].tolist(), state.means[rows])
+    ]
 
 
 def step(

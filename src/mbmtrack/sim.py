@@ -350,8 +350,45 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+# The keys a scenario file may hold; a list holds the keys of each of its entries.
+_SCENARIO_KEYS = {
+    "name": None,
+    "duration": None,
+    "clutter_rate": None,
+    "region": {"x": None, "y": None},
+    "model": dict.fromkeys((
+        "sampling_time", "process_noise_intensity", "measurement_noise_std", "survival_prob",
+        "detection_prob",
+    )),
+    "birth": [dict.fromkeys(("existence", "mean", "std"))],
+    "detection_schedule": [dict.fromkeys(("steps", "detection_prob"))],
+    "filter": dict.fromkeys(f.name for f in fields(FilterParams)),
+}
+
+
+def _unknown_keys(raw: dict, known: dict, where: str = ""):
+    """Dotted paths of the keys of ``raw`` that ``known`` does not list."""
+    for key, value in raw.items():
+        path = f"{where}{key}"
+        if key not in known:
+            yield path
+        elif isinstance(known[key], dict) and isinstance(value, dict):
+            yield from _unknown_keys(value, known[key], path + ".")
+        elif isinstance(known[key], list) and isinstance(value, list):
+            for index, entry in enumerate(value):
+                if isinstance(entry, dict):
+                    yield from _unknown_keys(entry, known[key][0], f"{path}[{index}].")
+
+
 def scenario_from_mapping(raw: dict) -> Scenario:
-    """Build a Scenario (plus its filter defaults) from parsed config data."""
+    """Build a Scenario (plus its filter defaults) from parsed config data.
+
+    Every key must be one the loader reads: a misspelt field would otherwise
+    leave its default in place without notice.
+    """
+    unknown = list(_unknown_keys(raw, _SCENARIO_KEYS)) if isinstance(raw, dict) else []
+    if unknown:
+        raise InputError(f"bad scenario configuration: unknown keys {', '.join(unknown)}")
     try:
         region_raw = raw["region"]
         region = (

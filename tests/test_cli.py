@@ -50,7 +50,7 @@ class TestFileFormats:
         ]
         path = tmp_path / "meas.txt"
         write_measurement_file(path, scans)
-        back = read_measurement_file(path)
+        back = read_measurement_file(path, 2)
         assert len(back) == 3
         for a, b in zip(scans, back):
             np.testing.assert_array_equal(a, b)
@@ -73,7 +73,7 @@ class TestFileFormats:
         path = tmp_path / "bad.txt"
         path.write_text("1.0 2.0;x y\n", encoding="utf-8")
         with pytest.raises(Exception):
-            read_measurement_file(path)
+            read_measurement_file(path, 2)
 
 
 class TestSimulate:
@@ -95,7 +95,7 @@ class TestSimulate:
         )
         out = tmp_path / "sim3"
         assert main(["simulate", "--scenario", str(scenario), "--seed", "3", "--out", str(out)]) == 0
-        scans = read_measurement_file(out / "measurements.txt")
+        scans = read_measurement_file(out / "measurements.txt", 2)
         assert len(scans) == 14
         assert all(len(s) == 0 for s in scans[:10])
 
@@ -106,7 +106,7 @@ class TestSimulate:
     def test_builtin_scenario_accepted(self, tmp_path):
         out = tmp_path / "builtin"
         assert main(["simulate", "--scenario", "scenario1", "--seed", "2", "--out", str(out)]) == 0
-        assert len(read_measurement_file(out / "measurements.txt")) == 81
+        assert len(read_measurement_file(out / "measurements.txt", 2)) == 81
 
 
 class TestTrackAndEvaluate:
@@ -446,7 +446,7 @@ class TestRejectedTrackInput:
         path = tmp_path / "meas.txt"
         path.write_text(f"{token} 1\n", encoding="utf-8")
         with pytest.raises(InputError, match="finite"):
-            read_measurement_file(path)
+            read_measurement_file(path, 2)
 
     def test_negative_gate_exits_2(self, tmp_path, capsys):
         assert self.run_track(tmp_path, "140 170\n", ["--gate", "-1"]) == 2
@@ -461,7 +461,29 @@ class TestRejectedTrackInput:
         path = tmp_path / "meas.txt"
         path.write_text("1 2;3 4 5\n", encoding="utf-8")
         with pytest.raises(InputError, match="inconsistent dimensions"):
-            read_measurement_file(path)
+            read_measurement_file(path, 2)
+
+    def test_wrong_dimension_line_exits_2(self, tmp_path, capsys):
+        assert self.run_track(tmp_path, "140 170\n1 2 3\n") == 2
+        assert "meas.txt:2: measurements must have 2 coordinates, got 3" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "estimates.txt").exists()
+
+    def test_empty_line_takes_the_measurement_dimension(self, tmp_path):
+        path = tmp_path / "meas.txt"
+        path.write_text("1 2 3\n\n", encoding="utf-8")
+        assert [scan.shape for scan in read_measurement_file(path, 3)] == [(1, 3), (0, 3)]
+
+    def test_unknown_scenario_keys_exit_2(self, tmp_path, capsys):
+        scenario = small_scenario_file(
+            tmp_path, extra={"filter": {"max_global": 5}, "modle": {"detection_prob": 0.5}}
+        )
+        meas = tmp_path / "meas.txt"
+        meas.write_text("140 170\n", encoding="utf-8")
+        code = main(["track", "--scenario", str(scenario), "--measurements", str(meas),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "filter.max_global" in err and "modle" in err
 
 
 class TestAssign:

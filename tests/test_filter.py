@@ -34,6 +34,7 @@ from mbmtrack.sim import (
     constant_velocity_model,
     generate_run_measurements,
     generate_truth,
+    run_filter,
 )
 
 NO_PRUNE = FilterParams(max_globals=10**9, gate_threshold=float("inf"))
@@ -759,6 +760,13 @@ def misdetection_weight(parent, model):
     return parent.log_weight + floor_log(0.0), 1.0
 
 
+def extended(meta, association):
+    """``meta`` with ``association`` appended to its history."""
+    return HypothesisMeta(
+        meta.birth_time, meta.birth_index, meta.association_history + (association,)
+    )
+
+
 def eager_update(state, zs, model, params):
     """Reference update that builds every misdetection and gated detection child.
 
@@ -778,7 +786,7 @@ def eager_update(state, zs, model, params):
             kids.append(
                 SingleTargetHypothesis(
                     log_weight, existence, parent.density,
-                    mbm._extend_history(parent.meta, 0),
+                    extended(parent.meta, 0),
                 )
             )
             row = np.full(m, FORBIDDEN)
@@ -796,7 +804,7 @@ def eager_update(state, zs, model, params):
                             parent.log_weight + log_r + log_pd + logliks[j] - log_kappa,
                             1.0,
                             prepared.posterior(zs[j]),
-                            mbm._extend_history(parent.meta, j + 1),
+                            extended(parent.meta, j + 1),
                         )
                     )
                     row[j] = log_mis - (log_r + log_pd + logliks[j] - log_kappa)
@@ -934,3 +942,141 @@ class TestStackedRanking:
                     (a.row_to_col, a.total_cost.hex()) for a in assignments
                 ]
         assert solves[0] == stacked_solves > 0
+
+
+class TestWorkCounters:
+    def test_scenario1_counters_at_canonical_cap(self, monkeypatch):
+        """The filter's LSAP solves, globals and children on one scenario1 run
+        at N_h = 200 are deterministic; a change that keeps rankings and
+        child selection keeps them."""
+        solve, update = assignment.linear_sum_assignment, mbm.update
+        counts = {"solves": 0, "globals": 0, "children": 0}
+
+        def counted_solve(node):
+            counts["solves"] += 1
+            return solve(node)
+
+        def counted_update(*args):
+            updated = update(*args)
+            counts["globals"] += len(updated.global_log_weights)
+            counts["children"] += len(updated.means)
+            return updated
+
+        monkeypatch.setattr(assignment, "linear_sum_assignment", counted_solve)
+        monkeypatch.setattr(mbm, "update", counted_update)
+        scenario = generate_truth(builtin_scenario("scenario1"), 2026)
+        run_filter(scenario, generate_run_measurements(scenario, 2027), FilterParams())
+        assert counts == {"solves": 25_643, "globals": 23_266, "children": 20_530}
+
+
+class TestStateArrays:
+    def test_metadata_arrays_round_trip(self):
+        histories = [(), (0,), (2, 0, 1)]
+        comp = BernoulliComponent(tuple(
+            SingleTargetHypothesis(0.0, 0.5, GaussianDensity(np.zeros(2), np.eye(2)),
+                                   HypothesisMeta(3, i + 1, history))
+            for i, history in enumerate(histories)
+        ))
+        state = MbmState((comp,), (GlobalHypothesis(0.0, (2,)),), 4)
+        assert state.labels.tolist() == [[3, 1], [3, 2], [3, 3]]
+        assert state.histories.tolist() == [[-1, -1, -1], [-1, -1, 0], [2, 0, 1]]
+        rebuilt = MbmState(state.components, state.global_hypotheses, 4)
+        assert rebuilt.components == state.components
+        assert [h.meta.association_history for h in rebuilt.components[0].hypotheses] == histories
+
+    def test_prune_drops_padding_no_kept_history_reaches(self):
+        comps = tuple(
+            BernoulliComponent((SingleTargetHypothesis(
+                0.0, 0.9, GaussianDensity(np.zeros(2), np.eye(2)), HypothesisMeta(1, 1, history)
+            ),))
+            for history in [(0,), (1, 0, 2)]
+        )
+        state = MbmState(comps, (GlobalHypothesis(0.0, (0, 0)),), 3)
+        assert state.histories.shape == (2, 3)
+        kept = mbm.prune(MbmState(comps[:1], (GlobalHypothesis(0.0, (0,)),), 3), FilterParams())
+        assert kept.histories.tolist() == [[0]]
+        assert mbm.prune(state, FilterParams()).histories.tolist() == [[-1, -1, 0], [1, 0, 2]]
+
+    def test_merge_returns_inputs_without_duplicates(self):
+        vectors = np.array([[0, 1], [1, 0], [0, 0]])
+        weights = np.log([0.2, 0.3, 0.5])
+        merged = mbm._merge_duplicates(vectors, weights)
+        assert merged[0] is vectors and merged[1] is weights
+        vectors[2] = vectors[0]
+        merged_vectors, merged_weights = mbm._merge_duplicates(vectors, weights)
+        assert merged_vectors.tolist() == [[0, 1], [1, 0]]
+        assert merged_weights[0] == np.logaddexp(weights[0], weights[2])
+
+
+@st.composite
+def _scan_plans(draw):
+    """Per step, measurements as (kind, a, b): kind 0 is a point near the
+    birth sites, 1 repeats an earlier point of the scan, 2 lies on the gate
+    boundary of a predicted hypothesis and 3 at its predicted measurement
+    (a picks the hypothesis, b is the angle)."""
+    point = st.tuples(st.integers(0, 3), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    return draw(st.lists(st.lists(point, max_size=5), min_size=1, max_size=6))
+
+
+def _scan(plan, predicted, model, params):
+    points = []
+    for kind, a, b in plan:
+        if kind == 1 and points:
+            points.append(points[int(a * len(points)) % len(points)])
+        elif kind >= 2 and len(predicted.means):
+            i = int(a * len(predicted.means)) % len(predicted.means)
+            h = model.observation
+            s = h @ predicted.covariances[i] @ h.T + model.measurement_noise
+            angle = 2.0 * math.pi * b
+            offset = np.linalg.cholesky(s) @ [math.cos(angle), math.sin(angle)]
+            reach = math.sqrt(params.gate_threshold) if kind == 2 else 0.0
+            points.append(h @ predicted.means[i] + reach * offset)
+        else:
+            points.append(np.array([135.0 + 35.0 * a, 145.0 + 30.0 * b]))
+    return np.array(points).reshape(len(points), 2)
+
+
+class TestRandomScans:
+    """The filter keeps its invariants on scans with empty scans, repeated
+    points and points on the gate boundary, at N_h = 1, 5 and 200."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_scan_plans(), st.sampled_from([1, 5, 200]))
+    def test_step_keeps_invariants(self, plans, max_globals):
+        model = constant_velocity_model(clutter_intensity=10.0 / 90000.0)
+        birth, params = scenario1_birth(), FilterParams(max_globals=max_globals)
+        update, prune, updated = mbm.update, mbm.prune, []
+
+        def checked_update(predicted, zs, model, params):
+            out = update(predicted, zs, model, params)
+            check_state(out)
+            # With survival below 1, only a detection leaves existence at 1.
+            assert np.array_equal(out.histories[:, -1] > 0, out.existences == 1.0)
+            # Children encode their parents, so distinct vectors stay distinct.
+            assert len(np.unique(predicted.vectors, axis=0)) == len(predicted.vectors)
+            assert len(np.unique(out.vectors, axis=0)) == len(out.vectors)
+            updated.append(out)
+            return out
+
+        def checked_prune(state, params):
+            out = prune(state, params)
+            check_state(out)
+            return out
+
+        state = mbm.init_empty()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mbm, "update", checked_update)
+            patch.setattr(mbm, "prune", checked_prune)
+            for plan in plans:
+                zs = _scan(plan, mbm.predict(state, model, birth), model, params)
+                state, estimates = mbm.step(state, zs, model, birth, params)
+                view = updated[-1]
+                best = max(range(len(view.global_hypotheses)),
+                           key=lambda g: view.global_hypotheses[g].log_weight)
+                expected = [
+                    comp.hypotheses[idx].meta.label
+                    for comp, idx in zip(view.components,
+                                         view.global_hypotheses[best].assignment_vector)
+                    if comp.hypotheses[idx].existence > params.estimate_existence
+                ]
+                assert [e.label for e in estimates] == expected

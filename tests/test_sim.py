@@ -115,6 +115,21 @@ class TestBuiltinScenarios:
         with pytest.raises(InputError, match=field):
             scenario_from_mapping(self.minimal_mapping(**extra))
 
+    def test_unknown_keys_rejected_by_path(self):
+        raw = self.minimal_mapping(
+            modle={},
+            region={"x": [0.0, 10.0], "y": [0.0, 10.0], "z": [0.0, 1.0]},
+            model={"detection_prob": 0.8, "pd": 0.8},
+            filter={"max_global": 5},
+            detection_schedule=[{"steps": [1, 2], "detection_prob": 0.5, "prob": 0.5}],
+        )
+        raw["birth"][0]["stdev"] = 1.0
+        with pytest.raises(InputError) as caught:
+            scenario_from_mapping(raw)
+        for path in ("modle", "region.z", "model.pd", "filter.max_global",
+                     "detection_schedule[0].prob", "birth[0].stdev"):
+            assert path in str(caught.value)
+
 
 class TestCrossingTruth:
     def test_counts_follow_birth_and_death_schedule(self):
