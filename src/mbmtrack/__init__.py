@@ -5,7 +5,9 @@ Subpackages:
 * :mod:`mbmtrack.gaussian`: Kalman prediction/update and gating;
 * :mod:`mbmtrack.assignment`: optimal and ranked k-best partial assignment;
 * :mod:`mbmtrack.mbm`: the multi-Bernoulli mixture filtering recursion;
-* :mod:`mbmtrack.gospa`: GOSPA metric with its decomposition;
+* :mod:`mbmtrack.gospa`: GOSPA metric with its decomposition (the package
+  attribute ``gospa`` is the function; import the module's other names with
+  ``from mbmtrack.gospa import ...``);
 * :mod:`mbmtrack.sim`: scenarios, synthetic data, Monte Carlo benchmark;
 * :mod:`mbmtrack.cli`: the ``mbmtrack`` command-line front end.
 """
@@ -19,7 +21,7 @@ from .gaussian import (
     kalman_predict,
     kalman_update,
 )
-from .gospa import GospaParams, GospaResult, gospa
+from .gospa import GospaParams, GospaResult, gospa, gospa_run
 from .mbm import (
     BernoulliComponent,
     BirthComponent,
@@ -64,6 +66,7 @@ __all__ = [
     "estimate",
     "gating_statistic",
     "gospa",
+    "gospa_run",
     "init_empty",
     "k_best",
     "kalman_predict",

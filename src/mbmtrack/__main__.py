@@ -1,0 +1,7 @@
+"""``python -m mbmtrack``: the ``mbmtrack`` command."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

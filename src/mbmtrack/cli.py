@@ -22,7 +22,7 @@ import numpy as np
 
 from .assignment import k_best, parse_cost_matrix
 from .errors import InputError, NumericalError
-from .gospa import POSITION_PROJECTION, GospaParams, component_rms, gospa, rms
+from .gospa import POSITION_PROJECTION, GospaParams, component_rms, gospa_run, rms
 from .mbm import FilterParams
 from .sim import (
     generate_run_measurements,
@@ -152,14 +152,12 @@ def cmd_evaluate(args) -> int:
     gospa_params = GospaParams(cutoff=args.gospa_c, order=args.gospa_p)
     out = _out_dir(args)
     rows = ["step,total,loc_p,missed_p,false_p,n_missed,n_false"]
-    results = []
-    for k, (truth_entries, est_entries) in enumerate(zip(truth, estimates), start=1):
-        result = gospa(
-            [_positions(state) for _, state in truth_entries],
-            [_positions(state) for _, state in est_entries],
-            gospa_params,
-        )
-        results.append(result)
+    results = gospa_run(
+        [[_positions(state) for _, state in entries] for entries in truth],
+        [[_positions(state) for _, state in entries] for entries in estimates],
+        gospa_params,
+    )
+    for k, result in enumerate(results, start=1):
         rows.append(
             f"{k},{_fmt(result.total)},{_fmt(result.localisation_p)},{_fmt(result.missed_p)},"
             f"{_fmt(result.false_p)},{result.n_missed},{result.n_false}"

@@ -162,6 +162,21 @@ class BirthComponent:
 class BirthModel:
     components: tuple[BirthComponent, ...] = ()
 
+    @cached_property
+    def stacked(self) -> tuple[np.ndarray, ...]:
+        """The block ``predict`` appends, built on first use and never written.
+
+        Means and covariances (flat when there are no components), existences,
+        zero log-weights, and a (1, index) label template per component.
+        """
+        comps, n_b = self.components, len(self.components)
+        return (
+            np.array([c.density.mean for c in comps]),
+            np.array([c.density.covariance for c in comps]),
+            np.array([c.existence for c in comps], dtype=float),
+            np.zeros(n_b),
+            np.column_stack((np.ones(n_b, dtype=np.intp), np.arange(1, n_b + 1))),
+        )
 
 
 @dataclass(frozen=True)
@@ -215,26 +230,22 @@ def predict(
     ``label_births=False`` leaves the birth metadata blank (all numerics are
     identical either way).
     """
-    new_time, n_x, births = state.time + 1, model.state_dim, birth.components
-    n_h, n_b = len(state.means), len(births)
+    new_time, n_x = state.time + 1, model.state_dim
+    b_means, b_covariances, b_existences, b_log_weights, b_labels = birth.stacked
+    n_h, n_b = len(state.means), len(b_existences)
     means, covariances = predict_stack(
         state.means.reshape(n_h, n_x), state.covariances.reshape(n_h, n_x, n_x), model
     )
     return MbmState._stacked(
         new_time,
-        np.concatenate([means] + [b.density.mean[None] for b in births]),
-        np.concatenate([covariances] + [b.density.covariance[None] for b in births]),
-        np.concatenate((state.existences * model.survival_prob, [b.existence for b in births])),
-        np.concatenate((state.log_weights, np.zeros(n_b))),
-        np.concatenate((
-            state.labels,
-            np.array(
-                [(new_time, index) if label_births else (0, 0) for index in range(1, n_b + 1)],
-                dtype=np.intp,
-            ).reshape(n_b, 2),
-        )),
+        np.concatenate((means, b_means.reshape(n_b, n_x))),
+        np.concatenate((covariances, b_covariances.reshape(n_b, n_x, n_x))),
+        np.concatenate((state.existences * model.survival_prob, b_existences)),
+        np.concatenate((state.log_weights, b_log_weights)),
+        # Labels (new_time, index), or (0, 0) for unlabelled births.
+        np.concatenate((state.labels, b_labels * ((new_time, 1) if label_births else (0, 0)))),
         np.concatenate((state.histories, np.full((n_b, state.histories.shape[1]), -1))),
-        np.concatenate((state.offsets, state.offsets[-1] + np.arange(1, n_b + 1))),
+        np.concatenate((state.offsets, state.offsets[-1] + b_labels[:, 1])),
         np.hstack((state.vectors, np.zeros((len(state.vectors), n_b), dtype=np.intp))),
         state.global_log_weights,
     )

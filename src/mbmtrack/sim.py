@@ -5,6 +5,10 @@ reproducible across platforms.  The ground-truth stream uses the base seed;
 Monte Carlo run i (1-based) uses base seed + i, which makes a single
 ``simulate`` invocation identical to run 1 of a benchmark with the same
 seed.
+
+Work that does not depend on the filter recursion is done once per run, not
+once per step: a run's scans share one factor of R and read the scenario's
+per-step truth arrays, and the run is scored by one ``gospa_run`` call.
 """
 from __future__ import annotations
 
@@ -13,13 +17,17 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 import yaml
 
 from .errors import InputError, is_int
 from .gaussian import GaussianDensity, LinearGaussianModel
-from .gospa import POSITION_PROJECTION, GospaParams, GospaResult, component_rms, gospa, rms
+# gospa stays a module attribute here: perfbench/tracing.py rebinds it.
+from .gospa import (  # noqa: F401
+    POSITION_PROJECTION, GospaParams, GospaResult, component_rms, gospa, gospa_run, rms,
+)
 from .mbm import (
     BirthComponent,
     BirthModel,
@@ -100,6 +108,18 @@ class Scenario:
             (t.label, t.states[step_index - 1]) for t in self.truth if t.alive(step_index)
         ]
 
+    @cached_property
+    def truth_states(self) -> tuple[np.ndarray, ...]:
+        """Per step, the (targets alive, state_dim) array of their true states.
+
+        Built on first use and shared by every run, so never written; step
+        k's array is entry k - 1.
+        """
+        return tuple(
+            np.array([state for _, state in self.truth_at(k)]).reshape(-1, self.model.state_dim)
+            for k in range(1, self.duration + 1)
+        )
+
 
 def make_rng(seed) -> np.random.Generator:
     """Counter-based Philox stream keyed by an int (or tuple of ints)."""
@@ -166,9 +186,13 @@ def generate_measurements(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Detections plus Poisson clutter for one scan, in shuffled order."""
-    H = model.observation
     chol_r = _noise_factor("measurement noise", model.measurement_noise)
-    n_z = model.meas_dim
+    return _scan(states, detection_prob, model.observation, chol_r, region, clutter_rate, rng)
+
+
+def _scan(states, detection_prob, H, chol_r, region, clutter_rate, rng) -> np.ndarray:
+    """One scan's draws: per state a detection test, then its noise; then clutter."""
+    n_z = len(chol_r)
     points = []
     for x in states:
         if rng.random() < detection_prob:
@@ -181,22 +205,19 @@ def generate_measurements(
 
 
 def generate_run_measurements(scenario: Scenario, run_seed: int) -> list[np.ndarray]:
-    """Measurement scans for every step of one run (its own Philox stream)."""
+    """Measurement scans for every step of one run (its own Philox stream).
+
+    R is factored once per run, and each step's true states come from the
+    scenario's ``truth_states``.
+    """
     rng = make_rng(run_seed)
-    scans = []
-    for k in range(1, scenario.duration + 1):
-        states = [state for _, state in scenario.truth_at(k)]
-        scans.append(
-            generate_measurements(
-                states,
-                scenario.detection_prob_at(k),
-                scenario.model,
-                scenario.region,
-                scenario.clutter_rate,
-                rng,
-            )
-        )
-    return scans
+    model = scenario.model
+    chol_r = _noise_factor("measurement noise", model.measurement_noise)
+    return [
+        _scan(states, scenario.detection_prob_at(k), model.observation, chol_r,
+              scenario.region, scenario.clutter_rate, rng)
+        for k, states in enumerate(scenario.truth_states, start=1)
+    ]
 
 
 def run_filter(
@@ -260,11 +281,11 @@ def _single_run(
     t0 = time.perf_counter()
     estimates = run_filter(scenario, scans, params)
     duration = time.perf_counter() - t0
-    scores = []
-    for k in range(1, scenario.duration + 1):
-        truth_states = [state for _, state in scenario.truth_at(k)]
-        est_states = [e.state for e in estimates[k - 1]]
-        scores.append(gospa(truth_states, est_states, gospa_params))
+    scores = gospa_run(
+        scenario.truth_states,
+        [[e.state for e in step_estimates] for step_estimates in estimates],
+        gospa_params,
+    )
     return RunRecord(run_seed, scans, estimates, scores, duration)
 
 

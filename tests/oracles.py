@@ -4,10 +4,12 @@ Everything here is deliberately written against the definitions rather than
 the library's algorithms: assignments by exhaustive enumeration, Bayes
 updates by gridding or information-form products, the multi-target update
 by enumerating association maps in the linear domain with scipy's density
-evaluations.  The one exception is ``murty_reference``: the plain Murty loop
-that solves every child, kept so the pruned loop in the library can be
-checked against it bitwise.  ``check_state`` asserts the invariants every
-filter state must satisfy.
+evaluations.  The exceptions are plain forms of library loops, kept so the
+library can be checked against them bitwise: ``murty_reference``, the Murty
+loop that solves every child; ``gospa_reference``, GOSPA scored one step at a
+time; ``predict_reference``, predict with the birth block built on every
+call.  ``check_state`` asserts the invariants every filter state must
+satisfy.
 """
 from __future__ import annotations
 
@@ -20,7 +22,11 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from mbmtrack.assignment import Assignment
+from mbmtrack.assignment import FORBIDDEN, Assignment, solve_optimal
+from mbmtrack.errors import InputError
+from mbmtrack.gaussian import predict_stack
+from mbmtrack.gospa import GospaResult
+from mbmtrack.mbm import MbmState
 
 
 # -- assignment ---------------------------------------------------------------
@@ -162,6 +168,55 @@ def gospa_oracle(truth, estimate, c, p):
                 value = loc + (c**p / 2.0) * (n + m - 2 * size)
                 best = min(best, value)
     return best ** (1.0 / p)
+
+
+def gospa_reference(truth, estimate, params):
+    """The one-step scorer that ``gospa_run`` stacks: each pair of sets
+    validated, projected and matched on its own, with ``solve_optimal``.
+    Kept so the stacked scorer can be checked against it bitwise."""
+
+    def as_points(vectors, projection):
+        pts = [np.atleast_1d(np.asarray(v, dtype=float)) for v in vectors]
+        if not pts:
+            return np.zeros((0, 0))
+        dim = pts[0].size
+        if any(p.size != dim for p in pts):
+            raise InputError("set elements have inconsistent dimensions")
+        block = np.vstack(pts)
+        if not np.isfinite(block).all():
+            raise InputError("set elements must be finite")
+        if projection is not None:
+            if max(projection) >= dim:
+                raise InputError(f"projection {projection} out of range for dimension {dim}")
+            block = block[:, list(projection)]
+        return block
+
+    xs = as_points(truth, params.projection)
+    ys = as_points(estimate, params.projection)
+    n_truth, n_est = xs.shape[0], ys.shape[0]
+    if n_truth and n_est and xs.shape[1] != ys.shape[1]:
+        raise InputError("truth and estimate vectors have different dimensions")
+    c_p = params.cutoff**params.order
+    half_cp = 0.5 * c_p
+    if n_truth and n_est:
+        with np.errstate(over="ignore"):
+            diffs = xs[:, None, :] - ys[None, :, :]
+            dist_p = np.linalg.norm(diffs, axis=2) ** params.order
+        costs = np.where(dist_p < c_p, dist_p - c_p, FORBIDDEN)
+        matching = solve_optimal(costs).pairs()
+    else:
+        dist_p = np.zeros((n_truth, n_est))
+        matching = ()
+    localisation_p = 0.0
+    for i, j in matching:
+        assert dist_p[i, j] < c_p
+        localisation_p += float(dist_p[i, j])
+    n_missed = n_truth - len(matching)
+    n_false = n_est - len(matching)
+    missed_p = half_cp * n_missed
+    false_p = half_cp * n_false
+    total = (localisation_p + missed_p + false_p) ** (1.0 / params.order)
+    return GospaResult(total, localisation_p, missed_p, false_p, n_missed, n_false, matching)
 
 
 # -- Kalman -------------------------------------------------------------------
@@ -317,6 +372,37 @@ class ExhaustiveMbm:
 
     def component_params(self, comp, history):
         return self.params[(comp, history)]
+
+
+# -- filter prediction --------------------------------------------------------
+
+
+def predict_reference(state, model, birth, label_births=True):
+    """``mbm.predict`` with its birth block built from the components on every
+    call, kept so the cached block can be checked against it bitwise."""
+    new_time, n_x, births = state.time + 1, model.state_dim, birth.components
+    n_h, n_b = len(state.means), len(births)
+    means, covariances = predict_stack(
+        state.means.reshape(n_h, n_x), state.covariances.reshape(n_h, n_x, n_x), model
+    )
+    return MbmState._stacked(
+        new_time,
+        np.concatenate([means] + [b.density.mean[None] for b in births]),
+        np.concatenate([covariances] + [b.density.covariance[None] for b in births]),
+        np.concatenate((state.existences * model.survival_prob, [b.existence for b in births])),
+        np.concatenate((state.log_weights, np.zeros(n_b))),
+        np.concatenate((
+            state.labels,
+            np.array(
+                [(new_time, index) if label_births else (0, 0) for index in range(1, n_b + 1)],
+                dtype=np.intp,
+            ).reshape(n_b, 2),
+        )),
+        np.concatenate((state.histories, np.full((n_b, state.histories.shape[1]), -1))),
+        np.concatenate((state.offsets, state.offsets[-1] + np.arange(1, n_b + 1))),
+        np.hstack((state.vectors, np.zeros((len(state.vectors), n_b), dtype=np.intp))),
+        state.global_log_weights,
+    )
 
 
 # -- filter state invariants --------------------------------------------------

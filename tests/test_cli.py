@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -546,3 +551,14 @@ def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
     scenario = small_scenario_file(tmp_path, duration=5)
     assert main(["simulate", "--scenario", str(scenario), "--seed", "1"]) == 0
     assert (tmp_path / "envout" / "measurements.txt").exists()
+
+
+def test_python_dash_m_reaches_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "mbmtrack", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: mbmtrack")

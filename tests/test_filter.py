@@ -1,15 +1,17 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ExhaustiveMbm, check_state
+from oracles import ExhaustiveMbm, check_state, predict_reference
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 import mbmtrack.assignment as assignment
 import mbmtrack.mbm as mbm
+import mbmtrack.sim as sim
 from mbmtrack.assignment import FORBIDDEN, k_best
 from mbmtrack.errors import InputError
 from mbmtrack.gaussian import (
@@ -19,6 +21,7 @@ from mbmtrack.gaussian import (
     kalman_predict,
     kalman_update,
 )
+from mbmtrack.gospa import POSITION_PROJECTION, GospaParams
 from mbmtrack.mbm import (
     BirthComponent,
     BirthModel,
@@ -116,6 +119,60 @@ class TestInitAndPredict:
         for g_in, g_out in zip(two.global_hypotheses, out.global_hypotheses):
             assert g_out.log_weight == g_in.log_weight
             assert g_out.assignment_vector == g_in.assignment_vector + (0, 0)
+
+
+STATE_ARRAYS = (
+    "means", "covariances", "existences", "log_weights", "labels", "histories", "offsets",
+    "vectors", "global_log_weights",
+)
+
+
+def random_state(rng) -> MbmState:
+    """A state of 0-4 components with 1-3 hypotheses each and 1-4 globals."""
+    comps = []
+    for _ in range(rng.integers(0, 5)):
+        hyps = []
+        for _ in range(rng.integers(1, 4)):
+            root = rng.normal(size=(4, 4))
+            history = tuple(rng.integers(0, 4, size=rng.integers(0, 4)).tolist())
+            hyps.append(SingleTargetHypothesis(
+                float(rng.normal()), float(rng.uniform()),
+                GaussianDensity(rng.normal(scale=50.0, size=4), root @ root.T + np.eye(4)),
+                HypothesisMeta(int(rng.integers(1, 9)), int(rng.integers(1, 5)), history),
+            ))
+        comps.append(BernoulliComponent(tuple(hyps)))
+    globals_ = [
+        GlobalHypothesis(
+            float(rng.normal()),
+            tuple(int(rng.integers(0, len(c.hypotheses))) for c in comps),
+        )
+        for _ in range(rng.integers(1, 5))
+    ]
+    return MbmState(tuple(comps), tuple(globals_), int(rng.integers(0, 9)))
+
+
+class TestPredictAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.booleans())
+    def test_bitwise_equal_to_per_call_birth_block(self, seed, n_births, label_births):
+        rng = np.random.default_rng(seed)
+        model = constant_velocity_model(survival_prob=float(rng.uniform(0.5, 1.0)))
+        birth = BirthModel(tuple(
+            birth_at(*rng.uniform(0.0, 300.0, size=2), existence=float(rng.uniform()))
+            for _ in range(n_births)
+        ))
+        state = random_state(rng)
+        # Twice over: the second call reads the block the first one built.
+        for _ in range(2):
+            out = mbm.predict(state, model, birth, label_births=label_births)
+            expected = predict_reference(state, model, birth, label_births=label_births)
+            assert out.time == expected.time
+            for name in STATE_ARRAYS:
+                got, want = getattr(out, name), getattr(expected, name)
+                assert (got.dtype, got.shape, got.tobytes()) == (
+                    want.dtype, want.shape, want.tobytes()
+                ), name
+            state = out
 
 
 class TestMisdetectionUpdate:
@@ -944,29 +1001,65 @@ class TestStackedRanking:
         assert solves[0] == stacked_solves > 0
 
 
+# The package attribute ``mbmtrack.gospa`` is the function, so the module
+# comes from the import system.
+gospa_module = importlib.import_module("mbmtrack.gospa")
+
+
+def _scored_run_counts(monkeypatch, max_globals: int) -> dict:
+    """Work counters of one scored scenario1 run (truth seed 2026, run seed 2027).
+
+    LSAP solves are split by caller: those inside GOSPA's ``k_best`` calls
+    are scoring's, all others the filter's.
+    """
+    solve, update, score_k_best = assignment.linear_sum_assignment, mbm.update, gospa_module.k_best
+    counts = dict.fromkeys(("solves", "globals", "children", "gospa_k_best", "gospa_solves"), 0)
+    scoring = []
+
+    def counted_solve(node):
+        counts["gospa_solves" if scoring else "solves"] += 1
+        return solve(node)
+
+    def counted_update(*args):
+        updated = update(*args)
+        counts["globals"] += len(updated.global_log_weights)
+        counts["children"] += len(updated.means)
+        return updated
+
+    def counted_k_best(*args, **kwargs):
+        counts["gospa_k_best"] += 1
+        scoring.append(True)
+        try:
+            return score_k_best(*args, **kwargs)
+        finally:
+            scoring.pop()
+
+    monkeypatch.setattr(assignment, "linear_sum_assignment", counted_solve)
+    monkeypatch.setattr(mbm, "update", counted_update)
+    monkeypatch.setattr(gospa_module, "k_best", counted_k_best)
+    scenario = generate_truth(builtin_scenario("scenario1"), 2026)
+    sim._single_run(
+        scenario, FilterParams(max_globals=max_globals), 2027,
+        GospaParams(projection=POSITION_PROJECTION),
+    )
+    return counts
+
+
 class TestWorkCounters:
     def test_scenario1_counters_at_canonical_cap(self, monkeypatch):
         """The filter's LSAP solves, globals and children on one scenario1 run
         at N_h = 200 are deterministic; a change that keeps rankings and
-        child selection keeps them."""
-        solve, update = assignment.linear_sum_assignment, mbm.update
-        counts = {"solves": 0, "globals": 0, "children": 0}
+        child selection keeps them.  Scoring the run is one GOSPA ``k_best``
+        call, whose solves a change that keeps the matchings keeps too."""
+        counts = _scored_run_counts(monkeypatch, 200)
+        assert counts == {
+            "solves": 25_643, "globals": 23_266, "children": 20_530,
+            "gospa_k_best": 1, "gospa_solves": 115,
+        }
 
-        def counted_solve(node):
-            counts["solves"] += 1
-            return solve(node)
-
-        def counted_update(*args):
-            updated = update(*args)
-            counts["globals"] += len(updated.global_log_weights)
-            counts["children"] += len(updated.means)
-            return updated
-
-        monkeypatch.setattr(assignment, "linear_sum_assignment", counted_solve)
-        monkeypatch.setattr(mbm, "update", counted_update)
-        scenario = generate_truth(builtin_scenario("scenario1"), 2026)
-        run_filter(scenario, generate_run_measurements(scenario, 2027), FilterParams())
-        assert counts == {"solves": 25_643, "globals": 23_266, "children": 20_530}
+    def test_scenario1_scoring_counters_at_nh1(self, monkeypatch):
+        counts = _scored_run_counts(monkeypatch, 1)
+        assert (counts["gospa_k_best"], counts["gospa_solves"]) == (1, 128)
 
 
 class TestStateArrays:

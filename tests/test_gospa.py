@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gospa_oracle
+from oracles import gospa_oracle, gospa_reference
 
 from mbmtrack.errors import InputError
-from mbmtrack.gospa import GospaParams, GospaResult, component_rms, gospa, rms
+from mbmtrack.gospa import GospaParams, GospaResult, component_rms, gospa, gospa_run, rms
 
 P10 = GospaParams(cutoff=10.0, order=2.0)
 
@@ -182,6 +184,102 @@ class TestGospaMetricAxioms:
     def test_triangle_inequality(self, xs, ys, zs, params):
         d_xz = gospa(xs, zs, params).total
         assert d_xz <= (gospa(xs, ys, params).total + gospa(ys, zs, params).total) * (1 + 1e-9)
+
+
+def bits(result: GospaResult) -> tuple:
+    """Every field of a result, floats as their exact hex form."""
+    return (
+        result.total.hex(), result.localisation_p.hex(), result.missed_p.hex(),
+        result.false_p.hex(), result.n_missed, result.n_false, result.matching,
+    )
+
+
+@st.composite
+def gospa_runs(draw):
+    """A run of (truth, estimate) steps of one dimension, with its parameters.
+
+    Coordinates mix a small integer grid (exact distance ties), general
+    floats, and values whose differences overflow to an infinite distance.
+    """
+    dim = draw(st.integers(min_value=1, max_value=4))
+    coordinate = st.one_of(
+        st.integers(min_value=-3, max_value=3).map(float),
+        st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
+        st.sampled_from([1e200, -1e200, 1.7e308, -1.7e308]),
+    )
+    vector = st.lists(coordinate, min_size=dim, max_size=dim).map(np.array)
+    point_set = st.lists(vector, max_size=5)
+    steps = draw(st.lists(st.tuples(point_set, point_set), max_size=8))
+    projection = draw(st.one_of(
+        st.none(),
+        st.lists(st.integers(min_value=0, max_value=dim - 1), min_size=1, max_size=3).map(tuple),
+    ))
+    params = GospaParams(
+        cutoff=draw(st.floats(min_value=0.5, max_value=20.0)),
+        order=draw(st.floats(min_value=1.0, max_value=4.0)),
+        projection=projection,
+    )
+    return [t for t, _ in steps], [e for _, e in steps], params
+
+
+class TestGospaRun:
+    """The run-level scorer against the per-step reference, bitwise."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(gospa_runs())
+    def test_bitwise_equal_to_per_step_reference(self, run):
+        truths, estimates, params = run
+        results = gospa_run(truths, estimates, params)
+        expected = [gospa_reference(t, e, params) for t, e in zip(truths, estimates)]
+        assert [bits(r) for r in results] == [bits(r) for r in expected]
+
+    @pytest.mark.parametrize("projection", [None, (0,)])
+    def test_empty_steps_and_runs(self, projection):
+        params = GospaParams(cutoff=4.0, order=1.0, projection=projection)
+        point = [np.array([1.0, 2.0])]
+        assert gospa_run([], [], params) == []
+        runs = [
+            ([[], []], [[], []]),  # every step empty
+            ([[], point, [], point], [point, [], [], point]),
+        ]
+        for truths, estimates in runs:
+            results = gospa_run(truths, estimates, params)
+            expected = [gospa_reference(t, e, params) for t, e in zip(truths, estimates)]
+            assert [bits(r) for r in results] == [bits(r) for r in expected]
+
+    def test_accepts_per_step_arrays(self):
+        truths = [np.array([[0.0, 0.0], [5.0, 5.0]]), np.zeros((0, 2))]
+        estimates = [[np.array([1.0, 0.0])], [np.array([3.0, 4.0])]]
+        results = gospa_run(truths, estimates, P10)
+        expected = [gospa_reference(t, e, P10) for t, e in zip(truths, estimates)]
+        assert [bits(r) for r in results] == [bits(r) for r in expected]
+
+    FAULTS = {
+        # name: (step-2 truth, step-2 estimate, projection)
+        "non-finite": ([[0.0, np.inf]], [[0.0, 0.0]], None),
+        "inconsistent": ([[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0, 0.0]], None),
+        "truth and estimate": ([[0.0, 0.0, 0.0]], [[0.0, 0.0]], None),
+        "projection": ([[0.0, 0.0]], [[1.0, 1.0]], (0, 2)),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_step_message_names_the_step(self, fault):
+        truth, estimate, projection = self.FAULTS[fault]
+        params = GospaParams(projection=projection)
+        with pytest.raises(InputError) as alone:
+            gospa_reference(truth, estimate, params)
+        # Step 1 is empty, so only step 2's own checks can fail; step 3 is fine.
+        truths, estimates = [[], truth, [[0.0, 0.0]]], [[], estimate, []]
+        with pytest.raises(InputError, match=re.escape(f"step 2: {alone.value}")):
+            gospa_run(truths, estimates, params)
+
+    def test_one_dimension_per_run(self):
+        with pytest.raises(InputError, match="step 3: vectors have dimension 3, step 1 has 2"):
+            gospa_run([[[0.0, 0.0]], [], [[0.0, 0.0, 0.0]]], [[], [], []], P10)
+
+    def test_one_estimate_set_per_truth_set(self):
+        with pytest.raises(InputError, match="one estimate set per truth set"):
+            gospa_run([[], []], [[]], P10)
 
 
 def test_rms_aggregate():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import mbmtrack.sim as sim
 from mbmtrack.errors import InputError
 from mbmtrack.gospa import GospaParams
 from mbmtrack.mbm import FilterParams
@@ -286,6 +287,56 @@ class TestMeasurementGeneration:
         scans = generate_run_measurements(quiet, 12)
         assert all(len(scans[k]) == 0 for k in range(10))
         assert any(len(scans[k]) > 0 for k in range(10, 81))
+
+
+class TestRunMeasurements:
+    @staticmethod
+    def per_step_scans(scenario, rng):
+        """Reference run: each scan reads its states from ``truth_at`` and
+        factors R itself."""
+        model, scans = scenario.model, []
+        for k in range(1, scenario.duration + 1):
+            chol_r = np.linalg.cholesky(model.measurement_noise)
+            points = []
+            for _, x in scenario.truth_at(k):
+                if rng.random() < scenario.detection_prob_at(k):
+                    points.append(model.observation @ x + chol_r @ rng.standard_normal(2))
+            (x0, x1), (y0, y1) = scenario.region
+            clutter = rng.uniform(
+                (x0, y0), (x1, y1), size=(rng.poisson(scenario.clutter_rate), 2)
+            )
+            block = np.vstack(points + [clutter])
+            scans.append(block[rng.permutation(len(block))])
+        return scans
+
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+    def test_same_bytes_and_stream_as_per_step_reference(self, name, monkeypatch):
+        scenario = generate_truth(builtin_scenario(name), 2026)
+        streams = []
+
+        def recorded_rng(seed):
+            streams.append(make_rng(seed))
+            return streams[-1]
+
+        monkeypatch.setattr(sim, "make_rng", recorded_rng)
+        for run_seed in range(2027, 2047):
+            scans = generate_run_measurements(scenario, run_seed)
+            reference_rng = make_rng(run_seed)
+            expected = self.per_step_scans(scenario, reference_rng)
+            assert [(s.shape, s.tobytes()) for s in scans] == [
+                (s.shape, s.tobytes()) for s in expected
+            ]
+            np.testing.assert_equal(
+                streams[-1].bit_generator.state, reference_rng.bit_generator.state
+            )
+
+    def test_truth_states_follow_truth_at(self):
+        scenario = generate_truth(builtin_scenario("scenario1"), 5)
+        assert len(scenario.truth_states) == scenario.duration
+        for k, states in enumerate(scenario.truth_states, start=1):
+            expected = [state for _, state in scenario.truth_at(k)]
+            assert states.shape == (len(expected), 4)
+            assert states.tobytes() == np.array(expected).tobytes()
 
 
 class TestMonteCarlo:
