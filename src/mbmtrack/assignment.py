@@ -11,7 +11,8 @@ first.  The rest is squared up by giving every row a private zero-cost slack
 column; a full row assignment of the augmented matrix then corresponds
 one-to-one to a partial assignment of the original.  A stack of matrices
 shares this setup: it is computed for many matrices at once.  Each augmented
-matrix is solved with scipy's Hungarian-family solver, and ranked enumeration
+matrix is solved with scipy's compiled Hungarian-family solver (loaded on its
+own, without the rest of ``scipy.optimize``), and ranked enumeration
 partitions the solution space around each emitted assignment (Murty's
 scheme).  A node is partitioned only on the rows its ancestors left
 unpinned, and an exact feasibility pretest skips every child that has no
@@ -27,13 +28,40 @@ in which the queue discovered them.
 from __future__ import annotations
 
 import heapq
+import importlib.machinery
+import importlib.util
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .errors import InputError, is_int
+from .errors import InputError, is_int, real_array
+
+
+def _load_lsap():
+    """scipy's compiled ``linear_sum_assignment``, without scipy's package inits.
+
+    ``import scipy.optimize`` also loads linprog, sparse and ``scipy.linalg``,
+    which take most of a process's set-up; the solver is one extension
+    module that needs only numpy.  A later ``import scipy.optimize`` returns
+    this same function.
+    """
+    scipy = importlib.util.find_spec("scipy")  # locates the package, runs nothing
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    dirs = [os.path.join(path, "optimize") for path in scipy.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec("scipy.optimize._lsap", dirs)
+    if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+        from importlib.metadata import version
+
+        raise ImportError(f"scipy {version('scipy')} has no compiled scipy.optimize._lsap")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.linear_sum_assignment
+
+
+linear_sum_assignment = _load_lsap()
 
 #: Marker for an excluded row/column pair (a gated-out association).
 FORBIDDEN = float("inf")
@@ -93,7 +121,10 @@ def k_best(costs, k, resolve_ties: bool = True) -> list[Assignment] | list[list[
     order.  The filter uses this fast path since its costs are continuous
     and ties have probability zero.
     """
-    costs = np.asarray(costs, dtype=float)
+    try:
+        costs = real_array(costs)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"cost matrix entries must be finite or FORBIDDEN (+inf): {exc}") from exc
     if costs.ndim not in (2, 3):
         raise InputError(f"costs must be a matrix or a stack of matrices, got shape {costs.shape}")
     stack = costs if costs.ndim == 3 else costs[None]
@@ -138,8 +169,11 @@ def _rank_chunk(costs: np.ndarray, ks: list, resolve_ties: bool) -> list[list[As
     # root and every child that passes the pretest in `_murty` are feasible,
     # so `solve` checks this only for consistency.  The reduction starts at
     # 1, so it gives max(1, largest finite magnitude).  A few scalars per
-    # matrix cost less as Python floats than as numpy operations.
-    scale = np.maximum.reduce(np.abs(costs), axis=(1, 2), where=finite, initial=1.0)
+    # matrix cost less as Python floats than as numpy operations.  Numpy
+    # reduces a contiguous trailing axis faster than it applies `where=`.
+    scale = np.maximum.reduce(
+        np.where(finite, np.abs(costs), 0.0).reshape(n_mats, -1), axis=1, initial=1.0
+    )
     large = [
         (2.0 * (n_row + n_col) + 1.0) * s + 1.0
         for n_row, n_col, s in zip(n_rows, n_cols, scale.tolist())
@@ -157,8 +191,12 @@ def _rank_chunk(costs: np.ndarray, ks: list, resolve_ties: bool) -> list[list[As
         out=aug[:, :, :n_c],
     )
     # The columns outside a matrix's view hold `large`, above its row's zero
-    # slack, so these are the row minima of each view.
-    row_mins = np.minimum.reduce(aug, axis=2, initial=np.inf).tolist()
+    # slack, so these are the row minima of each view.  Numpy reduces in
+    # memory order, so a short last axis is slow; a column-major copy makes
+    # it the leading one.
+    row_mins = np.minimum.reduce(
+        np.ascontiguousarray(aug.transpose(2, 0, 1)), axis=0, initial=np.inf
+    ).tolist()
     row_maps, col_maps = row_ids.tolist(), col_ids.tolist()
 
     results = []

@@ -1,9 +1,11 @@
-"""Exception types and the integer test shared across the library.
+"""Exception types and the input tests shared across the library.
 
 The CLI maps InputError (and file/parse failures) to exit code 2 and
 NumericalError to exit code 1.
 """
 import numbers
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -23,3 +25,15 @@ def is_int(value) -> bool:
     return type(value) is int or (
         isinstance(value, numbers.Integral) and not isinstance(value, bool)
     )
+
+
+def real_array(values) -> np.ndarray:
+    """``values`` as a float array; TypeError or ValueError unless every element is real.
+
+    ``np.asarray(values, dtype=float)`` rejects Python complex elements but
+    casts a complex array to its real part with only a warning.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind == "c":
+        raise TypeError("complex elements are not real numbers")
+    return array.astype(float, copy=False)

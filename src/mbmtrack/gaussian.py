@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import InputError, NumericalError
 
@@ -222,10 +221,9 @@ def kalman_gains(
         s_inv /= (a * c - b * b)[:, None, None]
         gains = covariances @ H.T @ s_inv
     else:
-        # K = P H' S^-1, via S K' = H P
-        gains = np.array(
-            [linalg.cho_solve((L, True), H @ P).T for L, P in zip(chol, covariances)]
-        ).reshape(len(chol), *H.T.shape)
+        # K = P H' S^-1, via L L' K' = H P: one stacked solve per factor.
+        half = np.linalg.solve(chol, H @ covariances)
+        gains = np.linalg.solve(chol.swapaxes(1, 2), half).swapaxes(1, 2)
     joseph = np.eye(H.shape[1]) - gains @ H
     covs = joseph @ covariances @ joseph.swapaxes(1, 2) + gains @ R @ gains.swapaxes(1, 2)
     return gains, _symmetrized(covs)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import FORBIDDEN, k_best
-from .errors import InputError, is_int
+from .errors import InputError, is_int, real_array
 
 #: Euclidean distance on the planar position slots of a
 #: [px, vx, py, vy] state vector.
@@ -86,7 +86,10 @@ def _fault(truths, estimates, projection) -> str:
     for k, pair in enumerate(zip(truths, estimates), start=1):
         dims = []
         for vectors in pair:
-            pts = [np.atleast_1d(np.asarray(v, dtype=float)) for v in vectors]
+            try:
+                pts = [np.atleast_1d(real_array(v)) for v in vectors]
+            except (TypeError, ValueError) as exc:
+                return f"step {k}: set elements must be vectors of real numbers: {exc}"
             if not pts:
                 continue
             dim = pts[0].size
@@ -134,11 +137,11 @@ def gospa_run(truths, estimates, params: GospaParams = GospaParams()) -> list[Go
     c_p = params.cutoff**params.order
     if n_points:
         try:
-            block = np.array(
-                [v for t, e in zip(truths, estimates) for s in (t, e) for v in s], dtype=float
+            block = real_array(
+                [v for t, e in zip(truths, estimates) for s in (t, e) for v in s]
             ).reshape(n_points, -1)
-        except ValueError:
-            block = None  # ragged: the run's vectors differ in dimension
+        except (TypeError, ValueError):
+            block = None  # ragged, or not real numbers
         if (
             block is None
             or not np.isfinite(block).all()

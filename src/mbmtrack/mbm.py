@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .assignment import FORBIDDEN, k_best
-from .errors import InputError, NumericalError, is_int
+from .errors import InputError, NumericalError, is_int, real_array
 # kalman_predict and PreparedMeasurementUpdate stay module attributes here:
 # perfbench/tracing.py rebinds them.
 from .gaussian import (  # noqa: F401
@@ -427,8 +427,8 @@ def _as_measurement_block(measurements, meas_dim: int) -> np.ndarray:
     if measurements is None:
         return np.zeros((0, meas_dim))
     try:
-        block = np.asarray(measurements, dtype=float)
-    except ValueError as exc:
+        block = real_array(measurements)
+    except (TypeError, ValueError) as exc:
         raise InputError(f"malformed measurement set: {exc}") from exc
     if block.size == 0:
         return np.zeros((0, meas_dim))

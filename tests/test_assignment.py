@@ -1,4 +1,8 @@
 import heapq
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -32,6 +36,36 @@ def forbidden_pattern(rng, max_size=8):
 
 def bitwise(assignments):
     return [(a.row_to_col, a.total_cost.hex()) for a in assignments]
+
+
+class TestLsapLoader:
+    def test_import_loads_neither_scipy_optimize_nor_linalg(self):
+        # Their package inits take most of a process's set-up.
+        src = Path(assignment.__file__).resolve().parents[1]
+        code = (
+            "import sys, mbmtrack, mbmtrack.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_solver_is_the_one_scipy_optimize_exports(self):
+        # A scipy release that moves or wraps the compiled solver fails here.
+        import scipy.optimize
+
+        assert assignment.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+
+    def test_missing_extension_names_the_scipy_version(self, monkeypatch):
+        from importlib.machinery import PathFinder
+
+        import scipy
+
+        monkeypatch.setattr(PathFinder, "find_spec", classmethod(lambda cls, *args: None))
+        with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no compiled"):
+            assignment._load_lsap()
 
 
 class TestSolveOptimal:
@@ -212,6 +246,13 @@ class TestKBest:
             k_best(np.array([[-np.inf]]), 1)
         with pytest.raises(InputError):
             k_best(np.zeros(3), 1)
+
+    # A numpy complex element makes a complex array, which a float cast
+    # would truncate to its real part with only a warning.
+    @pytest.mark.parametrize("entry", [1.0 + 2.0j, {}, "x", np.complex128(1.0 + 2.0j)])
+    def test_non_real_entries_rejected(self, entry):
+        with pytest.raises(InputError, match="cost matrix entries"):
+            k_best([[0.0, entry]], 1)
 
 
 @st.composite

@@ -709,6 +709,13 @@ class TestStepAndLabels:
         with pytest.raises(InputError):
             mbm.update(state, [[1.0, 2.0, 3.0]], model, FilterParams())
 
+    @pytest.mark.parametrize("element", [1.0 + 2.0j, {}, "x", np.complex128(1.0 + 2.0j)])
+    def test_non_real_measurements_rejected(self, element):
+        model = constant_velocity_model(clutter_intensity=1e-4)
+        state = mbm.predict(mbm.init_empty(), model, scenario1_birth())
+        with pytest.raises(InputError, match="malformed measurement set"):
+            mbm.update(state, [[1.0, element]], model, FilterParams())
+
     def test_step_estimates_before_pruning(self, monkeypatch):
         calls = []
         orig_prune, orig_estimate = mbm.prune, mbm.estimate

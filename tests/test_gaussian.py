@@ -332,7 +332,8 @@ def scalar_posterior(mean, cov, z, model):
     """One prior's Joseph-form Kalman posterior, one matrix at a time.
 
     The planar case factors S and inverts it in closed form, squaring the
-    factor's entries as numpy scalar powers; other dimensions use LAPACK.
+    factor's entries as numpy scalar powers; other dimensions solve with the
+    Cholesky factor and then with its transpose.
     """
     H, R = model.observation, model.measurement_noise
     S = H @ cov @ H.T + R
@@ -344,7 +345,8 @@ def scalar_posterior(mean, cov, z, model):
         a, b, c = l11**2, l21 * l11, l22**2 + l21**2
         gain = cov @ H.T @ (np.array([[c, -b], [-b, a]]) / (a * c - b * b))
     else:
-        gain = linalg.cho_solve((np.linalg.cholesky(S), True), H @ cov).T
+        L = np.linalg.cholesky(S)
+        gain = np.linalg.solve(L.T, np.linalg.solve(L, H @ cov)).T
     joseph = np.eye(len(mean)) - gain @ H
     P = joseph @ cov @ joseph.T + gain @ R @ gain.T
     return mean + gain @ (z - H @ mean), 0.5 * (P + P.T)
@@ -384,6 +386,17 @@ class TestStackedKalman:
                 for got in ((post_means[i], post_covs[i]), (posterior.mean, posterior.covariance)):
                     assert_bitwise(got[0], mean)
                     assert_bitwise(got[1], cov)
+
+    @pytest.mark.parametrize("n_z", [1, 3])
+    def test_nonplanar_gains_match_cho_solve(self, n_z):
+        rng = np.random.default_rng(83 + n_z)
+        model = random_dynamic_model(rng, n_z)
+        _, covs = random_priors(rng, 500, 4)
+        _, chol, _ = innovation_factors(np.zeros((len(covs), 4)), covs, model)
+        gains, _ = kalman_gains(covs, chol, model)
+        H = model.observation
+        expected = np.array([linalg.cho_solve((L, True), H @ P).T for L, P in zip(chol, covs)])
+        np.testing.assert_allclose(gains, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_gaussian_density_symmetrizes_and_validates():

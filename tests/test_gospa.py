@@ -273,6 +273,12 @@ class TestGospaRun:
         with pytest.raises(InputError, match=re.escape(f"step 2: {alone.value}")):
             gospa_run(truths, estimates, params)
 
+    @pytest.mark.parametrize("element", [1.0 + 2.0j, {}, "x", np.complex128(1.0 + 2.0j)])
+    def test_non_real_elements_name_the_step(self, element):
+        truths, estimates = [[[0.0, 0.0]], [[0.0, element]]], [[], [[1.0, 1.0]]]
+        with pytest.raises(InputError, match="step 2: set elements must be vectors of real"):
+            gospa_run(truths, estimates, P10)
+
     def test_one_dimension_per_run(self):
         with pytest.raises(InputError, match="step 3: vectors have dimension 3, step 1 has 2"):
             gospa_run([[[0.0, 0.0]], [], [[0.0, 0.0, 0.0]]], [[], [], []], P10)
