@@ -121,10 +121,7 @@ def k_best(costs, k, resolve_ties: bool = True) -> list[Assignment] | list[list[
     order.  The filter uses this fast path since its costs are continuous
     and ties have probability zero.
     """
-    try:
-        costs = real_array(costs)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"cost matrix entries must be finite or FORBIDDEN (+inf): {exc}") from exc
+    costs = real_array(costs, "cost matrix entries")
     if costs.ndim not in (2, 3):
         raise InputError(f"costs must be a matrix or a stack of matrices, got shape {costs.shape}")
     stack = costs if costs.ndim == 3 else costs[None]

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .assignment import k_best, parse_cost_matrix
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, finite_array
 from .gospa import POSITION_PROJECTION, GospaParams, component_rms, gospa_run, rms
 from .mbm import FilterParams
 from .sim import (
@@ -61,10 +61,8 @@ def read_measurement_file(path, meas_dim: int) -> list[np.ndarray]:
                 f"{path}:{line_no}: measurements must have {meas_dim} coordinates, "
                 f"got {len(points[0])}"
             )
-        scan = np.asarray(points, dtype=float).reshape(len(points), meas_dim)
-        if not np.isfinite(scan).all():
-            raise InputError(f"{path}:{line_no}: measurements must be finite")
-        scans.append(scan)
+        scan = finite_array(points, f"{path}:{line_no}: measurements")
+        scans.append(scan.reshape(len(points), meas_dim))
     return scans
 
 
@@ -89,13 +87,12 @@ def read_labeled_state_file(path) -> list[list[tuple[tuple[int, int], np.ndarray
             try:
                 t, l = fields[0].split(":")
                 label = (int(t), int(l))
-                state = np.asarray([float(v) for v in fields[1:]], dtype=float)
+                state = [float(v) for v in fields[1:]]
             except (ValueError, IndexError) as exc:
                 raise InputError(f"{path}:{line_no}: bad labeled state {token!r}") from exc
-            if state.size == 0:
+            if not state:
                 raise InputError(f"{path}:{line_no}: labeled state {token!r} has no coordinates")
-            if not np.isfinite(state).all():
-                raise InputError(f"{path}:{line_no}: labeled state {token!r} must be finite")
+            state = finite_array(state, f"{path}:{line_no}: labeled state {token!r}")
             entries.append((label, state))
         per_step.append(entries)
     return per_step

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, finite_array
 
 _LOG_2PI = math.log(2.0 * math.pi)
 # Innovation covariance counts as singular when the smallest Cholesky pivot
@@ -49,27 +49,16 @@ class GaussianDensity:
     covariance: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.asarray(self.covariance, dtype=float)
+        mean = np.atleast_1d(finite_array(self.mean, "mean"))
         if mean.ndim != 1:
             raise InputError("mean must be a one-dimensional vector")
-        if cov.shape != (mean.size, mean.size):
-            raise InputError(
-                f"covariance shape {cov.shape} does not match state dimension {mean.size}"
-            )
+        cov = finite_array(self.covariance, "covariance", (mean.size, mean.size))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", _symmetrized(cov))
 
     @property
     def dim(self) -> int:
         return self.mean.size
-
-
-def _check_square(name: str, mat: np.ndarray, size: int) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (size, size):
-        raise InputError(f"{name} must be {size}x{size}, got {mat.shape}")
-    return mat
 
 
 @dataclass(frozen=True)
@@ -91,20 +80,15 @@ class LinearGaussianModel:
     clutter_intensity: float
 
     def __post_init__(self):
-        F = np.asarray(self.transition, dtype=float)
+        F = finite_array(self.transition, "transition")
         if F.ndim != 2 or F.shape[0] != F.shape[1]:
             raise InputError("transition matrix must be square")
         n_x = F.shape[0]
-        Q = _check_square("process_noise", self.process_noise, n_x)
-        H = np.asarray(self.observation, dtype=float)
+        Q = finite_array(self.process_noise, "process_noise", (n_x, n_x))
+        H = finite_array(self.observation, "observation")
         if H.ndim != 2 or H.shape[1] != n_x:
             raise InputError(f"observation matrix must have {n_x} columns, got {H.shape}")
-        n_z = H.shape[0]
-        R = _check_square("measurement_noise", self.measurement_noise, n_z)
-        for name, mat in (("transition", F), ("process_noise", Q), ("observation", H),
-                          ("measurement_noise", R)):
-            if not np.isfinite(mat).all():
-                raise InputError(f"{name} must be finite")
+        R = finite_array(self.measurement_noise, "measurement_noise", (H.shape[0],) * 2)
         if not 0.0 <= self.survival_prob <= 1.0:
             raise InputError("survival_prob must lie in [0, 1]")
         if not 0.0 <= self.detection_prob <= 1.0:
@@ -244,7 +228,7 @@ def _check_prior(prior: GaussianDensity, model: LinearGaussianModel) -> None:
 
 
 def _check_measurement(z, meas_dim: int) -> np.ndarray:
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z = np.atleast_1d(finite_array(z, "measurement"))
     if z.shape != (meas_dim,):
         raise InputError(f"measurement must have dimension {meas_dim}, got {z.shape}")
     return z
@@ -273,7 +257,7 @@ class PreparedMeasurementUpdate:
 
     def batch_statistics(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gating statistics and log-likelihoods for a stack of measurements."""
-        zs = np.asarray(zs, dtype=float).reshape(-1, self.meas_dim)
+        zs = finite_array(zs, "measurements").reshape(-1, self.meas_dim)
         maha, logliks = gate(self._factors, zs)
         return maha[0], logliks[0]
 

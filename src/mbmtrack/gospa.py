@@ -87,8 +87,8 @@ def _fault(truths, estimates, projection) -> str:
         dims = []
         for vectors in pair:
             try:
-                pts = [np.atleast_1d(real_array(v)) for v in vectors]
-            except (TypeError, ValueError) as exc:
+                pts = [np.atleast_1d(real_array(v, "set element")) for v in vectors]
+            except InputError as exc:
                 return f"step {k}: set elements must be vectors of real numbers: {exc}"
             if not pts:
                 continue
@@ -138,9 +138,9 @@ def gospa_run(truths, estimates, params: GospaParams = GospaParams()) -> list[Go
     if n_points:
         try:
             block = real_array(
-                [v for t, e in zip(truths, estimates) for s in (t, e) for v in s]
+                [v for t, e in zip(truths, estimates) for s in (t, e) for v in s], "set elements"
             ).reshape(n_points, -1)
-        except (TypeError, ValueError):
+        except InputError:
             block = None  # ragged, or not real numbers
         if (
             block is None
@@ -200,7 +200,7 @@ def gospa(truth, estimate, params: GospaParams = GospaParams()) -> GospaResult:
 
 def rms(values) -> float:
     """Root mean square of a sequence of per-step totals."""
-    values = np.asarray(list(values), dtype=float)
+    values = real_array(list(values), "GOSPA totals")
     if values.size == 0:
         return 0.0
     return float(np.sqrt(np.mean(values**2)))

@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .assignment import FORBIDDEN, k_best
-from .errors import InputError, NumericalError, is_int, real_array
+from .errors import InputError, NumericalError, finite_array, is_int
 # kalman_predict and PreparedMeasurementUpdate stay module attributes here:
 # perfbench/tracing.py rebinds them.
 from .gaussian import (  # noqa: F401
@@ -426,17 +426,12 @@ def update(
 def _as_measurement_block(measurements, meas_dim: int) -> np.ndarray:
     if measurements is None:
         return np.zeros((0, meas_dim))
-    try:
-        block = real_array(measurements)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed measurement set: {exc}") from exc
+    block = finite_array(measurements, "measurement set")
     if block.size == 0:
         return np.zeros((0, meas_dim))
     block = np.atleast_2d(block)
     if block.ndim != 2 or block.shape[1] != meas_dim:
         raise InputError(f"measurements must be vectors of dimension {meas_dim}")
-    if not np.isfinite(block).all():
-        raise InputError("measurements must be finite")
     return block
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 import yaml
 
-from .errors import InputError, is_int
+from .errors import InputError, finite_array, is_int
 from .gaussian import GaussianDensity, LinearGaussianModel
 # gospa stays a module attribute here: perfbench/tracing.py rebinds it.
 from .gospa import (  # noqa: F401
@@ -59,7 +59,7 @@ def constant_velocity_model(
         np.eye(2), np.array([[T**3 / 3.0, T**2 / 2.0], [T**2 / 2.0, T]])
     )
     H = np.kron(np.eye(2), np.array([[1.0, 0.0]]))
-    R = np.eye(2) if measurement_noise is None else np.asarray(measurement_noise, dtype=float)
+    R = np.eye(2) if measurement_noise is None else measurement_noise
     return LinearGaussianModel(F, Q, H, R, survival_prob, detection_prob, clutter_intensity)
 
 
@@ -187,6 +187,7 @@ def generate_measurements(
 ) -> np.ndarray:
     """Detections plus Poisson clutter for one scan, in shuffled order."""
     chol_r = _noise_factor("measurement noise", model.measurement_noise)
+    states = finite_array(states, "true states")
     return _scan(states, detection_prob, model.observation, chol_r, region, clutter_rate, rng)
 
 
@@ -196,7 +197,7 @@ def _scan(states, detection_prob, H, chol_r, region, clutter_rate, rng) -> np.nd
     points = []
     for x in states:
         if rng.random() < detection_prob:
-            points.append(H @ np.asarray(x, dtype=float) + chol_r @ rng.standard_normal(n_z))
+            points.append(H @ x + chol_r @ rng.standard_normal(n_z))
     (x0, x1), (y0, y1) = region
     # Drawn row-major: x then y for each point in turn.
     clutter = rng.uniform((x0, y0), (x1, y1), size=(rng.poisson(clutter_rate), 2))
@@ -304,8 +305,10 @@ def run_monte_carlo(
     while records are still collected in run-index order, so the report is
     identical (timings aside) for any worker count.
     """
-    if n_runs < 1:
-        raise InputError("n_runs must be at least 1")
+    if not is_int(n_runs) or n_runs < 1:
+        raise InputError(f"n_runs must be an integer >= 1, got {n_runs!r}")
+    if not is_int(seed) or seed < 0:
+        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
     if gospa_params is None:
         gospa_params = GospaParams(projection=POSITION_PROJECTION)
     base = generate_truth(scenario, seed) if scenario.truth is None else scenario
@@ -337,12 +340,8 @@ def run_monte_carlo(
 def _parse_birth(entries) -> BirthModel:
     comps = []
     for entry in entries:
-        mean = np.asarray(entry["mean"], dtype=float)
-        std = np.asarray(entry["std"], dtype=float)
-        if std.shape != mean.shape:
-            raise InputError("birth std and mean must have the same length")
-        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
-            raise InputError("birth mean and std must be finite")
+        mean = finite_array(entry["mean"], "birth mean")
+        std = finite_array(entry["std"], "birth std", mean.shape)
         comps.append(
             BirthComponent(float(entry["existence"]), GaussianDensity(mean, np.diag(std**2)))
         )

@@ -7,14 +7,17 @@ A change that moves the filter's outputs on purpose says so and commits the
 new file; ``test_golden.py`` replays the runs against it.
 
 Per step the file holds the sha256 of the predicted, updated and pruned
-states' arrays and of the estimates, the sizes of those states, and the
-estimates themselves.  The digests are bitwise, so they hold only under the
-numpy, scipy and Python versions recorded with them.
+states' arrays and of the estimates, the sizes of those states, the
+estimates themselves and the filter's LSAP solves.  Each run is scored as
+the benchmark scores it, and per run the file holds the calls and LSAP
+solves of scoring's ``k_best``.  The digests are bitwise, so they hold only
+under the numpy, scipy and Python versions recorded with them.
 """
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import json
 import platform
 import sys
@@ -23,9 +26,16 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+import mbmtrack.assignment as assignment
 import mbmtrack.mbm as mbm
+import mbmtrack.sim as sim
+from mbmtrack.gospa import POSITION_PROJECTION, GospaParams
 from mbmtrack.mbm import FilterParams
-from mbmtrack.sim import builtin_scenario, generate_run_measurements, generate_truth, run_filter
+from mbmtrack.sim import builtin_scenario, generate_truth
+
+# The package attribute ``mbmtrack.gospa`` is the function, so the module
+# comes from the import system.
+gospa_module = importlib.import_module("mbmtrack.gospa")
 
 PATH = Path(__file__).with_name("golden.json")
 TRUTH_SEED = 2026
@@ -71,15 +81,37 @@ def _state(state: mbm.MbmState) -> tuple[str, list[int]]:
 
 
 @contextlib.contextmanager
-def _recording(steps: list):
-    """Record each stage of every ``mbm.step`` while the block runs."""
+def _recording(steps: list, scoring: dict):
+    """Record each stage of every ``mbm.step``, and count LSAP solves, while the block runs.
+
+    A solve inside GOSPA's ``k_best`` counts toward ``scoring``, any other
+    toward the filter step under way.
+    """
     originals = {name: getattr(mbm, name) for name in ("predict", "update", "estimate", "prune")}
+    solve, score_k_best = assignment.linear_sum_assignment, gospa_module.k_best
+    filter_solves, in_scoring = [0], []
+
+    def counted_solve(*args):
+        if in_scoring:
+            scoring["gospa_lsap_solves"] += 1
+        else:
+            filter_solves[0] += 1
+        return solve(*args)
+
+    def counted_k_best(*args, **kwargs):
+        scoring["gospa_k_best_calls"] += 1
+        in_scoring.append(True)
+        try:
+            return score_k_best(*args, **kwargs)
+        finally:
+            in_scoring.pop()
 
     def stage(name):
         def recorded(*args, **kwargs):
             out = originals[name](*args, **kwargs)
             if name == "predict":
                 steps.append({})
+                filter_solves[0] = 0
             if name == "estimate":
                 labels = np.array([e.label for e in out], dtype=np.intp).reshape(len(out), 2)
                 n_x = args[0].means.shape[1]
@@ -90,40 +122,58 @@ def _recording(steps: list):
                 ]
             else:
                 steps[-1][name], steps[-1][f"{name}_counts"] = _state(out)
+            if name == "prune":
+                steps[-1]["lsap_solves"] = filter_solves[0]
             return out
 
         return recorded
 
+    patches = [(mbm, name, stage(name)) for name in originals] + [
+        (assignment, "linear_sum_assignment", counted_solve),
+        (gospa_module, "k_best", counted_k_best),
+    ]
+    restore = [(module, name, getattr(module, name)) for module, name, _ in patches]
     try:
-        for name in originals:
-            setattr(mbm, name, stage(name))
+        for module, name, patched in patches:
+            setattr(module, name, patched)
         yield
     finally:
-        for name, original in originals.items():
-            setattr(mbm, name, original)
+        for module, name, original in restore:
+            setattr(module, name, original)
 
 
-def replay(run) -> list[dict]:
-    """Per step of one run: digests, counts and estimates (labels, then state)."""
+def replay(run) -> tuple[list[dict], dict]:
+    """One run, filtered and scored the way the benchmark runs it.
+
+    Returns per step the digests, counts, estimates (labels, then state) and
+    filter LSAP solves, and the calls and LSAP solves of scoring's ``k_best``.
+    """
     name, max_globals, run_seed = run
     scenario = generate_truth(builtin_scenario(name), TRUTH_SEED)
-    scans = generate_run_measurements(scenario, run_seed)
     steps: list[dict] = []
-    with _recording(steps):
-        run_filter(scenario, scans, FilterParams(max_globals=max_globals))
-    return steps
+    scoring = dict.fromkeys(("gospa_k_best_calls", "gospa_lsap_solves"), 0)
+    with _recording(steps, scoring):
+        sim._single_run(
+            scenario, FilterParams(max_globals=max_globals), run_seed,
+            GospaParams(projection=POSITION_PROJECTION),
+        )
+    return steps, scoring
 
 
 def regenerate() -> None:
     header = json.dumps({"truth_seed": TRUTH_SEED, "versions": versions()})[:-1]
+    replays = {run_id(run): replay(run) for run in RUNS}
     # One step per line keeps the diff of a change readable.
     runs = ",\n".join(
-        f"  {json.dumps(run_id(run))}: [\n"
-        + ",\n".join(f"   {json.dumps(step, separators=(',', ':'))}" for step in replay(run))
+        f"  {json.dumps(key)}: [\n"
+        + ",\n".join(f"   {json.dumps(step, separators=(',', ':'))}" for step in steps)
         + "\n  ]"
-        for run in RUNS
+        for key, (steps, _) in replays.items()
     )
-    PATH.write_text(f'{header},\n "runs": {{\n{runs}\n }}\n}}\n')
+    scoring = ",\n".join(
+        f"  {json.dumps(key)}: {json.dumps(counts)}" for key, (_, counts) in replays.items()
+    )
+    PATH.write_text(f'{header},\n "runs": {{\n{runs}\n }},\n "scoring": {{\n{scoring}\n }}\n}}\n')
 
 
 if __name__ == "__main__":

@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from scipy.stats import multivariate_normal
 
 import mbmtrack.assignment as assignment
 import mbmtrack.mbm as mbm
-import mbmtrack.sim as sim
 from mbmtrack.assignment import FORBIDDEN, k_best
 from mbmtrack.errors import InputError
 from mbmtrack.gaussian import (
@@ -21,7 +19,6 @@ from mbmtrack.gaussian import (
     kalman_predict,
     kalman_update,
 )
-from mbmtrack.gospa import POSITION_PROJECTION, GospaParams
 from mbmtrack.mbm import (
     BirthComponent,
     BirthModel,
@@ -779,6 +776,9 @@ class TestNonFiniteMeasurements:
         state = mbm.predict(mbm.init_empty(), model, scenario1_birth())
         with pytest.raises(InputError, match="finite"):
             mbm.update(state, [[140.0, 170.0], [150.0, bad]], model, FilterParams())
+        # A non-finite birth mean fails as early, when the birth is built.
+        with pytest.raises(InputError, match="finite"):
+            BirthComponent(0.1, GaussianDensity([140.0, 0.0, bad, 0.0], np.eye(4)))
 
 
 def _log_weight_lists():
@@ -1006,67 +1006,6 @@ class TestStackedRanking:
                     (a.row_to_col, a.total_cost.hex()) for a in assignments
                 ]
         assert solves[0] == stacked_solves > 0
-
-
-# The package attribute ``mbmtrack.gospa`` is the function, so the module
-# comes from the import system.
-gospa_module = importlib.import_module("mbmtrack.gospa")
-
-
-def _scored_run_counts(monkeypatch, max_globals: int) -> dict:
-    """Work counters of one scored scenario1 run (truth seed 2026, run seed 2027).
-
-    LSAP solves are split by caller: those inside GOSPA's ``k_best`` calls
-    are scoring's, all others the filter's.
-    """
-    solve, update, score_k_best = assignment.linear_sum_assignment, mbm.update, gospa_module.k_best
-    counts = dict.fromkeys(("solves", "globals", "children", "gospa_k_best", "gospa_solves"), 0)
-    scoring = []
-
-    def counted_solve(node):
-        counts["gospa_solves" if scoring else "solves"] += 1
-        return solve(node)
-
-    def counted_update(*args):
-        updated = update(*args)
-        counts["globals"] += len(updated.global_log_weights)
-        counts["children"] += len(updated.means)
-        return updated
-
-    def counted_k_best(*args, **kwargs):
-        counts["gospa_k_best"] += 1
-        scoring.append(True)
-        try:
-            return score_k_best(*args, **kwargs)
-        finally:
-            scoring.pop()
-
-    monkeypatch.setattr(assignment, "linear_sum_assignment", counted_solve)
-    monkeypatch.setattr(mbm, "update", counted_update)
-    monkeypatch.setattr(gospa_module, "k_best", counted_k_best)
-    scenario = generate_truth(builtin_scenario("scenario1"), 2026)
-    sim._single_run(
-        scenario, FilterParams(max_globals=max_globals), 2027,
-        GospaParams(projection=POSITION_PROJECTION),
-    )
-    return counts
-
-
-class TestWorkCounters:
-    def test_scenario1_counters_at_canonical_cap(self, monkeypatch):
-        """The filter's LSAP solves, globals and children on one scenario1 run
-        at N_h = 200 are deterministic; a change that keeps rankings and
-        child selection keeps them.  Scoring the run is one GOSPA ``k_best``
-        call, whose solves a change that keeps the matchings keeps too."""
-        counts = _scored_run_counts(monkeypatch, 200)
-        assert counts == {
-            "solves": 25_643, "globals": 23_266, "children": 20_530,
-            "gospa_k_best": 1, "gospa_solves": 115,
-        }
-
-    def test_scenario1_scoring_counters_at_nh1(self, monkeypatch):
-        counts = _scored_run_counts(monkeypatch, 1)
-        assert (counts["gospa_k_best"], counts["gospa_solves"]) == (1, 128)
 
 
 class TestStateArrays:

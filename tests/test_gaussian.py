@@ -82,6 +82,12 @@ def test_model_validation_errors():
         LinearGaussianModel([[np.nan]], [[0.0]], [[1.0]], [[1.0]], 0.9, 0.9, 1e-4)
     with pytest.raises(InputError, match="measurement_noise"):
         LinearGaussianModel([[1.0]], [[0.0]], [[1.0]], [[np.inf]], 0.9, 0.9, 1e-4)
+    with pytest.raises(InputError, match="transition"):
+        LinearGaussianModel(np.eye(1, dtype=complex), [[0.0]], [[1.0]], [[1.0]], 0.9, 0.9, 1e-4)
+    with pytest.raises(InputError, match="measurement_noise"):
+        LinearGaussianModel(
+            [[1.0]], [[0.0]], [[1.0]], [[np.complex128(1.0 + 2.0j)]], 0.9, 0.9, 1e-4
+        )
 
 
 class TestKalmanUpdate:
@@ -173,8 +179,13 @@ class TestKalmanUpdate:
             kalman_update(prior, [0.0, 0.0], model)
 
     def test_measurement_dimension_checked(self):
+        prior = GaussianDensity([0.0], [[1.0]])
         with pytest.raises(InputError):
-            kalman_update(GaussianDensity([0.0], [[1.0]]), [1.0, 2.0], model_1d())
+            kalman_update(prior, [1.0, 2.0], model_1d())
+        for z in ([np.nan], [np.inf], [-np.inf]):
+            for entry_point in (kalman_update, gating_statistic):
+                with pytest.raises(InputError, match="finite"):
+                    entry_point(prior, z, model_1d())
 
 
 class TestGatingStatistic:
@@ -406,3 +417,11 @@ def test_gaussian_density_symmetrizes_and_validates():
         GaussianDensity([0.0, 1.0], np.eye(3))
     with pytest.raises(InputError):
         GaussianDensity([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
+    bad_means = ([np.nan, 1.0], [0.0, np.inf], [0.0, 1.0j], np.zeros(2, dtype=complex))
+    bad_covs = (
+        [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -np.inf]], [[1.0, 0.0], [0.0, 1.0j]],
+        np.eye(2, dtype=complex),
+    )
+    for mean, cov in [(m, np.eye(2)) for m in bad_means] + [([0.0, 1.0], c) for c in bad_covs]:
+        with pytest.raises(InputError):
+            GaussianDensity(mean, cov)

@@ -193,6 +193,11 @@ class TestMeasurementGeneration:
             scan = generate_measurements([], 0.0, model, self.region(), 0.0, rng)
             assert scan.shape == (0, 2)
 
+    def test_non_finite_states_rejected(self):
+        model, state = constant_velocity_model(), [150.0, 0.0, np.nan, 0.0]
+        with pytest.raises(InputError, match="true states must be finite"):
+            generate_measurements([state], 1.0, model, self.region(), 0.0, make_rng(0))
+
     def test_detection_residual_moments(self):
         model = constant_velocity_model(detection_prob=1.0)
         rng = make_rng(1)
@@ -419,5 +424,7 @@ class TestMonteCarlo:
         assert np.isfinite(report.mean_rms_gospa)
 
     def test_n_runs_validated(self):
-        with pytest.raises(InputError):
-            run_monte_carlo(self.small_scenario(), FilterParams(), 0, 1)
+        for n_runs, seed, name in [(0, 1, "n_runs"), (2.5, 1, "n_runs"), (True, 1, "n_runs"),
+                                   (1, 1.5, "seed"), (1, -1, "seed")]:
+            with pytest.raises(InputError, match=name):
+                run_monte_carlo(self.small_scenario(), FilterParams(), n_runs, seed)
