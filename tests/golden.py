@@ -16,6 +16,7 @@ under the numpy, scipy and Python versions recorded with them.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import importlib
 import json
@@ -142,11 +143,14 @@ def _recording(steps: list, scoring: dict):
             setattr(module, name, original)
 
 
+@functools.cache
 def replay(run) -> tuple[list[dict], dict]:
     """One run, filtered and scored the way the benchmark runs it.
 
     Returns per step the digests, counts, estimates (labels, then state) and
     filter LSAP solves, and the calls and LSAP solves of scoring's ``k_best``.
+    The result is cached per run, so tests that read the same run share one
+    pass; callers must not modify it.
     """
     name, max_globals, run_seed = run
     scenario = generate_truth(builtin_scenario(name), TRUTH_SEED)

@@ -1,5 +1,6 @@
 import math
 
+import golden
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -1006,6 +1007,40 @@ class TestStackedRanking:
                     (a.row_to_col, a.total_cost.hex()) for a in assignments
                 ]
         assert solves[0] == stacked_solves > 0
+
+
+def _scored_run_counts(max_globals: int) -> dict:
+    """Work counters of one scored scenario1 run (truth seed 2026, run seed 2027).
+
+    Read from the golden replay of the same run, which splits LSAP solves by
+    caller: those inside GOSPA's ``k_best`` calls are scoring's, all others
+    the filter's.
+    """
+    steps, scoring = golden.replay(("scenario1", max_globals, 2027))
+    return {
+        "solves": sum(step["lsap_solves"] for step in steps),
+        "globals": sum(step["update_counts"][1] for step in steps),
+        "children": sum(step["update_counts"][0] for step in steps),
+        "gospa_k_best": scoring["gospa_k_best_calls"],
+        "gospa_solves": scoring["gospa_lsap_solves"],
+    }
+
+
+class TestWorkCounters:
+    def test_scenario1_counters_at_canonical_cap(self):
+        """The filter's LSAP solves, globals and children on one scenario1 run
+        at N_h = 200 are deterministic; a change that keeps rankings and
+        child selection keeps them.  Scoring the run is one GOSPA ``k_best``
+        call, whose solves a change that keeps the matchings keeps too."""
+        counts = _scored_run_counts(200)
+        assert counts == {
+            "solves": 25_643, "globals": 23_266, "children": 20_530,
+            "gospa_k_best": 1, "gospa_solves": 115,
+        }
+
+    def test_scenario1_scoring_counters_at_nh1(self):
+        counts = _scored_run_counts(1)
+        assert (counts["gospa_k_best"], counts["gospa_solves"]) == (1, 128)
 
 
 class TestStateArrays:

@@ -12,16 +12,6 @@ import pytest
 GOLDEN = json.loads(golden.PATH.read_text())
 DIGESTS = ("predict", "update", "estimates", "prune")
 COUNTS = ("predict_counts", "update_counts", "prune_counts", "lsap_solves")
-# Run totals, pinned here as well: the filter's LSAP solves, globals and
-# children (hypotheses after update), and scoring's k_best calls and solves.
-# A change that keeps rankings, child selection and matchings keeps them.
-TOTALS = {
-    "scenario1-nh200-seed2027": {
-        "lsap_solves": 25_643, "globals": 23_266, "children": 20_530,
-        "gospa_k_best_calls": 1, "gospa_lsap_solves": 115,
-    },
-    "scenario1-nh1-seed2027": {"gospa_k_best_calls": 1, "gospa_lsap_solves": 128},
-}
 
 
 @pytest.mark.parametrize("run", golden.RUNS, ids=golden.run_id)
@@ -29,14 +19,6 @@ def test_replay_matches_golden(run):
     expected = GOLDEN["runs"][golden.run_id(run)]
     got, scoring = golden.replay(run)
     assert scoring == GOLDEN["scoring"][golden.run_id(run)]
-    totals = {
-        "lsap_solves": sum(step["lsap_solves"] for step in got),
-        "globals": sum(step["update_counts"][1] for step in got),
-        "children": sum(step["update_counts"][0] for step in got),
-        **scoring,
-    }
-    pinned = TOTALS.get(golden.run_id(run), {})
-    assert {name: totals[name] for name in pinned} == pinned
     assert len(got) == len(expected)
     for k, (step, gold) in enumerate(zip(got, expected), start=1):
         assert [step[name] for name in COUNTS] == [gold[name] for name in COUNTS], f"step {k}"
