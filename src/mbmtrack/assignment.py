@@ -90,11 +90,6 @@ class Assignment:
         return tuple(sorted(self.row_to_col.items()))
 
 
-def _lex_key(row_to_col: dict[int, int], rows: list[int]) -> tuple[int, ...]:
-    # -1 encodes "unassigned", which must sort before column 0.
-    return tuple(row_to_col.get(r, -1) for r in rows)
-
-
 def k_best(costs, k, resolve_ties: bool = True) -> list[Assignment] | list[list[Assignment]]:
     """The k lowest-cost partial assignments in nondecreasing cost order.
 
@@ -129,20 +124,47 @@ def k_best(costs, k, resolve_ties: bool = True) -> list[Assignment] | list[list[
     ks = list(k) if isinstance(k, (list, tuple)) else [k] * n_mats
     if len(ks) != n_mats or not all(is_int(rank) and rank >= 1 for rank in ks):
         raise InputError("k must be a positive integer, or one per cost matrix")
-    # Entries are finite or FORBIDDEN: the minimum is NaN if any entry is,
-    # and -inf if any entry is.
-    if not np.minimum.reduce(stack, axis=None, initial=np.inf) > -np.inf:
-        if np.isnan(stack).any():
-            raise InputError("cost matrix contains NaN entries")
-        raise InputError("cost matrix entries must be finite or FORBIDDEN (+inf)")
-    results = []
-    for start in range(0, n_mats, _CHUNK):
-        results += _rank_chunk(stack[start:start + _CHUNK], ks[start:start + _CHUNK], resolve_ties)
+    counts, totals, cols = _ranked_columns(stack, ks, resolve_ties)
+    solutions = zip(cols.tolist(), totals.tolist())
+    results = [
+        [
+            Assignment({r: c for r, c in enumerate(row) if c >= 0}, cost)
+            for row, cost in itertools.islice(solutions, count)
+        ]
+        for count in counts
+    ]
     return results if costs.ndim == 3 else results[0]
 
 
-def _rank_chunk(costs: np.ndarray, ks: list, resolve_ties: bool) -> list[list[Assignment]]:
-    """``k_best`` of each matrix of a (G, R, C) stack, from one shared setup.
+def _ranked_columns(costs: np.ndarray, ks: list, resolve_ties: bool):
+    """``k_best`` of a (G, R, C) stack as arrays: (counts, totals, columns).
+
+    ``counts[g]`` is the number of solutions of matrix g, and they are the
+    next ``counts[g]`` rows of ``totals`` (S,) and ``columns`` (S, R), which
+    hold each solution's total cost and the caller column of every row, -1
+    where it is unassigned.  ``k_best`` builds its ``Assignment`` lists from
+    these, and the filter turns them into child keys directly.
+    """
+    # Entries are finite or FORBIDDEN: the minimum is NaN if any entry is,
+    # and -inf if any entry is.
+    if not np.minimum.reduce(costs, axis=None, initial=np.inf) > -np.inf:
+        if np.isnan(costs).any():
+            raise InputError("cost matrix contains NaN entries")
+        raise InputError("cost matrix entries must be finite or FORBIDDEN (+inf)")
+    counts, totals, cols = [], [], []
+    for start in range(0, len(costs), _CHUNK):
+        chunk = _rank_chunk(costs[start:start + _CHUNK], ks[start:start + _CHUNK], resolve_ties)
+        counts += chunk[0]
+        totals += chunk[1]
+        cols += chunk[2]
+    cols = np.fromiter(cols, np.intp, len(cols)).reshape(len(totals), costs.shape[1])
+    return counts, np.array(totals), cols
+
+
+def _rank_chunk(costs: np.ndarray, ks: list, resolve_ties: bool):
+    """``_ranked_columns`` of a (G, R, C) stack from one shared setup, as lists.
+
+    The columns come as one flat list, solution after solution.
 
     Stable sorts of the kept-row and kept-column masks move every matrix's
     kept rows to its top and its kept columns to the right end of its C
@@ -196,24 +218,32 @@ def _rank_chunk(costs: np.ndarray, ks: list, resolve_ties: bool) -> list[list[As
     ).tolist()
     row_maps, col_maps = row_ids.tolist(), col_ids.tolist()
 
-    results = []
+    counts, totals, cols = [], [], []
     for g, (n_row, n_col, big, k) in enumerate(zip(n_rows, n_cols, large, ks)):
+        row_map = row_maps[g][:n_row]
+        # Caller column of each slot of the view; slack slots are -1.
+        slot_col = col_maps[g][n_c - n_col:] + [-1] * n_row
+        ranked = []
         if n_row == 0:
-            results.append([Assignment({}, 0.0)])
-            continue
-        node = aug[g, :n_row, n_c - n_col:n_c + n_row]
-        emitted = _murty(node, n_col, big, k, resolve_ties, rows[:n_row], row_mins[g][:n_row])
-        row_map, col_map = row_maps[g][:n_row], col_maps[g][n_c - n_col:]
-        ranked = [
-            Assignment(
-                {row_map[r]: col_map[c] for r, c in enumerate(sol.tolist()) if c < n_col}, cost
-            )
-            for cost, sol in emitted
-        ]
+            ranked.append((0.0, [-1] * n_r))
+        else:
+            node = aug[g, :n_row, n_c - n_col:n_c + n_row]
+            emitted = _murty(node, n_col, big, k, resolve_ties, rows[:n_row], row_mins[g][:n_row])
+            for cost, sol in emitted:
+                row = [-1] * n_r
+                for r, c in zip(row_map, sol.tolist()):
+                    row[r] = slot_col[c]
+                ranked.append((cost, row))
         if resolve_ties:
-            ranked.sort(key=lambda a: (a.total_cost, _lex_key(a.row_to_col, row_map)))
-        results.append(ranked[:k])
-    return results
+            # Lexicographic on the caller columns, unassigned (-1) first;
+            # rows no entry admits are -1 in every solution.
+            ranked.sort()
+            del ranked[k:]
+        counts.append(len(ranked))
+        for cost, row in ranked:
+            totals.append(cost)
+            cols += row
+    return counts, totals, cols
 
 
 def _murty(aug: np.ndarray, n_cols: int, large: float, k: int, resolve_ties: bool,

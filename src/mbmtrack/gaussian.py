@@ -25,10 +25,36 @@ _PIVOT_RTOL = 1e-12
 # Stand-in for log(0) of a probability/intensity; keeps downstream cost
 # arithmetic finite while still being astronomically unlikely.
 _LOG_TINY = math.log(sys.float_info.min)
+# A caller's covariance may have eigenvalues this far below zero, relative to
+# its largest magnitude, from rounding alone.
+_PSD_RTOL = 1e-10
 
 
 def _symmetrized(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.swapaxes(-1, -2))
+
+
+def check_covariance(cov: np.ndarray, what: str) -> None:
+    """InputError unless the symmetric ``cov`` is finite and positive semi-definite.
+
+    Negative eigenvalues within rounding of zero pass.
+    """
+    if not np.isfinite(cov).all():  # a symmetrization that overflowed
+        raise InputError(f"{what} must be finite")
+    eigenvalues = np.linalg.eigvalsh(cov)
+    if eigenvalues.size and eigenvalues[0] < -_PSD_RTOL * np.abs(eigenvalues).max():
+        raise InputError(f"{what} must be positive semi-definite")
+
+
+def _covariance(values, what: str, n: int) -> np.ndarray:
+    """A caller's (n, n) covariance, symmetrized and checked."""
+    with np.errstate(over="raise"):
+        try:
+            cov = _symmetrized(finite_array(values, what, (n, n)))
+        except FloatingPointError:
+            raise InputError(f"{what} overflows when symmetrized") from None
+    check_covariance(cov, what)
+    return cov
 
 
 def floor_log(value: float) -> float:
@@ -68,7 +94,8 @@ class LinearGaussianModel:
     ``clutter_intensity`` is the clutter density at any point inside the
     surveillance region, i.e. expected clutter count per scan divided by the
     region area for uniform clutter.  A value of zero is accepted and treated
-    as the no-clutter limit.
+    as the no-clutter limit.  The process and measurement noise must be
+    positive semi-definite.
     """
 
     transition: np.ndarray
@@ -84,11 +111,11 @@ class LinearGaussianModel:
         if F.ndim != 2 or F.shape[0] != F.shape[1]:
             raise InputError("transition matrix must be square")
         n_x = F.shape[0]
-        Q = finite_array(self.process_noise, "process_noise", (n_x, n_x))
+        Q = _covariance(self.process_noise, "process_noise", n_x)
         H = finite_array(self.observation, "observation")
         if H.ndim != 2 or H.shape[1] != n_x:
             raise InputError(f"observation matrix must have {n_x} columns, got {H.shape}")
-        R = finite_array(self.measurement_noise, "measurement_noise", (H.shape[0],) * 2)
+        R = _covariance(self.measurement_noise, "measurement_noise", H.shape[0])
         if not 0.0 <= self.survival_prob <= 1.0:
             raise InputError("survival_prob must lie in [0, 1]")
         if not 0.0 <= self.detection_prob <= 1.0:
@@ -96,9 +123,9 @@ class LinearGaussianModel:
         if not 0.0 <= self.clutter_intensity < math.inf:
             raise InputError("clutter_intensity must be finite and nonnegative")
         object.__setattr__(self, "transition", F)
-        object.__setattr__(self, "process_noise", _symmetrized(Q))
+        object.__setattr__(self, "process_noise", Q)
         object.__setattr__(self, "observation", H)
-        object.__setattr__(self, "measurement_noise", _symmetrized(R))
+        object.__setattr__(self, "measurement_noise", R)
 
     @property
     def state_dim(self) -> int:

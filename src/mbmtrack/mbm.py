@@ -16,17 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
-from .assignment import FORBIDDEN, k_best
+# k_best, kalman_predict and PreparedMeasurementUpdate stay module attributes
+# here: perfbench/tracing.py rebinds them.
+from .assignment import FORBIDDEN, _ranked_columns, k_best  # noqa: F401
 from .errors import InputError, NumericalError, finite_array, is_int
-# kalman_predict and PreparedMeasurementUpdate stay module attributes here:
-# perfbench/tracing.py rebinds them.
 from .gaussian import (  # noqa: F401
-    GaussianDensity, LinearGaussianModel, PreparedMeasurementUpdate, floor_log, gate,
-    innovation_factors, kalman_gains, kalman_predict, posterior_means, predict_stack,
+    GaussianDensity, LinearGaussianModel, PreparedMeasurementUpdate, check_covariance, floor_log,
+    gate, innovation_factors, kalman_gains, kalman_predict, posterior_means, predict_stack,
 )
 
 
@@ -156,6 +155,7 @@ class BirthComponent:
     def __post_init__(self):
         if not 0.0 <= self.existence <= 1.0:
             raise InputError("birth existence probability must lie in [0, 1]")
+        check_covariance(self.density.covariance, "birth covariance")
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ def predict(
         np.concatenate((state.labels, b_labels * ((new_time, 1) if label_births else (0, 0)))),
         np.concatenate((state.histories, np.full((n_b, state.histories.shape[1]), -1))),
         np.concatenate((state.offsets, state.offsets[-1] + b_labels[:, 1])),
-        np.hstack((state.vectors, np.zeros((len(state.vectors), n_b), dtype=np.intp))),
+        np.concatenate((state.vectors, np.zeros((len(state.vectors), n_b), dtype=np.intp)), axis=1),
         state.global_log_weights,
     )
 
@@ -262,11 +262,11 @@ def _logsumexp(values) -> float:
     if a.size == 0:
         return -math.inf
     a_max = a.max()
-    if not np.isfinite(a_max):
+    if not math.isfinite(a_max):
         return float(a_max)
     at_max = a == a_max
-    count = np.float64(np.count_nonzero(at_max))
-    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum() / count
+    count = np.count_nonzero(at_max)
+    s = np.add.reduce(np.exp(np.where(at_max, -np.inf, a) - a_max)) / count
     return float(np.log1p(s) + np.log(count) + a_max)
 
 
@@ -316,12 +316,13 @@ def update(
     (parents, m) tables of detection log-weights and of assignment costs
     (misdetection/detection log-ratios).  Each prior global takes the rows
     of its parents as its cost matrix and spawns its ceil(max_globals *
-    weight) best children; one k-best call ranks the whole stack of these
+    weight) best children; one ranking call orders the whole stack of these
     matrices.  Weights are renormalized.
     A child is keyed ``parent * (m + 1) + association`` (0 misdetection,
     j + 1 measurement j), which sorts by parent, misdetection first.  The
-    (solutions, components) key array is its globals' misdetection keys plus
-    one scatter of the ranked assignments' (solution, row, j + 1) triples.
+    ranking gives the measurement each row takes (-1 for none) as one
+    (solutions, components) array, so the keys are its globals' misdetection
+    keys repeated per solution plus those columns plus 1.
     Only the children some new global selects are built, in key order: they
     gather their parents' rows, labels included, and append their
     association to the parents' histories.  One gain call on the gate's
@@ -347,11 +348,11 @@ def update(
     child_log_weight[:, 0] = log_weights + log_mis_factor
     mis_increment = child_log_weight[:, 0] - log_weights
     cost = np.full((len(existences), m), FORBIDDEN)
-    detectable = np.flatnonzero(existences > 0.0)
+    detectable = (existences > 0.0).nonzero()[0]
     if m > 0 and p_d > 0.0 and len(detectable):
         factors = innovation_factors(state.means[detectable], state.covariances[detectable], model)
         maha, logliks = gate(factors, zs)
-        log_r = np.array([[math.log(r)] for r in existences[detectable].tolist()])
+        log_r = np.array([math.log(r) for r in existences[detectable].tolist()])[:, None]
         child_log_weight[detectable, 1:] = (
             log_weights[detectable, None] + log_r + log_pd + logliks - log_kappa
         )
@@ -366,45 +367,36 @@ def update(
 
     # A new global's weight is the prior weight, plus every component's
     # misdetection factor, minus the selected assignment's cost (each cost
-    # entry being exactly the misdetection/detection log-ratio); cumsum adds
-    # the factors left to right, in component order.
+    # entry being exactly the misdetection/detection log-ratio); accumulate
+    # adds the factors left to right, in component order.
     rows = state.vectors + offsets
-    base_log_weight = np.cumsum(
-        np.column_stack((state.global_log_weights, mis_increment[rows])), axis=1
+    base_log_weight = np.add.accumulate(
+        np.concatenate((state.global_log_weights[:, None], mis_increment[rows]), axis=1), axis=1
     )[:, -1]
     # Global g spawns its k_u = ceil(max_globals * weight) best children.
     k_us = [
         max(1, math.ceil(params.max_globals * math.exp(min(w, 0.0))))
         for w in state.global_log_weights.tolist()
     ]
-    ranked = k_best(cost[rows], k_us, resolve_ties=False)
-    counts = [len(assignments) for assignments in ranked]
-    solutions = list(chain.from_iterable(ranked))
-    maps = [solution.row_to_col for solution in solutions]
-    sizes = [len(row_to_col) for row_to_col in maps]
-    n_pairs = sum(sizes)
-    weights = np.repeat(base_log_weight, counts) - np.array(
-        [solution.total_cost for solution in solutions]
-    )
-    # Each child starts from its global's misdetection keys; one scatter adds
-    # j + 1 at every (solution, row) that an assignment gives measurement j.
-    keys = np.repeat(rows * (m + 1), counts, axis=0)
-    keys[
-        np.repeat(np.arange(len(maps)), sizes),
-        np.fromiter(chain.from_iterable(maps), np.intp, n_pairs),
-    ] += np.fromiter(chain.from_iterable(map(dict.values, maps)), np.intp, n_pairs) + 1
+    counts, totals, cols = _ranked_columns(cost[rows], k_us, False)
+    weights = base_log_weight.repeat(counts) - totals
+    # Each child is its global's misdetection keys plus j + 1 wherever its
+    # assignment gives measurement j (columns are -1 where unassigned).
+    keys = (rows * (m + 1) + 1).repeat(counts, axis=0) + cols
 
     # Build the selected children in key order and renumber the vectors to
     # match: the hypotheses keep their relative order, so pruning and
     # estimation give the same result as if every child were built.
-    used = np.unique(keys)
-    starts = np.searchsorted(used, offsets * (m + 1))
+    selected = np.zeros(child_log_weight.size, dtype=bool)
+    selected[keys] = True
+    used = selected.nonzero()[0]
+    bounds = used.searchsorted(state.offsets * (m + 1))
     parent, association = np.divmod(used, m + 1)
     means, covariances = state.means[parent], state.covariances[parent]
     detected = association > 0
     if detected.any():  # then the gate ran: ``factors`` holds the detectable parents' S
         gains, posterior_covs = kalman_gains(state.covariances[detectable], factors[1], model)
-        pair = np.searchsorted(detectable, parent[detected])
+        pair = detectable.searchsorted(parent[detected])
         covariances[detected] = posterior_covs[pair]
         means[detected] = posterior_means(
             means[detected], factors[0][pair], gains[pair], zs[association[detected] - 1]
@@ -416,9 +408,9 @@ def update(
         np.where(detected, 1.0, mis_existence[parent]),
         child_log_weight.ravel()[used],
         state.labels[parent],
-        np.column_stack((state.histories[parent], association)),
-        np.append(starts, len(used)),
-        np.searchsorted(used, keys) - starts,
+        np.concatenate((state.histories[parent], association[:, None]), axis=1),
+        bounds,
+        used.searchsorted(keys) - bounds[:-1],
         _normalized(weights),
     )
 
@@ -446,20 +438,23 @@ def prune(state: MbmState, params: FilterParams) -> MbmState:
     """
     vectors, weights = _merge_duplicates(state.vectors, state.global_log_weights)
     weights = _normalized(weights)
-    kept = np.array([math.exp(w) >= params.prune_global_weight for w in weights.tolist()])
-    kept = np.flatnonzero(kept) if kept.any() else np.argmax(weights)[None]
+    kept = [g for g, w in enumerate(weights.tolist()) if math.exp(w) >= params.prune_global_weight]
+    kept = np.array(kept) if kept else np.argmax(weights)[None]
     if len(kept) > params.max_globals:
         # Highest weights first, ties to the lower index.
         kept = np.sort(kept[np.argsort(-weights[kept], kind="stable")[: params.max_globals]])
     # Keep the referenced hypotheses of components that some kept global
     # gives enough existence, and renumber the vectors to match.
     rows = vectors[kept] + state.offsets[:-1]
-    used = np.unique(rows)
-    owner = np.searchsorted(state.offsets, used, side="right") - 1
+    referenced = np.zeros(len(state.existences), dtype=bool)
+    referenced[rows] = True
+    used = referenced.nonzero()[0]
+    owner = state.offsets.searchsorted(used, side="right") - 1
     alive = np.bincount(owner, state.existences[used] >= params.prune_existence, rows.shape[1]) > 0
     used = used[alive[owner]]
-    starts = np.searchsorted(used, state.offsets[:-1][alive])
-    vectors = np.searchsorted(used, rows[:, alive]) - starts
+    # A kept component's rows end where its old rows end; the first starts at 0.
+    offsets = np.concatenate(([0], used.searchsorted(state.offsets[1:][alive])))
+    vectors = used.searchsorted(rows[:, alive]) - offsets[:-1]
     vectors, weights = _merge_duplicates(vectors, weights[kept])
     # Left padding makes the columns that every kept history leaves at -1 a
     # prefix; dropping them bounds the width by the oldest kept history.
@@ -473,7 +468,7 @@ def prune(state: MbmState, params: FilterParams) -> MbmState:
         state.log_weights[used],
         state.labels[used],
         histories,
-        np.append(starts, len(used)),
+        offsets,
         vectors,
         _normalized(weights),
     )
@@ -483,7 +478,7 @@ def estimate(state: MbmState, params: FilterParams) -> list[TargetEstimate]:
     """Means of the best global's hypotheses with existence above threshold."""
     if not len(state.global_log_weights):
         raise InputError("state has no global hypotheses")
-    rows = state.vectors[np.argmax(state.global_log_weights)] + state.offsets[:-1]
+    rows = state.vectors[state.global_log_weights.argmax()] + state.offsets[:-1]
     rows = rows[state.existences[rows] > params.estimate_existence]
     return [
         TargetEstimate(tuple(label), mean)

@@ -409,64 +409,69 @@ def scenario_from_mapping(raw: dict) -> Scenario:
     unknown = list(_unknown_keys(raw, _SCENARIO_KEYS)) if isinstance(raw, dict) else []
     if unknown:
         raise InputError(f"bad scenario configuration: unknown keys {', '.join(unknown)}")
-    try:
-        region_raw = raw["region"]
-        region = (
-            (float(region_raw["x"][0]), float(region_raw["x"][1])),
-            (float(region_raw["y"][0]), float(region_raw["y"][1])),
-        )
-        clutter_rate = float(raw["clutter_rate"])
-        duration = _integer("duration", raw["duration"])
-        area = (region[0][1] - region[0][0]) * (region[1][1] - region[1][0])
-        if not (math.isfinite(area) and area > 0):
-            raise InputError("region bounds must be finite and enclose a positive area")
-        if not 0.0 <= clutter_rate < math.inf:
-            raise InputError("clutter_rate must be finite and nonnegative")
-        if duration < 1:
-            raise InputError("duration must be at least one step")
-        model_raw = raw.get("model", {})
-        sampling_time = float(model_raw.get("sampling_time", 1.0))
-        if not 0.0 < sampling_time < math.inf:
-            raise InputError("sampling_time must be finite and positive")
-        noise_intensity = float(model_raw.get("process_noise_intensity", 0.01))
-        noise = float(model_raw.get("measurement_noise_std", 1.0))
-        if not (0.0 <= noise_intensity < math.inf and 0.0 <= noise < math.inf):
-            raise InputError(
-                "process_noise_intensity and measurement_noise_std must be finite and nonnegative"
+    # An overflow (a birth std whose square is inf, say) is a bad value too.
+    with np.errstate(over="raise"):
+        try:
+            region_raw = raw["region"]
+            region = (
+                (float(region_raw["x"][0]), float(region_raw["x"][1])),
+                (float(region_raw["y"][0]), float(region_raw["y"][1])),
             )
-        model = constant_velocity_model(
-            sampling_time=sampling_time,
-            noise_intensity=noise_intensity,
-            survival_prob=float(model_raw.get("survival_prob", 0.99)),
-            detection_prob=float(model_raw.get("detection_prob", 0.9)),
-            measurement_noise=np.eye(2) * noise**2,
-            clutter_intensity=clutter_rate / area,
-        )
-        birth = _parse_birth(raw["birth"])
-        schedule = _parse_schedule(raw.get("detection_schedule"), duration, model.detection_prob)
-        # Any FilterParams field; floats are cast, max_globals is left to its check.
-        filt = raw.get("filter", {})
-        params = replace(
-            FilterParams(),
-            **{
-                f.name: float(filt[f.name]) if isinstance(f.default, float) else filt[f.name]
-                for f in fields(FilterParams) if f.name in filt
-            },
-        )
-        return Scenario(
-            name=str(raw.get("name", "custom")),
-            model=model,
-            birth=birth,
-            region=region,
-            clutter_rate=clutter_rate,
-            duration=duration,
-            detection_schedule=schedule,
-            filter_defaults=params,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"bad scenario configuration: {exc!r}") from exc
+            clutter_rate = float(raw["clutter_rate"])
+            duration = _integer("duration", raw["duration"])
+            area = (region[0][1] - region[0][0]) * (region[1][1] - region[1][0])
+            if not (math.isfinite(area) and area > 0):
+                raise InputError("region bounds must be finite and enclose a positive area")
+            if not 0.0 <= clutter_rate < math.inf:
+                raise InputError("clutter_rate must be finite and nonnegative")
+            if duration < 1:
+                raise InputError("duration must be at least one step")
+            model_raw = raw.get("model", {})
+            sampling_time = float(model_raw.get("sampling_time", 1.0))
+            if not 0.0 < sampling_time < math.inf:
+                raise InputError("sampling_time must be finite and positive")
+            noise_intensity = float(model_raw.get("process_noise_intensity", 0.01))
+            noise = float(model_raw.get("measurement_noise_std", 1.0))
+            if not (0.0 <= noise_intensity < math.inf and 0.0 <= noise < math.inf):
+                raise InputError(
+                    "process_noise_intensity and measurement_noise_std must be finite and "
+                    "nonnegative"
+                )
+            model = constant_velocity_model(
+                sampling_time=sampling_time,
+                noise_intensity=noise_intensity,
+                survival_prob=float(model_raw.get("survival_prob", 0.99)),
+                detection_prob=float(model_raw.get("detection_prob", 0.9)),
+                measurement_noise=np.eye(2) * noise**2,
+                clutter_intensity=clutter_rate / area,
+            )
+            birth = _parse_birth(raw["birth"])
+            schedule = _parse_schedule(
+                raw.get("detection_schedule"), duration, model.detection_prob
+            )
+            # Any FilterParams field; floats are cast, max_globals is left to its check.
+            filt = raw.get("filter", {})
+            params = replace(
+                FilterParams(),
+                **{
+                    f.name: float(filt[f.name]) if isinstance(f.default, float) else filt[f.name]
+                    for f in fields(FilterParams) if f.name in filt
+                },
+            )
+            return Scenario(
+                name=str(raw.get("name", "custom")),
+                model=model,
+                birth=birth,
+                region=region,
+                clutter_rate=clutter_rate,
+                duration=duration,
+                detection_schedule=schedule,
+                filter_defaults=params,
+            )
+        except (KeyError, TypeError, ValueError, OverflowError, FloatingPointError) as exc:
+            if isinstance(exc, InputError):
+                raise
+            raise InputError(f"bad scenario configuration: {exc!r}") from exc
 
 
 def load_scenario_file(path) -> Scenario:

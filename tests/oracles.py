@@ -8,25 +8,30 @@ evaluations.  The exceptions are plain forms of library loops, kept so the
 library can be checked against them bitwise: ``murty_reference``, the Murty
 loop that solves every child; ``gospa_reference``, GOSPA scored one step at a
 time; ``predict_reference``, predict with the birth block built on every
-call.  ``check_state`` asserts the invariants every filter state must
-satisfy.
+call; ``update_reference``, the measurement update written against the
+public ``k_best``, turning its ``Assignment`` maps into child keys.
+``check_state`` asserts the invariants every filter state must satisfy.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 import math
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from mbmtrack.assignment import FORBIDDEN, Assignment, solve_optimal
-from mbmtrack.errors import InputError
-from mbmtrack.gaussian import predict_stack
+from mbmtrack.assignment import FORBIDDEN, Assignment, k_best, solve_optimal
+from mbmtrack.errors import InputError, NumericalError
+from mbmtrack.gaussian import (
+    LinearGaussianModel, floor_log, gate, innovation_factors, kalman_gains, posterior_means,
+    predict_stack,
+)
 from mbmtrack.gospa import GospaResult
-from mbmtrack.mbm import MbmState
+from mbmtrack.mbm import FilterParams, MbmState, _as_measurement_block
 
 
 # -- assignment ---------------------------------------------------------------
@@ -402,6 +407,159 @@ def predict_reference(state, model, birth, label_births=True):
         np.concatenate((state.offsets, state.offsets[-1] + np.arange(1, n_b + 1))),
         np.hstack((state.vectors, np.zeros((len(state.vectors), n_b), dtype=np.intp))),
         state.global_log_weights,
+    )
+
+
+# -- filter update ------------------------------------------------------------
+
+
+def _logsumexp_reference(values) -> float:
+    """``scipy.special.logsumexp`` of a 1-D sequence, without its dispatch cost.
+
+    Performs scipy's operations in scipy's order (split out the terms equal
+    to the maximum, sum the shifted exponentials of the rest, divide by the
+    tie count, then log1p), so the results agree bitwise.
+    """
+    a = np.asarray(values, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    a_max = a.max()
+    if not np.isfinite(a_max):
+        return float(a_max)
+    at_max = a == a_max
+    count = np.float64(np.count_nonzero(at_max))
+    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum() / count
+    return float(np.log1p(s) + np.log(count) + a_max)
+
+
+def _normalized_reference(log_weights: np.ndarray) -> np.ndarray:
+    total = _logsumexp_reference(log_weights)
+    if not math.isfinite(total):
+        raise NumericalError("total global-hypothesis weight vanished or diverged")
+    return log_weights - total
+
+
+def update_reference(
+    state: MbmState,
+    measurements,
+    model: LinearGaussianModel,
+    params: FilterParams,
+) -> MbmState:
+    """The measurement update written against the public ``k_best``.
+
+    It turns each ranked ``Assignment`` map back into child keys, and
+    ``mbm.update`` must match it bitwise.  Measurement update with
+    ranked-assignment hypothesis selection.
+
+    The parents (every hypothesis of every component, in order) are gated
+    against all m measurements in one stacked computation, which fills
+    (parents, m) tables of detection log-weights and of assignment costs
+    (misdetection/detection log-ratios).  Each prior global takes the rows
+    of its parents as its cost matrix and spawns its ceil(max_globals *
+    weight) best children; one k-best call ranks the whole stack of these
+    matrices.  Weights are renormalized.
+    A child is keyed ``parent * (m + 1) + association`` (0 misdetection,
+    j + 1 measurement j), which sorts by parent, misdetection first.  The
+    (solutions, components) key array is its globals' misdetection keys plus
+    one scatter of the ranked assignments' (solution, row, j + 1) triples.
+    Only the children some new global selects are built, in key order: they
+    gather their parents' rows, labels included, and append their
+    association to the parents' histories.  One gain call on the gate's
+    factors of S serves every detected child.
+    """
+    zs = _as_measurement_block(measurements, model.meas_dim)
+    m, p_d = len(zs), model.detection_prob
+    offsets = state.offsets[:-1]
+    existences, log_weights = state.existences, state.log_weights
+    log_pd, log_kappa = floor_log(p_d), model.log_clutter_intensity
+
+    # Misdetection factor 1 - r p_D, floored to log(0) where r = p_D = 1
+    # (normalization then pushes that child to weight 0).
+    denom = 1.0 - existences * p_d
+    log_mis_factor = np.array([floor_log(d) for d in denom.tolist()])
+    mis_existence = np.divide(
+        existences * (1.0 - p_d), denom, out=np.ones_like(denom), where=denom > 0.0
+    )
+    mis_existence = np.minimum(np.maximum(mis_existence, 0.0), 1.0)
+    # Log-weights of the children, indexed by key: column 0 misdetection,
+    # column j + 1 detection by measurement j.
+    child_log_weight = np.full((len(existences), m + 1), -math.inf)
+    child_log_weight[:, 0] = log_weights + log_mis_factor
+    mis_increment = child_log_weight[:, 0] - log_weights
+    cost = np.full((len(existences), m), FORBIDDEN)
+    detectable = np.flatnonzero(existences > 0.0)
+    if m > 0 and p_d > 0.0 and len(detectable):
+        factors = innovation_factors(state.means[detectable], state.covariances[detectable], model)
+        maha, logliks = gate(factors, zs)
+        log_r = np.array([[math.log(r)] for r in existences[detectable].tolist()])
+        child_log_weight[detectable, 1:] = (
+            log_weights[detectable, None] + log_r + log_pd + logliks - log_kappa
+        )
+        # -ln(detection weight / misdetection weight); the parent weight
+        # cancels, and zero misdetection factors are floored so the cost
+        # stays finite.
+        cost[detectable] = np.where(
+            maha > params.gate_threshold,
+            FORBIDDEN,
+            log_mis_factor[detectable, None] - (log_r + log_pd + logliks - log_kappa),
+        )
+
+    # A new global's weight is the prior weight, plus every component's
+    # misdetection factor, minus the selected assignment's cost (each cost
+    # entry being exactly the misdetection/detection log-ratio); cumsum adds
+    # the factors left to right, in component order.
+    rows = state.vectors + offsets
+    base_log_weight = np.cumsum(
+        np.column_stack((state.global_log_weights, mis_increment[rows])), axis=1
+    )[:, -1]
+    # Global g spawns its k_u = ceil(max_globals * weight) best children.
+    k_us = [
+        max(1, math.ceil(params.max_globals * math.exp(min(w, 0.0))))
+        for w in state.global_log_weights.tolist()
+    ]
+    ranked = k_best(cost[rows], k_us, resolve_ties=False)
+    counts = [len(assignments) for assignments in ranked]
+    solutions = list(chain.from_iterable(ranked))
+    maps = [solution.row_to_col for solution in solutions]
+    sizes = [len(row_to_col) for row_to_col in maps]
+    n_pairs = sum(sizes)
+    weights = np.repeat(base_log_weight, counts) - np.array(
+        [solution.total_cost for solution in solutions]
+    )
+    # Each child starts from its global's misdetection keys; one scatter adds
+    # j + 1 at every (solution, row) that an assignment gives measurement j.
+    keys = np.repeat(rows * (m + 1), counts, axis=0)
+    keys[
+        np.repeat(np.arange(len(maps)), sizes),
+        np.fromiter(chain.from_iterable(maps), np.intp, n_pairs),
+    ] += np.fromiter(chain.from_iterable(map(dict.values, maps)), np.intp, n_pairs) + 1
+
+    # Build the selected children in key order and renumber the vectors to
+    # match: the hypotheses keep their relative order, so pruning and
+    # estimation give the same result as if every child were built.
+    used = np.unique(keys)
+    starts = np.searchsorted(used, offsets * (m + 1))
+    parent, association = np.divmod(used, m + 1)
+    means, covariances = state.means[parent], state.covariances[parent]
+    detected = association > 0
+    if detected.any():  # then the gate ran: ``factors`` holds the detectable parents' S
+        gains, posterior_covs = kalman_gains(state.covariances[detectable], factors[1], model)
+        pair = np.searchsorted(detectable, parent[detected])
+        covariances[detected] = posterior_covs[pair]
+        means[detected] = posterior_means(
+            means[detected], factors[0][pair], gains[pair], zs[association[detected] - 1]
+        )
+    return MbmState._stacked(
+        state.time,
+        means,
+        covariances,
+        np.where(detected, 1.0, mis_existence[parent]),
+        child_log_weight.ravel()[used],
+        state.labels[parent],
+        np.column_stack((state.histories[parent], association)),
+        np.append(starts, len(used)),
+        np.searchsorted(used, keys) - starts,
+        _normalized_reference(weights),
     )
 
 

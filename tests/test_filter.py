@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ExhaustiveMbm, check_state, predict_reference
+from oracles import ExhaustiveMbm, check_state, predict_reference, update_reference
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
@@ -171,6 +171,71 @@ class TestPredictAgainstReference:
                     want.dtype, want.shape, want.tobytes()
                 ), name
             state = out
+
+
+@st.composite
+def _update_cases(draw):
+    """A state, a scan and settings for ``update``.
+
+    0-5 components of 1-4 hypotheses with existences that include 0 and 1;
+    1-12 globals drawn from a pool of at most 4 vectors, so vectors repeat;
+    no scan, or 0-15 measurements of which about half lie near a hypothesis;
+    p_D 0, 0.5 or 1, an infinite or finite gate, and 1-10 globals per step.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 4), max_size=5))
+    comps = []
+    for i, size in enumerate(sizes):
+        hyps = []
+        for _ in range(size):
+            root = rng.normal(size=(4, 4))
+            history = tuple(rng.integers(0, 4, size=rng.integers(0, 4)).tolist())
+            hyps.append(SingleTargetHypothesis(
+                float(rng.normal()), draw(st.sampled_from([0.0, 1e-3, 0.3, 0.9, 1.0])),
+                GaussianDensity(rng.uniform(0.0, 40.0, size=4), root @ root.T + np.eye(4)),
+                HypothesisMeta(int(rng.integers(1, 9)), i + 1, history),
+            ))
+        comps.append(BernoulliComponent(tuple(hyps)))
+    pool = [
+        tuple(int(rng.integers(0, n)) for n in sizes) for _ in range(draw(st.integers(1, 4)))
+    ]
+    vectors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    weights = np.log(rng.uniform(1e-6, 1.0, size=len(vectors)))
+    weights -= logsumexp(weights)
+    state = MbmState(
+        tuple(comps),
+        tuple(GlobalHypothesis(float(w), v) for w, v in zip(weights, vectors)),
+        int(rng.integers(0, 9)),
+    )
+    m = draw(st.integers(-1, 15))  # -1: no scan at all
+    scan = None
+    if m >= 0:
+        scan = rng.uniform(0.0, 40.0, size=(m, 2))
+        if len(state.means):
+            near = np.flatnonzero(rng.random(m) < 0.5)
+            picked = state.means[rng.integers(0, len(state.means), size=len(near))]
+            scan[near] = picked[:, [0, 2]] + rng.normal(size=(len(near), 2))
+    params = FilterParams(
+        max_globals=draw(st.integers(1, 10)),
+        gate_threshold=draw(st.sampled_from([20.0, math.inf])),
+    )
+    return state, scan, draw(st.sampled_from([0.0, 0.5, 1.0])), params
+
+
+class TestUpdateAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_update_cases())
+    def test_bitwise_equal_to_k_best_reference(self, case):
+        state, scan, detection_prob, params = case
+        model = constant_velocity_model(detection_prob=detection_prob, clutter_intensity=1e-3)
+        out = mbm.update(state, scan, model, params)
+        expected = update_reference(state, scan, model, params)
+        assert out.time == expected.time
+        for name in STATE_ARRAYS:
+            got, want = getattr(out, name), getattr(expected, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (
+                want.dtype, want.shape, want.tobytes()
+            ), name
 
 
 class TestMisdetectionUpdate:
@@ -733,6 +798,20 @@ class TestStepAndLabels:
         assert calls == ["estimate", "prune"]
 
 
+def test_birth_covariance_must_be_psd():
+    """A non-PSD birth is refused at construction, before a step gates it."""
+    for bad in (-np.eye(4), np.diag([1.0, 1.0, 1.0, -1e-3])):
+        with pytest.raises(InputError, match="birth covariance must be positive semi-definite"):
+            BirthComponent(0.1, GaussianDensity([100.0, 0.0, 100.0, 0.0], bad))
+    for good in (np.zeros((4, 4)), np.diag([1.0, 1.0, 1.0, -1e-18])):
+        BirthComponent(0.1, GaussianDensity([100.0, 0.0, 100.0, 0.0], good))
+    # A density whose symmetrization overflowed holds inf.
+    with np.errstate(over="ignore"):
+        overflowed = GaussianDensity([0.0], [[1e308]])
+    with pytest.raises(InputError, match="birth covariance must be finite"):
+        BirthComponent(0.1, overflowed)
+
+
 class TestFilterParamsValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -973,7 +1052,7 @@ class TestDeferredChildren:
 
 class TestStackedRanking:
     def test_lsap_solves_match_per_global_k_best(self, monkeypatch):
-        """The step's one stacked k_best makes exactly the LSAP solves, and
+        """The step's one stacked ranking makes exactly the LSAP solves, and
         gives bitwise the rankings, of a 2-D k_best per global."""
         solve = assignment.linear_sum_assignment
         solves = [0]
@@ -983,14 +1062,15 @@ class TestStackedRanking:
             return solve(node)
 
         calls = []
+        ranked_columns = mbm._ranked_columns
 
-        def recorded(costs, k, **kwargs):
-            ranked = k_best(costs, k, **kwargs)
-            calls.append((costs, k, ranked))
+        def recorded(costs, ks, resolve_ties):
+            ranked = ranked_columns(costs, ks, resolve_ties)
+            calls.append((costs, ks, resolve_ties, ranked))
             return ranked
 
         monkeypatch.setattr(assignment, "linear_sum_assignment", counted)
-        monkeypatch.setattr(mbm, "k_best", recorded)
+        monkeypatch.setattr(mbm, "_ranked_columns", recorded)
         scenario, scans = scenario1_scans(25)
         params = FilterParams(max_globals=200)
         state = mbm.init_empty()
@@ -999,13 +1079,19 @@ class TestStackedRanking:
             state, _ = mbm.step(state, zs, model, scenario.birth, params)
         stacked_solves, solves[0] = solves[0], 0
         assert len(calls) == len(scans)
-        for costs, ks, ranked in calls:
-            assert costs.ndim == 3 and len(costs) == len(ks)
-            for matrix, k_u, assignments in zip(costs, ks, ranked):
+        for costs, ks, resolve_ties, (counts, totals, cols) in calls:
+            assert costs.ndim == 3 and len(costs) == len(ks) == len(counts)
+            assert not resolve_ties and cols.shape == (len(totals), costs.shape[1])
+            end = 0
+            for matrix, k_u, count in zip(costs, ks, counts):
                 alone = k_best(matrix, k_u, resolve_ties=False)
+                rows, costs_out = cols[end:end + count].tolist(), totals[end:end + count].tolist()
                 assert [(a.row_to_col, a.total_cost.hex()) for a in alone] == [
-                    (a.row_to_col, a.total_cost.hex()) for a in assignments
+                    ({r: c for r, c in enumerate(row) if c >= 0}, cost.hex())
+                    for row, cost in zip(rows, costs_out)
                 ]
+                end += count
+            assert end == len(totals)
         assert solves[0] == stacked_solves > 0
 
 

@@ -90,6 +90,24 @@ def test_model_validation_errors():
         )
 
 
+def test_noise_covariances_must_be_psd():
+    """Q and R are checked at construction, so no step can fail on them later."""
+    rank_one = np.ones((2, 2))  # PSD, singular; its eigvalsh may dip below 0 by rounding
+    tiny = np.diag([1.0, -1e-18])  # Joseph-form rounding leaves values like this
+    for good in (np.zeros((2, 2)), rank_one, tiny, 1e-300 * rank_one):
+        model = LinearGaussianModel(np.eye(2), good, np.eye(2), good + np.eye(2), 0.9, 0.9, 1e-4)
+        assert np.array_equal(model.process_noise, good)
+    bad_matrices = (-np.eye(2), np.diag([1.0, -1e-6]), [[1.0, 2.0], [2.0, 1.0]])
+    for bad in bad_matrices:
+        with pytest.raises(InputError, match="process_noise must be positive semi-definite"):
+            LinearGaussianModel(np.eye(2), bad, np.eye(2), np.eye(2), 0.9, 0.9, 1e-4)
+        with pytest.raises(InputError, match="measurement_noise must be positive semi-definite"):
+            LinearGaussianModel(np.eye(2), np.eye(2), np.eye(2), bad, 0.9, 0.9, 1e-4)
+    # Q + Q' overflows: an InputError, not a RuntimeWarning or an inf in Q.
+    with pytest.raises(InputError, match="process_noise overflows"):
+        LinearGaussianModel([[1.0]], [[1e308]], [[1.0]], [[1.0]], 0.9, 0.9, 1e-4)
+
+
 class TestKalmanUpdate:
     def test_uninformative_measurement_keeps_prior(self):
         prior = GaussianDensity([1.0, 2.0], [[2.0, 0.1], [0.1, 0.5]])

@@ -116,6 +116,23 @@ class TestBuiltinScenarios:
         with pytest.raises(InputError, match=field):
             scenario_from_mapping(self.minimal_mapping(**extra))
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"birth": [{"existence": 0.1, "mean": [5.0, 0.0, 5.0, 0.0], "std": [1e200, 1, 1, 1]}]},
+            {"birth": [{"existence": 0.1, "mean": [5.0, 0.0, 5.0, 0.0], "std": [1e154, 1, 1, 1]}]},
+            {"model": {"process_noise_intensity": 1e308}},
+            {"model": {"process_noise_intensity": 1e308, "sampling_time": 2.0}},
+        ],
+        ids=["birth_std_squared", "birth_variance_doubled", "process_noise_symmetrized",
+             "process_noise_scaled"],
+    )
+    def test_overflow_rejected(self, extra):
+        # Tier-1 turns RuntimeWarnings into errors, so an overflow that only
+        # warned would fail here with RuntimeWarning, not InputError.
+        with pytest.raises(InputError):
+            scenario_from_mapping(self.minimal_mapping(**extra))
+
     def test_unknown_keys_rejected_by_path(self):
         raw = self.minimal_mapping(
             modle={},
