@@ -9,16 +9,19 @@ entries worth their (typically negative) price.
 Rows with no admissible entry and columns that no row admits are dropped
 first.  The rest is squared up by giving every row a private zero-cost slack
 column; a full row assignment of the augmented matrix then corresponds
-one-to-one to a partial assignment of the original.  A stack of matrices
-shares this setup: it is computed for many matrices at once.  Each augmented
-matrix is solved with scipy's compiled Hungarian-family solver (loaded on its
-own, without the rest of ``scipy.optimize``), and ranked enumeration
-partitions the solution space around each emitted assignment (Murty's
-scheme).  A node is partitioned only on the rows its ancestors left
-unpinned, and an exact feasibility pretest skips every child that has no
-assignment at all.  The others wait in the queue under a cheap lower bound
-on their cost and are solved only on reaching its top: one solve for the
-root and one per child popped, and the output of solving every child at once.
+one-to-one to a partial assignment of the original.  Its other entries stay
+FORBIDDEN, as do those a Murty node pins or excludes: one marker from the
+caller to the solver, which never selects +inf.  A stack of matrices shares
+this setup: it is computed for many matrices at once.  Each augmented matrix
+is solved with scipy's compiled Hungarian-family solver (loaded on its own,
+without the rest of ``scipy.optimize``), and ranked enumeration partitions
+the solution space around each emitted assignment (Murty's scheme).  A node
+is partitioned only on the rows its ancestors left unpinned, and an exact
+feasibility pretest skips every child that has no finite assignment, on
+which the solver would raise.  The others wait in the queue under a cheap
+lower bound on their cost and are solved only on reaching its top: one
+solve for the root and one per child popped, and the output of solving
+every child at once.
 
 Ties are broken deterministically: with ``resolve_ties`` equal-cost
 assignments are ordered lexicographically by their row-to-column mapping,
@@ -182,34 +185,12 @@ def _rank_chunk(costs: np.ndarray, ks: list, resolve_ties: bool):
     row_ids = (~kept_rows).argsort(axis=1, kind="stable")
     col_ids = kept_cols.argsort(axis=1, kind="stable")
 
-    # Sentinel for excluded entries.  It is big enough that any solution
-    # forced onto one is strictly worse than every all-finite solution, so a
-    # selected entry equal to `large` marks the subproblem infeasible.  The
-    # root and every child that passes the pretest in `_murty` are feasible,
-    # so `solve` checks this only for consistency.  The reduction starts at
-    # 1, so it gives max(1, largest finite magnitude).  A few scalars per
-    # matrix cost less as Python floats than as numpy operations.  Numpy
-    # reduces a contiguous trailing axis faster than it applies `where=`.
-    scale = np.maximum.reduce(
-        np.where(finite, np.abs(costs), 0.0).reshape(n_mats, -1), axis=1, initial=1.0
-    )
-    large = [
-        (2.0 * (n_row + n_col) + 1.0) * s + 1.0
-        for n_row, n_col, s in zip(n_rows, n_cols, scale.tolist())
-    ]
-
     rows = np.arange(n_r)
-    fill = np.array(large)[:, None, None]
-    aug = np.empty((n_mats, n_r, n_c + n_r))
-    aug[:, :, n_c:] = fill
+    aug = np.full((n_mats, n_r, n_c + n_r), FORBIDDEN)
     # Row i's slack, at column C + i, is flat entry C + i (C + R + 1) of its matrix.
     aug.reshape(n_mats, -1)[:, n_c::n_c + n_r + 1] = 0.0
-    np.minimum(
-        costs[np.arange(n_mats)[:, None, None], row_ids[:, :, None], col_ids[:, None, :]],
-        fill,
-        out=aug[:, :, :n_c],
-    )
-    # The columns outside a matrix's view hold `large`, above its row's zero
+    aug[:, :, :n_c] = costs[np.arange(n_mats)[:, None, None], row_ids[..., None], col_ids[:, None]]
+    # The columns outside a matrix's view are FORBIDDEN, above its row's zero
     # slack, so these are the row minima of each view.  Numpy reduces in
     # memory order, so a short last axis is slow; a column-major copy makes
     # it the leading one.
@@ -219,7 +200,7 @@ def _rank_chunk(costs: np.ndarray, ks: list, resolve_ties: bool):
     row_maps, col_maps = row_ids.tolist(), col_ids.tolist()
 
     counts, totals, cols = [], [], []
-    for g, (n_row, n_col, big, k) in enumerate(zip(n_rows, n_cols, large, ks)):
+    for g, (n_row, n_col, k) in enumerate(zip(n_rows, n_cols, ks)):
         row_map = row_maps[g][:n_row]
         # Caller column of each slot of the view; slack slots are -1.
         slot_col = col_maps[g][n_c - n_col:] + [-1] * n_row
@@ -228,7 +209,7 @@ def _rank_chunk(costs: np.ndarray, ks: list, resolve_ties: bool):
             ranked.append((0.0, [-1] * n_r))
         else:
             node = aug[g, :n_row, n_c - n_col:n_c + n_row]
-            emitted = _murty(node, n_col, big, k, resolve_ties, rows[:n_row], row_mins[g][:n_row])
+            emitted = _murty(node, n_col, k, resolve_ties, rows[:n_row], row_mins[g][:n_row])
             for cost, sol in emitted:
                 row = [-1] * n_r
                 for r, c in zip(row_map, sol.tolist()):
@@ -246,28 +227,27 @@ def _rank_chunk(costs: np.ndarray, ks: list, resolve_ties: bool):
     return counts, totals, cols
 
 
-def _murty(aug: np.ndarray, n_cols: int, large: float, k: int, resolve_ties: bool,
+def _murty(aug: np.ndarray, n_cols: int, k: int, resolve_ties: bool,
            rows: np.ndarray, row_min: list[float]) -> list[tuple[float, np.ndarray]]:
     """(cost, slot per row) of the ranked solutions of one augmented matrix.
 
     ``row_min`` holds the row minima of ``aug``.  A node of the search is a
     copy of ``aug`` with its rows before some row ``first`` pinned and row
     ``first`` short of some entries, so its rows after ``first`` are the
-    root's and share these minima.  Each solve also keeps the entries it
-    selected, ``node[rows, sol]``: a node's children take their pinned
-    values from them.
+    root's and share these minima.  Every node solved has a finite full
+    assignment.  Each solve also keeps the entries it selected,
+    ``node[rows, sol]``: a node's children take their pinned values from
+    them.
     """
 
     def solve(node: np.ndarray):
         cols = linear_sum_assignment(node)[1]
         selected = node[rows, cols].tolist()
-        # A feasible solution's slack entries are its rows' own, exactly
-        # +0.0, and a row-order sum from +0.0 is never -0.0: adding them
-        # leaves the sum of the assigned entries bitwise as it is.
+        # The slack entries selected are their rows' own, exactly +0.0, and
+        # a row-order sum from +0.0 is never -0.0: adding them leaves the
+        # sum of the assigned entries bitwise as it is.
         total = 0.0
         for value in selected:
-            if value >= large:
-                return None, 0.0, None
             total += value
         return cols, total, selected
 
@@ -292,14 +272,11 @@ def _murty(aug: np.ndarray, n_cols: int, large: float, k: int, resolve_ties: boo
             # Solve the child now.  Its exact cost is >= the bound and it keeps
             # its discovery number, so exact entries leave in eager order.
             child = node.copy()
-            child[:first] = large
+            child[:first] = FORBIDDEN
             child[rows[:first], sol[:first]] = values[:first]
-            child[first, sol[first]] = large
+            child[first, sol[first]] = FORBIDDEN
             child_sol, child_cost, child_values = solve(child)
-            if child_sol is not None:
-                heapq.heappush(
-                    heap, (child_cost, order, first, child, child_sol, child_values, True)
-                )
+            heapq.heappush(heap, (child_cost, order, first, child, child_sol, child_values, True))
             continue
         emitted.append((cost, sol))
         if not resolve_ties and len(emitted) >= k:
@@ -318,12 +295,12 @@ def _murty(aug: np.ndarray, n_cols: int, large: float, k: int, resolve_ties: boo
         holder = np.full(n_cols + n_rows, n_rows)
         holder[sol] = rows
         free = holder > rows[first:, None]
-        free_min = np.minimum.reduce(node[first:], axis=1, where=free, initial=large).tolist()
+        free_min = np.minimum.reduce(node[first:], axis=1, where=free, initial=FORBIDDEN).tolist()
         pinned = 0.0
         for value in values[:first]:
             pinned += value
         for t, row_t in enumerate(free_min, first):
-            if row_t < large:
+            if row_t < FORBIDDEN:
                 bound = pinned + row_t
                 for value in row_min[t + 1:]:
                     bound += value

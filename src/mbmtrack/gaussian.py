@@ -39,20 +39,25 @@ def check_covariance(cov: np.ndarray, what: str) -> None:
 
     Negative eigenvalues within rounding of zero pass.
     """
-    if not np.isfinite(cov).all():  # a symmetrization that overflowed
+    if not np.isfinite(cov).all():  # an array written in place after its checks
         raise InputError(f"{what} must be finite")
     eigenvalues = np.linalg.eigvalsh(cov)
     if eigenvalues.size and eigenvalues[0] < -_PSD_RTOL * np.abs(eigenvalues).max():
         raise InputError(f"{what} must be positive semi-definite")
 
 
-def _covariance(values, what: str, n: int) -> np.ndarray:
-    """A caller's (n, n) covariance, symmetrized and checked."""
+def _symmetric(values, what: str, n: int) -> np.ndarray:
+    """A caller's finite (n, n) matrix, symmetrized without overflow."""
     with np.errstate(over="raise"):
         try:
-            cov = _symmetrized(finite_array(values, what, (n, n)))
+            return _symmetrized(finite_array(values, what, (n, n)))
         except FloatingPointError:
             raise InputError(f"{what} overflows when symmetrized") from None
+
+
+def _covariance(values, what: str, n: int) -> np.ndarray:
+    """A caller's (n, n) covariance, symmetrized and checked."""
+    cov = _symmetric(values, what, n)
     check_covariance(cov, what)
     return cov
 
@@ -78,9 +83,8 @@ class GaussianDensity:
         mean = np.atleast_1d(finite_array(self.mean, "mean"))
         if mean.ndim != 1:
             raise InputError("mean must be a one-dimensional vector")
-        cov = finite_array(self.covariance, "covariance", (mean.size, mean.size))
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", _symmetrized(cov))
+        object.__setattr__(self, "covariance", _symmetric(self.covariance, "covariance", mean.size))
 
     @property
     def dim(self) -> int:

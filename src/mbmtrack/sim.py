@@ -55,9 +55,11 @@ def constant_velocity_model(
     """Planar constant-velocity model over states [px, vx, py, vy]."""
     T = sampling_time
     F = np.kron(np.eye(2), np.array([[1.0, T], [0.0, 1.0]]))
-    Q = noise_intensity * np.kron(
-        np.eye(2), np.array([[T**3 / 3.0, T**2 / 2.0], [T**2 / 2.0, T]])
-    )
+    # An overflow leaves Q infinite, which LinearGaussianModel rejects.
+    with np.errstate(over="ignore"):
+        Q = noise_intensity * np.kron(
+            np.eye(2), np.array([[T**3 / 3.0, T**2 / 2.0], [T**2 / 2.0, T]])
+        )
     H = np.kron(np.eye(2), np.array([[1.0, 0.0]]))
     R = np.eye(2) if measurement_noise is None else measurement_noise
     return LinearGaussianModel(F, Q, H, R, survival_prob, detection_prob, clutter_intensity)
@@ -89,11 +91,6 @@ class Scenario:
     detection_schedule: tuple[float, ...] | None = None
     filter_defaults: FilterParams = field(default_factory=FilterParams)
     truth: tuple[Trajectory, ...] | None = None
-
-    @property
-    def area(self) -> float:
-        (x0, x1), (y0, y1) = self.region
-        return (x1 - x0) * (y1 - y0)
 
     def detection_prob_at(self, step_index: int) -> float:
         """Per-step detection probability (1-based step index)."""

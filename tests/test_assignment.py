@@ -260,6 +260,7 @@ def _forbidden_patterns(draw):
     n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     costs = rng.uniform(-10.0, 4.0, size=(n_rows, n_cols))
+    costs *= 10.0 ** draw(st.sampled_from([-300, -6, 0, 6, 150, 300]))
     cells = st.lists(st.booleans(), min_size=n_rows * n_cols, max_size=n_rows * n_cols)
     costs[np.reshape(draw(cells), costs.shape)] = F
     costs[sorted(draw(st.sets(st.integers(0, n_rows - 1))))] = F
@@ -290,7 +291,7 @@ class TestMurtyReference:
         # On integer costs with ties the fast path returns the reference's
         # solutions in nondecreasing cost, ties in discovery order rather than
         # lexicographic order.  Every row and column keeps an admissible entry
-        # so both build the same augmented matrix.
+        # so neither drops one: both solve the same problem.
         rng = np.random.default_rng(11)
         values = np.array([-3.0, -1.0, 0.0, 2.0, F])
         for _ in range(200):
@@ -345,8 +346,9 @@ class TestStackedKBest:
 
     def test_stack_longer_than_a_chunk(self, monkeypatch):
         # Matrices of very different scales share chunks, and the stack
-        # spans several of them.  Every LSAP input, sentinel entries
-        # included, is bitwise the one the matrix gets alone.
+        # spans several of them.  Every LSAP input is bitwise the one the
+        # matrix gets alone, and each of its entries is a caller's entry, a
+        # 0.0 slack or FORBIDDEN: no finite stand-in marks an exclusion.
         rng = np.random.default_rng(23)
         n_mats = 2 * assignment._CHUNK + 5
         costs = rng.uniform(-10.0, 4.0, size=(n_mats, 6, 5))
@@ -354,6 +356,7 @@ class TestStackedKBest:
         costs[rng.random(costs.shape) < 0.5] = F
         costs[::7] = F
         ks = rng.integers(1, 20, size=n_mats).tolist()
+        admitted = np.concatenate((costs.ravel(), [0.0, F]))
         solve, inputs = assignment.linear_sum_assignment, []
 
         def recorded(node):
@@ -369,6 +372,7 @@ class TestStackedKBest:
             assert len(inputs) == len(stacked_inputs) > n_mats
             for a, b in zip(stacked_inputs, inputs):
                 assert a.shape == b.shape and np.array_equal(a, b)
+                assert np.isin(a, admitted).all()
             inputs.clear()
             for c, kg, ranked in zip(costs, ks, got):
                 assert bitwise(ranked) == bitwise(murty_reference(c, kg, resolve_ties))
@@ -423,8 +427,9 @@ class TestNoWastedSolve:
         def counted(node):
             rows, cols = solve(node)
             solves["all"] += 1
-            # Finite entries are at most `scale` in magnitude; the sentinel
-            # that marks an excluded entry is larger.
+            # Finite entries are at most `scale` in magnitude.  An excluded
+            # entry is FORBIDDEN in k_best's solves and a larger finite
+            # sentinel in the reference's.
             solves["feasible"] += bool(node[rows, cols].max() <= scale)
             return rows, cols
 

@@ -805,9 +805,10 @@ def test_birth_covariance_must_be_psd():
             BirthComponent(0.1, GaussianDensity([100.0, 0.0, 100.0, 0.0], bad))
     for good in (np.zeros((4, 4)), np.diag([1.0, 1.0, 1.0, -1e-18])):
         BirthComponent(0.1, GaussianDensity([100.0, 0.0, 100.0, 0.0], good))
-    # A density whose symmetrization overflowed holds inf.
-    with np.errstate(over="ignore"):
-        overflowed = GaussianDensity([0.0], [[1e308]])
+    # GaussianDensity refuses a covariance that overflows, but its array
+    # stays writable, so a density can still come to hold inf.
+    overflowed = GaussianDensity([0.0], [[1.0]])
+    overflowed.covariance[0, 0] = np.inf
     with pytest.raises(InputError, match="birth covariance must be finite"):
         BirthComponent(0.1, overflowed)
 

@@ -438,7 +438,7 @@ def test_gaussian_density_symmetrizes_and_validates():
     bad_means = ([np.nan, 1.0], [0.0, np.inf], [0.0, 1.0j], np.zeros(2, dtype=complex))
     bad_covs = (
         [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -np.inf]], [[1.0, 0.0], [0.0, 1.0j]],
-        np.eye(2, dtype=complex),
+        np.eye(2, dtype=complex), [[1e308, 0.0], [0.0, 1.0]],
     )
     for mean, cov in [(m, np.eye(2)) for m in bad_means] + [([0.0, 1.0], c) for c in bad_covs]:
         with pytest.raises(InputError):

@@ -133,6 +133,10 @@ class TestBuiltinScenarios:
         with pytest.raises(InputError):
             scenario_from_mapping(self.minimal_mapping(**extra))
 
+    def test_model_overflow_rejected(self):
+        with pytest.raises(InputError, match="process_noise must be finite"):
+            constant_velocity_model(sampling_time=2.0, noise_intensity=1e308)
+
     def test_unknown_keys_rejected_by_path(self):
         raw = self.minimal_mapping(
             modle={},
