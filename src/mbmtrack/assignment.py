@@ -6,16 +6,16 @@ entries may be excluded outright (FORBIDDEN).  Only selected entries
 contribute to the total cost, so an optimal solution picks exactly the
 entries worth their (typically negative) price.
 
-Rows with no admissible entry and columns that no row admits are dropped
-first.  The rest is squared up by giving every row a private zero-cost slack
-column; a full row assignment of the augmented matrix then corresponds
-one-to-one to a partial assignment of the original.  Its other entries stay
-FORBIDDEN, as do those a Murty node pins or excludes: one marker from the
-caller to the solver, which never selects +inf.  A stack of matrices shares
-this setup: it is computed for many matrices at once.  Each augmented matrix
-is solved with scipy's compiled Hungarian-family solver (loaded on its own,
-without the rest of ``scipy.optimize``), and ranked enumeration partitions
-the solution space around each emitted assignment (Murty's scheme).  A node
+Each matrix is squared up as the caller gives it, by giving every row a
+private zero-cost slack column; a full row assignment of the augmented matrix
+then corresponds one-to-one to a partial assignment of the original.  Its
+other entries are FORBIDDEN, as are those a Murty node pins or excludes: one
+marker from the caller to the solver, which never selects +inf.  A matrix
+with no admissible entry has only the empty assignment and takes no solve.
+The augmented matrices of a stack are built many at once.  Each is solved
+with scipy's compiled Hungarian-family solver (loaded on its own, without
+the rest of ``scipy.optimize``), and ranked enumeration partitions the
+solution space around each emitted assignment (Murty's scheme).  A node
 is partitioned only on the rows its ancestors left unpinned, and an exact
 feasibility pretest skips every child that has no finite assignment, on
 which the solver would raise.  The others wait in the queue under a cheap
@@ -104,12 +104,10 @@ def k_best(costs, k, resolve_ties: bool = True) -> list[Assignment] | list[list[
     take the same path, and each matrix of a stack gets bitwise the result
     it gets alone.
 
-    Rows with no admissible entry and columns that no row admits take no
-    part in any assignment, so they are dropped before the augmented matrix
-    is built; the returned maps use the caller's indices.  The validation,
-    this reduction and the augmented matrices are computed for a whole
-    stack at once, in chunks of ``_CHUNK`` matrices.  A matrix costs one
-    solve plus one per Murty child whose lower bound reaches the queue's top.
+    The validation and the augmented matrices are computed for a whole
+    stack at once, the latter in chunks of ``_CHUNK`` matrices.  A matrix
+    with an admissible entry costs one solve plus one per Murty child whose
+    lower bound reaches the queue's top; one without costs none.
 
     With ``resolve_ties`` (the default), exact cost ties across the k-th
     position are resolved by the lexicographic rule, which requires
@@ -147,89 +145,54 @@ def _ranked_columns(costs: np.ndarray, ks: list, resolve_ties: bool):
     hold each solution's total cost and the caller column of every row, -1
     where it is unassigned.  ``k_best`` builds its ``Assignment`` lists from
     these, and the filter turns them into child keys directly.
-    """
-    # Entries are finite or FORBIDDEN: the minimum is NaN if any entry is,
-    # and -inf if any entry is.
-    if not np.minimum.reduce(costs, axis=None, initial=np.inf) > -np.inf:
-        if np.isnan(costs).any():
-            raise InputError("cost matrix contains NaN entries")
-        raise InputError("cost matrix entries must be finite or FORBIDDEN (+inf)")
-    counts, totals, cols = [], [], []
-    for start in range(0, len(costs), _CHUNK):
-        chunk = _rank_chunk(costs[start:start + _CHUNK], ks[start:start + _CHUNK], resolve_ties)
-        counts += chunk[0]
-        totals += chunk[1]
-        cols += chunk[2]
-    cols = np.fromiter(cols, np.intp, len(cols)).reshape(len(totals), costs.shape[1])
-    return counts, np.array(totals), cols
 
-
-def _rank_chunk(costs: np.ndarray, ks: list, resolve_ties: bool):
-    """``_ranked_columns`` of a (G, R, C) stack from one shared setup, as lists.
-
-    The columns come as one flat list, solution after solution.
-
-    Stable sorts of the kept-row and kept-column masks move every matrix's
-    kept rows to its top and its kept columns to the right end of its C
-    columns, each in their original order.  The slack column of row i sits
-    at C + i for every matrix, so matrix g's augmented problem is the view
-    ``aug[g, :n_rows, C - n_cols:C + n_rows]``, bitwise the matrix a
-    single-matrix setup would build.
+    The augmented matrices of ``_CHUNK`` matrices are built as one block:
+    matrix g's is ``aug[g]``, its C columns and then the zero slack of row i
+    at column C + i, every other entry FORBIDDEN.
     """
     n_mats, n_r, n_c = costs.shape
-    finite = np.isfinite(costs)
-    kept_rows = np.logical_or.reduce(finite, axis=2)
-    kept_cols = np.logical_or.reduce(finite, axis=1)
-    n_rows = np.add.reduce(kept_rows, axis=1).tolist()
-    n_cols = np.add.reduce(kept_cols, axis=1).tolist()
-    row_ids = (~kept_rows).argsort(axis=1, kind="stable")
-    col_ids = kept_cols.argsort(axis=1, kind="stable")
-
+    # Entries are finite or FORBIDDEN: a matrix's minimum is NaN if any entry
+    # is, -inf if any entry is, and FORBIDDEN if it admits no entry.
+    mins = np.minimum.reduce(costs.reshape(n_mats, n_r * n_c), axis=1, initial=np.inf)
+    if not (mins > -np.inf).all():
+        if np.isnan(mins).any():
+            raise InputError("cost matrix contains NaN entries")
+        raise InputError("cost matrix entries must be finite or FORBIDDEN (+inf)")
+    admits = (mins < FORBIDDEN).tolist()
     rows = np.arange(n_r)
-    aug = np.full((n_mats, n_r, n_c + n_r), FORBIDDEN)
-    # Row i's slack, at column C + i, is flat entry C + i (C + R + 1) of its matrix.
-    aug.reshape(n_mats, -1)[:, n_c::n_c + n_r + 1] = 0.0
-    aug[:, :, :n_c] = costs[np.arange(n_mats)[:, None, None], row_ids[..., None], col_ids[:, None]]
-    # The columns outside a matrix's view are FORBIDDEN, above its row's zero
-    # slack, so these are the row minima of each view.  Numpy reduces in
-    # memory order, so a short last axis is slow; a column-major copy makes
-    # it the leading one.
-    row_mins = np.minimum.reduce(
-        np.ascontiguousarray(aug.transpose(2, 0, 1)), axis=0, initial=np.inf
-    ).tolist()
-    row_maps, col_maps = row_ids.tolist(), col_ids.tolist()
-
     counts, totals, cols = [], [], []
-    for g, (n_row, n_col, k) in enumerate(zip(n_rows, n_cols, ks)):
-        row_map = row_maps[g][:n_row]
-        # Caller column of each slot of the view; slack slots are -1.
-        slot_col = col_maps[g][n_c - n_col:] + [-1] * n_row
-        ranked = []
-        if n_row == 0:
-            ranked.append((0.0, [-1] * n_r))
-        else:
-            node = aug[g, :n_row, n_c - n_col:n_c + n_row]
-            emitted = _murty(node, n_col, k, resolve_ties, rows[:n_row], row_mins[g][:n_row])
-            for cost, sol in emitted:
-                row = [-1] * n_r
-                for r, c in zip(row_map, sol.tolist()):
-                    row[r] = slot_col[c]
-                ranked.append((cost, row))
-        if resolve_ties:
-            # Lexicographic on the caller columns, unassigned (-1) first;
-            # rows no entry admits are -1 in every solution.
-            ranked.sort()
-            del ranked[k:]
-        counts.append(len(ranked))
-        for cost, row in ranked:
-            totals.append(cost)
-            cols += row
-    return counts, totals, cols
+    for start in range(0, n_mats, _CHUNK):
+        block = costs[start:start + _CHUNK]
+        aug = np.full((len(block), n_r, n_c + n_r), FORBIDDEN)
+        aug[:, :, :n_c] = block
+        # Row i's slack, at column C + i, is flat entry C + i (C + R + 1) of its matrix.
+        aug.reshape(len(block), -1)[:, n_c::n_c + n_r + 1] = 0.0
+        # Numpy reduces in memory order, so a short last axis is slow; a
+        # column-major copy makes it the leading one.
+        row_mins = np.minimum.reduce(
+            np.ascontiguousarray(aug.transpose(2, 0, 1)), axis=0, initial=np.inf
+        ).tolist()
+        for g, k in enumerate(ks[start:start + _CHUNK]):
+            ranked = [(0.0, [-1] * n_r)]
+            if admits[start + g]:
+                emitted = _murty(aug[g], n_c, k, resolve_ties, rows, row_mins[g])
+                ranked = [(cost, [c if c < n_c else -1 for c in sol.tolist()])
+                          for cost, sol in emitted]
+            if resolve_ties:
+                # Lexicographic on the caller columns, unassigned (-1) first.
+                ranked.sort()
+                del ranked[k:]
+            counts.append(len(ranked))
+            for cost, row in ranked:
+                totals.append(cost)
+                cols += row
+    cols = np.fromiter(cols, np.intp, len(cols)).reshape(len(totals), n_r)
+    return counts, np.array(totals), cols
 
 
 def _murty(aug: np.ndarray, n_cols: int, k: int, resolve_ties: bool,
            rows: np.ndarray, row_min: list[float]) -> list[tuple[float, np.ndarray]]:
-    """(cost, slot per row) of the ranked solutions of one augmented matrix.
+    """(cost, augmented column per row) of the ranked solutions of ``aug``.
 
     ``row_min`` holds the row minima of ``aug``.  A node of the search is a
     copy of ``aug`` with its rows before some row ``first`` pinned and row

@@ -117,8 +117,9 @@ def gospa_run(truths, estimates, params: GospaParams = GospaParams()) -> list[Go
     dimension.  The points are validated and projected as one block, and
     the cost matrices of the steps whose sets are both non-empty are padded
     with FORBIDDEN to one (steps, n_max, m_max) stack that one ``k_best``
-    call ranks.  ``k_best`` drops rows and columns with no admissible
-    entry, so each step's matching is bitwise the one it gets alone.
+    call ranks.  Padding rows take only their zero slacks, padding columns
+    are never taken and ties go to the lexicographically first matching, so
+    each step's matching is bitwise the one it gets alone.
     """
     truths, estimates = list(truths), list(estimates)
     if len(truths) != len(estimates):

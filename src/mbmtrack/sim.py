@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import importlib.resources
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -53,13 +54,16 @@ def constant_velocity_model(
     clutter_intensity: float = 0.0,
 ) -> LinearGaussianModel:
     """Planar constant-velocity model over states [px, vx, py, vy]."""
-    T = sampling_time
+    T = _finite_real("sampling_time", sampling_time, positive=True)
+    q = _finite_real("noise_intensity", noise_intensity, positive=False)
+    try:  # a float power raises OverflowError rather than returning inf
+        block = np.array([[T**3 / 3.0, T**2 / 2.0], [T**2 / 2.0, T]])
+    except OverflowError:
+        raise InputError(f"sampling_time {T!r} overflows the process noise") from None
     F = np.kron(np.eye(2), np.array([[1.0, T], [0.0, 1.0]]))
     # An overflow leaves Q infinite, which LinearGaussianModel rejects.
     with np.errstate(over="ignore"):
-        Q = noise_intensity * np.kron(
-            np.eye(2), np.array([[T**3 / 3.0, T**2 / 2.0], [T**2 / 2.0, T]])
-        )
+        Q = q * np.kron(np.eye(2), block)
     H = np.kron(np.eye(2), np.array([[1.0, 0.0]]))
     R = np.eye(2) if measurement_noise is None else measurement_noise
     return LinearGaussianModel(F, Q, H, R, survival_prob, detection_prob, clutter_intensity)
@@ -306,6 +310,8 @@ def run_monte_carlo(
         raise InputError(f"n_runs must be an integer >= 1, got {n_runs!r}")
     if not is_int(seed) or seed < 0:
         raise InputError(f"seed must be an integer >= 0, got {seed!r}")
+    if not is_int(workers) or workers < 1:
+        raise InputError(f"workers must be an integer >= 1, got {workers!r}")
     if gospa_params is None:
         gospa_params = GospaParams(projection=POSITION_PROJECTION)
     base = generate_truth(scenario, seed) if scenario.truth is None else scenario
@@ -359,6 +365,16 @@ def _parse_schedule(raw, duration: int, default: float) -> tuple[float, ...] | N
         for k in range(first, last + 1):
             schedule[k - 1] = value
     return tuple(schedule)
+
+
+def _finite_real(name: str, value, positive: bool) -> float:
+    """``value`` as a float; InputError unless it is a finite real > 0
+    (``positive``) or >= 0."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (0.0 < value if positive else 0.0 <= value) and value < math.inf):
+        bound = ">" if positive else ">="
+        raise InputError(f"{name} must be a finite real {bound} 0, got {value!r}")
+    return float(value)
 
 
 def _integer(name: str, value) -> int:
@@ -424,19 +440,12 @@ def scenario_from_mapping(raw: dict) -> Scenario:
             if duration < 1:
                 raise InputError("duration must be at least one step")
             model_raw = raw.get("model", {})
-            sampling_time = float(model_raw.get("sampling_time", 1.0))
-            if not 0.0 < sampling_time < math.inf:
-                raise InputError("sampling_time must be finite and positive")
-            noise_intensity = float(model_raw.get("process_noise_intensity", 0.01))
             noise = float(model_raw.get("measurement_noise_std", 1.0))
-            if not (0.0 <= noise_intensity < math.inf and 0.0 <= noise < math.inf):
-                raise InputError(
-                    "process_noise_intensity and measurement_noise_std must be finite and "
-                    "nonnegative"
-                )
+            if not 0.0 <= noise < math.inf:
+                raise InputError("measurement_noise_std must be finite and nonnegative")
             model = constant_velocity_model(
-                sampling_time=sampling_time,
-                noise_intensity=noise_intensity,
+                sampling_time=float(model_raw.get("sampling_time", 1.0)),
+                noise_intensity=float(model_raw.get("process_noise_intensity", 0.01)),
                 survival_prob=float(model_raw.get("survival_prob", 0.99)),
                 detection_prob=float(model_raw.get("detection_prob", 0.9)),
                 measurement_noise=np.eye(2) * noise**2,

@@ -349,6 +349,9 @@ class TestStackedKBest:
         # spans several of them.  Every LSAP input is bitwise the one the
         # matrix gets alone, and each of its entries is a caller's entry, a
         # 0.0 slack or FORBIDDEN: no finite stand-in marks an exclusion.
+        # A matrix's first solve is the caller's matrix as given, then row
+        # i's zero slack at column C + i, every other entry FORBIDDEN; a
+        # matrix that admits no entry takes no solve.
         rng = np.random.default_rng(23)
         n_mats = 2 * assignment._CHUNK + 5
         costs = rng.uniform(-10.0, 4.0, size=(n_mats, 6, 5))
@@ -357,6 +360,7 @@ class TestStackedKBest:
         costs[::7] = F
         ks = rng.integers(1, 20, size=n_mats).tolist()
         admitted = np.concatenate((costs.ravel(), [0.0, F]))
+        slacks = np.where(np.eye(6, dtype=bool), 0.0, F)
         solve, inputs = assignment.linear_sum_assignment, []
 
         def recorded(node):
@@ -368,11 +372,20 @@ class TestStackedKBest:
             got = k_best(costs, ks, resolve_ties=resolve_ties)
             stacked_inputs = inputs.copy()
             inputs.clear()
-            assert [bitwise(ranked) for ranked in got] == self.one_by_one(costs, ks, resolve_ties)
+            alone, firsts = [], []
+            for c, kg in zip(costs, ks):
+                n_before = len(inputs)
+                alone.append(bitwise(k_best(c, kg, resolve_ties=resolve_ties)))
+                firsts.append(inputs[n_before] if len(inputs) > n_before else None)
+            assert [bitwise(ranked) for ranked in got] == alone
             assert len(inputs) == len(stacked_inputs) > n_mats
             for a, b in zip(stacked_inputs, inputs):
-                assert a.shape == b.shape and np.array_equal(a, b)
+                assert a.shape == b.shape == (6, 5 + 6) and np.array_equal(a, b)
                 assert np.isin(a, admitted).all()
+            for g, (c, first) in enumerate(zip(costs, firsts)):
+                assert (first is None) == (g % 7 == 0)
+                if first is not None:
+                    assert np.array_equal(first, np.hstack((c, slacks)))
             inputs.clear()
             for c, kg, ranked in zip(costs, ks, got):
                 assert bitwise(ranked) == bitwise(murty_reference(c, kg, resolve_ties))

@@ -351,6 +351,14 @@ class TestBenchmark:
         ) == 2
 
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_workers_exits_2(self, tmp_path, capsys, workers):
+        scenario = small_scenario_file(tmp_path)
+        args = ["benchmark", "--scenario", str(scenario), "--runs", "2", "--workers", workers]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
     def test_zero_max_globals_exits_2(self, tmp_path, capsys):
         scenario = small_scenario_file(tmp_path)
         args = ["benchmark", "--scenario", str(scenario), "--runs", "1", "--max-globals", "5,0"]

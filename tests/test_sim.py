@@ -137,6 +137,36 @@ class TestBuiltinScenarios:
         with pytest.raises(InputError, match="process_noise must be finite"):
             constant_velocity_model(sampling_time=2.0, noise_intensity=1e308)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"sampling_time": 1e200}, "sampling_time"),
+            ({"sampling_time": 1e200, "noise_intensity": 0.0}, "sampling_time"),
+            ({"sampling_time": float("inf")}, "sampling_time"),
+            ({"sampling_time": float("nan")}, "sampling_time"),
+            ({"sampling_time": 0.0}, "sampling_time"),
+            ({"sampling_time": -1.0}, "sampling_time"),
+            ({"sampling_time": "a"}, "sampling_time"),
+            ({"sampling_time": True}, "sampling_time"),
+            ({"noise_intensity": float("inf")}, "noise_intensity"),
+            ({"noise_intensity": -0.5}, "noise_intensity"),
+            ({"noise_intensity": None}, "noise_intensity"),
+        ],
+        ids=["time_cubed_overflows", "time_cubed_overflows_noiseless", "inf_time", "nan_time",
+             "zero_time", "negative_time", "string_time", "bool_time", "inf_noise",
+             "negative_noise", "none_noise"],
+    )
+    def test_model_inputs_rejected(self, kwargs, name):
+        # Tier-1 turns RuntimeWarnings into errors, so a value that only
+        # warned would fail here with RuntimeWarning, not InputError.
+        with pytest.raises(InputError, match=name):
+            constant_velocity_model(**kwargs)
+
+    def test_model_accepts_zero_noise_and_integer_time(self):
+        model = constant_velocity_model(sampling_time=2, noise_intensity=0)
+        assert model.transition[0, 1] == 2.0
+        assert not model.process_noise.any()
+
     def test_unknown_keys_rejected_by_path(self):
         raw = self.minimal_mapping(
             modle={},
@@ -445,7 +475,10 @@ class TestMonteCarlo:
         assert np.isfinite(report.mean_rms_gospa)
 
     def test_n_runs_validated(self):
-        for n_runs, seed, name in [(0, 1, "n_runs"), (2.5, 1, "n_runs"), (True, 1, "n_runs"),
-                                   (1, 1.5, "seed"), (1, -1, "seed")]:
+        bad = [(0, 1, 1, "n_runs"), (2.5, 1, 1, "n_runs"), (True, 1, 1, "n_runs"),
+               (1, 1.5, 1, "seed"), (1, -1, 1, "seed")]
+        bad += [(2, 1, workers, "workers") for workers in (0, -3, 2.5, "2", True, None)]
+        for n_runs, seed, workers, name in bad:
             with pytest.raises(InputError, match=name):
-                run_monte_carlo(self.small_scenario(), FilterParams(), n_runs, seed)
+                run_monte_carlo(self.small_scenario(), FilterParams(), n_runs, seed,
+                                workers=workers)
