@@ -12,10 +12,11 @@ then corresponds one-to-one to a partial assignment of the original.  Its
 other entries are FORBIDDEN, as are those a Murty node pins or excludes: one
 marker from the caller to the solver, which never selects +inf.  A matrix
 with no admissible entry has only the empty assignment and takes no solve.
-The augmented matrices of a stack are built many at once.  Each is solved
-with scipy's compiled Hungarian-family solver (loaded on its own, without
-the rest of ``scipy.optimize``), and ranked enumeration partitions the
-solution space around each emitted assignment (Murty's scheme).  A node
+The augmented matrices of a stack are built, and their roots solved and
+summed, many at once.  Each is solved with scipy's compiled Hungarian-family
+solver (loaded on its own, without the rest of ``scipy.optimize``), and
+ranked enumeration partitions the solution space around each emitted
+assignment (Murty's scheme).  A node
 is partitioned only on the rows its ancestors left unpinned, and an exact
 feasibility pretest skips every child that has no finite assignment, on
 which the solver would raise.  The others wait in the queue under a cheap
@@ -34,6 +35,7 @@ import heapq
 import importlib.machinery
 import importlib.util
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -105,9 +107,15 @@ def k_best(costs, k, resolve_ties: bool = True) -> list[Assignment] | list[list[
     it gets alone.
 
     The validation and the augmented matrices are computed for a whole
-    stack at once, the latter in chunks of ``_CHUNK`` matrices.  A matrix
-    with an admissible entry costs one solve plus one per Murty child whose
-    lower bound reaches the queue's top; one without costs none.
+    stack at once, the latter in chunks of ``_CHUNK`` matrices, and so are
+    the root solutions: a chunk solves the root of each of its matrices
+    first, in matrix order, and then runs Murty's search for each matrix
+    that needs more than its root.  A matrix with an admissible entry costs
+    one solve plus one per Murty child whose lower bound reaches the queue's
+    top; one without costs none.  Each matrix is ranked as given, so a row
+    or column that no matrix of the stack admits still adds to every solve;
+    a caller with many of them, such as the filter's update, drops them
+    first.
 
     With ``resolve_ties`` (the default), exact cost ties across the k-th
     position are resolved by the lexicographic rule, which requires
@@ -148,79 +156,99 @@ def _ranked_columns(costs: np.ndarray, ks: list, resolve_ties: bool):
 
     The augmented matrices of ``_CHUNK`` matrices are built as one block:
     matrix g's is ``aug[g]``, its C columns and then the zero slack of row i
-    at column C + i, every other entry FORBIDDEN.
+    at column C + i, every other entry FORBIDDEN.  The block's roots are
+    solved in one pass, one LSAP call per matrix that admits an entry (one
+    that admits none keeps every row on its slack: the empty assignment),
+    and their costs are summed together.  Only a matrix that needs more than
+    its root enters ``_murty``.
     """
     n_mats, n_r, n_c = costs.shape
     # Entries are finite or FORBIDDEN: a matrix's minimum is NaN if any entry
     # is, -inf if any entry is, and FORBIDDEN if it admits no entry.
-    mins = np.minimum.reduce(costs.reshape(n_mats, n_r * n_c), axis=1, initial=np.inf)
-    if not (mins > -np.inf).all():
-        if np.isnan(mins).any():
+    mins = np.minimum.reduce(costs.reshape(n_mats, n_r * n_c), axis=1, initial=np.inf).tolist()
+    if not all(low > -math.inf for low in mins):
+        if any(math.isnan(low) for low in mins):
             raise InputError("cost matrix contains NaN entries")
         raise InputError("cost matrix entries must be finite or FORBIDDEN (+inf)")
-    admits = (mins < FORBIDDEN).tolist()
-    rows = np.arange(n_r)
-    counts, totals, cols = [], [], []
-    for start in range(0, n_mats, _CHUNK):
+    admits = [low < FORBIDDEN for low in mins]
+    width = n_c + n_r
+    slacks = np.arange(n_c, width)
+    # Flat index of each row's column 0, matrix by matrix, in a chunk's block.
+    n_block = min(n_mats, _CHUNK)
+    row_starts = np.arange(0, n_block * n_r * width, width or 1).reshape(n_block, n_r)
+    counts, sol_parts, total_parts = [1] * n_mats, [], []
+    # An empty stack still makes one (empty) pass, so that the parts are never empty.
+    for start in range(0, n_mats or 1, _CHUNK):
         block = costs[start:start + _CHUNK]
-        aug = np.full((len(block), n_r, n_c + n_r), FORBIDDEN)
+        n = len(block)
+        aug = np.full((n, n_r, width), FORBIDDEN)
         aug[:, :, :n_c] = block
         # Row i's slack, at column C + i, is flat entry C + i (C + R + 1) of its matrix.
-        aug.reshape(len(block), -1)[:, n_c::n_c + n_r + 1] = 0.0
-        # Numpy reduces in memory order, so a short last axis is slow; a
-        # column-major copy makes it the leading one.
-        row_mins = np.minimum.reduce(
-            np.ascontiguousarray(aug.transpose(2, 0, 1)), axis=0, initial=np.inf
-        ).tolist()
-        for g, k in enumerate(ks[start:start + _CHUNK]):
-            ranked = [(0.0, [-1] * n_r)]
-            if admits[start + g]:
-                emitted = _murty(aug[g], n_c, k, resolve_ties, rows, row_mins[g])
-                ranked = [(cost, [c if c < n_c else -1 for c in sol.tolist()])
-                          for cost, sol in emitted]
+        aug.reshape(n, n_r * width)[:, n_c::width + 1] = 0.0
+        sols = np.empty((n, n_r), np.intp)
+        for g in range(n):
+            sols[g] = linear_sum_assignment(aug[g])[1] if admits[start + g] else slacks
+        # Each root's selected entries after a +0.0, so that the running sum
+        # adds them in ``_murty``'s order, from +0.0: accumulate adds strictly
+        # left to right.  The slacks selected are exactly +0.0 and leave the
+        # sum of the assigned entries bitwise as it is.
+        selected = np.zeros((n, n_r + 1))
+        aug.take(row_starts[:n] + sols, out=selected[:, 1:])
+        totals = np.add.accumulate(selected, axis=1)[:, -1]
+        last, row_mins = 0, None
+        for g, k in enumerate(ks[start:start + n]):
+            # A root is all a matrix needs when it is the empty assignment, or
+            # the one solution asked for without a tie check.
+            if not admits[start + g] or (k == 1 and not resolve_ties):
+                continue
+            if row_mins is None:  # the chunk's first matrix to enter _murty
+                # Numpy reduces in memory order, so a short last axis is slow;
+                # a column-major copy makes it the leading one.
+                row_mins = np.minimum.reduce(
+                    np.ascontiguousarray(aug.transpose(2, 0, 1)), axis=0, initial=np.inf
+                ).tolist()
+                rows = np.arange(n_r)
+                layout = (rows, row_starts[0], rows[:, None], np.full(width, n_r))
+            ranked = _murty(aug[g], k, resolve_ties, row_mins[g],
+                            (totals[g], sols[g], selected[g, 1:]), layout)
             if resolve_ties:
                 # Lexicographic on the caller columns, unassigned (-1) first.
-                ranked.sort()
+                ranked.sort(key=lambda entry: (entry[0], [c if c < n_c else -1
+                                                          for c in entry[1].tolist()]))
                 del ranked[k:]
-            counts.append(len(ranked))
-            for cost, row in ranked:
-                totals.append(cost)
-                cols += row
-    cols = np.fromiter(cols, np.intp, len(cols)).reshape(len(totals), n_r)
-    return counts, np.array(totals), cols
+            counts[start + g] = len(ranked)
+            sol_parts += (sols[last:g], np.array([sol for _, sol in ranked]))
+            total_parts += (totals[last:g], [cost for cost, _ in ranked])
+            last = g + 1
+        sol_parts.append(sols[last:])
+        total_parts.append(totals[last:])
+    cols = np.concatenate(sol_parts)
+    return counts, np.concatenate(total_parts), np.where(cols < n_c, cols, -1)
 
 
-def _murty(aug: np.ndarray, n_cols: int, k: int, resolve_ties: bool,
-           rows: np.ndarray, row_min: list[float]) -> list[tuple[float, np.ndarray]]:
+def _murty(aug: np.ndarray, k: int, resolve_ties: bool, row_min: list[float], root: tuple,
+           layout: tuple) -> list[tuple[float, np.ndarray]]:
     """(cost, augmented column per row) of the ranked solutions of ``aug``.
 
-    ``row_min`` holds the row minima of ``aug``.  A node of the search is a
-    copy of ``aug`` with its rows before some row ``first`` pinned and row
-    ``first`` short of some entries, so its rows after ``first`` are the
+    ``root`` is the solved root: its cost, columns and selected entries.
+    ``layout`` holds the row indices, the flat index of each row's column 0,
+    the rows as a column, and a holder per column that marks it held by no
+    row.  ``row_min`` holds the row minima of ``aug``.  A node of the search
+    is a copy of ``aug`` with its rows before some row ``first`` pinned and
+    row ``first`` short of some entries, so its rows after ``first`` are the
     root's and share these minima.  Every node solved has a finite full
     assignment.  Each solve also keeps the entries it selected,
-    ``node[rows, sol]``: a node's children take their pinned values from
-    them.
+    ``node[rows, sol]``, and their flat indices: a node's children take
+    their pins from them.  The root leaves the queue first, so it heads the
+    result.
     """
-
-    def solve(node: np.ndarray):
-        cols = linear_sum_assignment(node)[1]
-        selected = node[rows, cols].tolist()
-        # The slack entries selected are their rows' own, exactly +0.0, and
-        # a row-order sum from +0.0 is never -0.0: adding them leaves the
-        # sum of the assigned entries bitwise as it is.
-        total = 0.0
-        for value in selected:
-            total += value
-        return cols, total, selected
-
-    n_rows = rows.size
-    counter = itertools.count()
-    root_sol, root_cost, root_values = solve(aug)
-    # Entries: (cost, discovery, first free row, node, solution, selected
-    # entries, exact).  An inexact entry is child `first` of `node`,
-    # unsolved, under a lower bound.
-    heap = [(root_cost, next(counter), 0, aug, root_sol, root_values, True)]
+    rows, flat_rows, below, unheld = layout
+    counter = itertools.count(1)
+    root_cost, root_sol, root_values = root
+    # Entries: (cost, discovery, first free row, node, solution, its flat
+    # indices in the node, selected entries, exact).  An inexact entry is
+    # child `first` of `node`, unsolved, under a lower bound.
+    heap = [(float(root_cost), 0, 0, aug, root_sol, flat_rows + root_sol, root_values, True)]
     emitted: list[tuple[float, np.ndarray]] = []
 
     while heap:
@@ -230,16 +258,26 @@ def _murty(aug: np.ndarray, n_cols: int, k: int, resolve_ties: bool,
             kth = emitted[k - 1][0]
             if heap[0][0] > kth + _TIE_RTOL * max(1.0, abs(kth)):
                 break
-        cost, order, first, node, sol, values, exact = heapq.heappop(heap)
+        cost, order, first, node, sol, flat, values, exact = heapq.heappop(heap)
         if not exact:
             # Solve the child now.  Its exact cost is >= the bound and it keeps
             # its discovery number, so exact entries leave in eager order.
             child = node.copy()
             child[:first] = FORBIDDEN
-            child[rows[:first], sol[:first]] = values[:first]
+            child.put(flat[:first], values[:first])
             child[first, sol[first]] = FORBIDDEN
-            child_sol, child_cost, child_values = solve(child)
-            heapq.heappush(heap, (child_cost, order, first, child, child_sol, child_values, True))
+            child_sol = linear_sum_assignment(child)[1]
+            child_flat = flat_rows + child_sol
+            child_values = child.take(child_flat)
+            # The slack entries selected are their rows' own, exactly +0.0, and
+            # a row-order sum from +0.0 is never -0.0: adding them leaves the
+            # sum of the assigned entries bitwise as it is.
+            child_cost = 0.0
+            for value in child_values.tolist():
+                child_cost += value
+            heapq.heappush(
+                heap, (child_cost, order, first, child, child_sol, child_flat, child_values, True)
+            )
             continue
         emitted.append((cost, sol))
         if not resolve_ties and len(emitted) >= k:
@@ -252,23 +290,24 @@ def _murty(aug: np.ndarray, n_cols: int, k: int, resolve_ties: bool,
         # Child t is therefore feasible exactly when row t admits a column
         # held by no row <= t.  Its cost is then at least the pinned values
         # of rows < t, plus row t's least such entry, plus the minimum of
-        # each row > t; added in `solve`'s row order, the float sum stays a
+        # each row > t; added in the solves' row order, the float sum stays a
         # lower bound, since rounding is monotone.  The pinned sum is carried
         # from child to child, which keeps that order.
-        holder = np.full(n_cols + n_rows, n_rows)
+        holder = unheld.copy()
         holder[sol] = rows
-        free = holder > rows[first:, None]
+        free = holder > below[first:]
         free_min = np.minimum.reduce(node[first:], axis=1, where=free, initial=FORBIDDEN).tolist()
+        picked = values.tolist()
         pinned = 0.0
-        for value in values[:first]:
+        for value in picked[:first]:
             pinned += value
         for t, row_t in enumerate(free_min, first):
             if row_t < FORBIDDEN:
                 bound = pinned + row_t
                 for value in row_min[t + 1:]:
                     bound += value
-                heapq.heappush(heap, (bound, next(counter), t, node, sol, values, False))
-            pinned += values[t]
+                heapq.heappush(heap, (bound, next(counter), t, node, sol, flat, values, False))
+            pinned += picked[t]
     return emitted
 
 

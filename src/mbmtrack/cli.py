@@ -195,6 +195,9 @@ def cmd_benchmark(args) -> int:
         raise InputError(f"bad --max-globals list {args.max_globals_list!r}") from exc
     if not nh_values:
         raise InputError("--max-globals must list at least one value")
+    if len(set(nh_values)) < len(nh_values):
+        # A repeated cap would rerun the same runs and overwrite its runs_nh<N>.csv.
+        raise InputError(f"--max-globals lists a cap more than once: {args.max_globals_list!r}")
     all_params = [
         _params_from_args(args, scenario.filter_defaults, max_globals=nh) for nh in nh_values
     ]

@@ -317,12 +317,17 @@ def update(
     (misdetection/detection log-ratios).  Each prior global takes the rows
     of its parents as its cost matrix and spawns its ceil(max_globals *
     weight) best children; one ranking call orders the whole stack of these
-    matrices.  Weights are renormalized.
+    matrices.  Only the gated block is ranked: the components with a parent
+    that some measurement gates, and the measurements that some parent
+    gates.  Every other row and column is FORBIDDEN in every matrix, so no
+    ranked solution and no LSAP count changes, and every other component
+    takes misdetection.  Weights are renormalized.
     A child is keyed ``parent * (m + 1) + association`` (0 misdetection,
     j + 1 measurement j), which sorts by parent, misdetection first.  The
-    ranking gives the measurement each row takes (-1 for none) as one
-    (solutions, components) array, so the keys are its globals' misdetection
-    keys repeated per solution plus those columns plus 1.
+    ranking gives the block column each block row takes (-1 for none) as one
+    (solutions, live components) array; the keys are its globals'
+    misdetection keys repeated per solution, plus j + 1 in each live
+    component's place wherever it takes measurement j.
     Only the children some new global selects are built, in key order: they
     gather their parents' rows, labels included, and append their
     association to the parents' histories.  One gain call on the gate's
@@ -378,11 +383,22 @@ def update(
         max(1, math.ceil(params.max_globals * math.exp(min(w, 0.0))))
         for w in state.global_log_weights.tolist()
     ]
-    counts, totals, cols = _ranked_columns(cost[rows], k_us, False)
+    # The gated block: a row or column left out is FORBIDDEN in every matrix,
+    # so no assignment uses it and Murty's search spawns no child on it.
+    gated = cost < FORBIDDEN
+    live_meas = np.logical_or.reduce(gated, axis=0).nonzero()[0]
+    live_comps = np.logical_or.reduceat(np.logical_or.reduce(gated, axis=1), offsets).nonzero()[0]
+    counts, totals, cols = _ranked_columns(
+        cost.take(live_meas, axis=1).take(rows.take(live_comps, axis=1), axis=0), k_us, False
+    )
     weights = base_log_weight.repeat(counts) - totals
-    # Each child is its global's misdetection keys plus j + 1 wherever its
-    # assignment gives measurement j (columns are -1 where unassigned).
-    keys = (rows * (m + 1) + 1).repeat(counts, axis=0) + cols
+    # Each child is its global's misdetection keys, plus j + 1 wherever its
+    # assignment gives measurement j: ranked column c is measurement
+    # ``live_meas[c]``, and -1 (unassigned) picks the closing 0.
+    association = np.zeros(len(live_meas) + 1, np.intp)
+    association[:-1] = live_meas + 1
+    keys = (rows * (m + 1)).repeat(counts, axis=0)
+    keys[:, live_comps] += association.take(cols)
 
     # Build the selected children in key order and renumber the vectors to
     # match: the hypotheses keep their relative order, so pruning and

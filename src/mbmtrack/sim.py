@@ -123,7 +123,9 @@ class Scenario:
 
 
 def make_rng(seed) -> np.random.Generator:
-    """Counter-based Philox stream keyed by an int (or tuple of ints)."""
+    """Counter-based Philox stream keyed by an int >= 0 (or a tuple of them)."""
+    if not all(is_int(key) and key >= 0 for key in (seed if isinstance(seed, tuple) else (seed,))):
+        raise InputError(f"seed must be an integer >= 0 or a tuple of them, got {seed!r}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 

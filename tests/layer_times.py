@@ -1,0 +1,76 @@
+"""Per-layer times of one scenario1 filter run: filter, ranking and LSAP.
+
+    PYTHONPATH=src python tests/layer_times.py [--max-globals 200] [--repeats 5]
+
+Filters scenario1 (truth seed 2026, run seed 2027) ``--repeats`` times at
+N_h = ``--max-globals``, timing every call of ``mbm._ranked_columns`` (the
+filter's ranking) and of ``assignment.linear_sum_assignment`` (scipy's
+compiled solver, which the ranking calls).  Prints the median over the
+repeats of the filter's time, the ranking time, the LSAP time, the ranking
+time outside LSAP, and the LSAP count.
+
+Scans are drawn before the clock starts, and nothing is scored.  Each timed
+call adds two ``perf_counter`` reads, about 0.1 us, to the times around it.
+Like ``golden.py``, this file is not collected by pytest.
+"""
+from __future__ import annotations
+
+import argparse
+import statistics
+import time
+
+import mbmtrack.assignment as assignment
+import mbmtrack.mbm as mbm
+from mbmtrack.mbm import FilterParams
+from mbmtrack.sim import builtin_scenario, generate_run_measurements, generate_truth, run_filter
+
+TRUTH_SEED, RUN_SEED = 2026, 2027
+
+
+def timed(module, name: str, spent: list) -> None:
+    """Rebind ``module.name`` to a wrapper that adds each call's time to ``spent[0]``
+    and counts the call in ``spent[1]``."""
+    inner = getattr(module, name)
+
+    def wrapper(*args):
+        start = time.perf_counter()
+        try:
+            return inner(*args)
+        finally:
+            spent[0] += time.perf_counter() - start
+            spent[1] += 1
+
+    setattr(module, name, wrapper)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--max-globals", type=int, default=200)
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.repeats < 5:
+        parser.error("--repeats must be at least 5: medians of fewer runs are noise here")
+    scenario = generate_truth(builtin_scenario("scenario1"), TRUTH_SEED)
+    scans = generate_run_measurements(scenario, RUN_SEED)
+    params = FilterParams(max_globals=args.max_globals)
+    ranking, lsap = [0.0, 0], [0.0, 0]
+    timed(mbm, "_ranked_columns", ranking)
+    timed(assignment, "linear_sum_assignment", lsap)
+    rows = []
+    run_filter(scenario, scans, params)  # warm-up: imports, caches, the birth block
+    for _ in range(args.repeats):
+        ranking[:], lsap[:] = [0.0, 0], [0.0, 0]
+        start = time.perf_counter()
+        run_filter(scenario, scans, params)
+        filter_s = time.perf_counter() - start
+        rows.append((filter_s, ranking[0], lsap[0], ranking[0] - lsap[0], lsap[1]))
+    medians = [statistics.median(column) for column in zip(*rows)]
+    print(f"scenario1, truth seed {TRUTH_SEED}, run seed {RUN_SEED}, "
+          f"N_h = {args.max_globals}, median of {args.repeats} runs")
+    for label, value in zip(("filter", "ranking", "lsap", "ranking outside lsap"), medians):
+        print(f"{label + '_s':24} {value:.4f}")
+    print(f"{'lsap_count':24} {medians[4]:.0f}")
+
+
+if __name__ == "__main__":
+    main()

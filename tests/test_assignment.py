@@ -346,12 +346,14 @@ class TestStackedKBest:
 
     def test_stack_longer_than_a_chunk(self, monkeypatch):
         # Matrices of very different scales share chunks, and the stack
-        # spans several of them.  Every LSAP input is bitwise the one the
-        # matrix gets alone, and each of its entries is a caller's entry, a
-        # 0.0 slack or FORBIDDEN: no finite stand-in marks an exclusion.
-        # A matrix's first solve is the caller's matrix as given, then row
-        # i's zero slack at column C + i, every other entry FORBIDDEN; a
-        # matrix that admits no entry takes no solve.
+        # spans several of them.  Every LSAP input is bitwise one the matrix
+        # gets alone, and each of its entries is a caller's entry, a 0.0
+        # slack or FORBIDDEN: no finite stand-in marks an exclusion.  A
+        # chunk solves its roots first, in matrix order, and then each of its
+        # matrices its Murty children in that matrix's own order.  A
+        # matrix's root is the caller's matrix as given, then row i's zero
+        # slack at column C + i, every other entry FORBIDDEN; a matrix that
+        # admits no entry takes no solve.
         rng = np.random.default_rng(23)
         n_mats = 2 * assignment._CHUNK + 5
         costs = rng.uniform(-10.0, 4.0, size=(n_mats, 6, 5))
@@ -372,20 +374,25 @@ class TestStackedKBest:
             got = k_best(costs, ks, resolve_ties=resolve_ties)
             stacked_inputs = inputs.copy()
             inputs.clear()
-            alone, firsts = [], []
+            alone, solves_alone = [], []
             for c, kg in zip(costs, ks):
                 n_before = len(inputs)
                 alone.append(bitwise(k_best(c, kg, resolve_ties=resolve_ties)))
-                firsts.append(inputs[n_before] if len(inputs) > n_before else None)
+                solves_alone.append(inputs[n_before:])
             assert [bitwise(ranked) for ranked in got] == alone
-            assert len(inputs) == len(stacked_inputs) > n_mats
-            for a, b in zip(stacked_inputs, inputs):
+            expected = []
+            for start in range(0, n_mats, assignment._CHUNK):
+                chunk = solves_alone[start:start + assignment._CHUNK]
+                expected += [solves[0] for solves in chunk if solves]
+                expected += [node for solves in chunk for node in solves[1:]]
+            assert len(stacked_inputs) == len(expected) > n_mats
+            for a, b in zip(stacked_inputs, expected):
                 assert a.shape == b.shape == (6, 5 + 6) and np.array_equal(a, b)
                 assert np.isin(a, admitted).all()
-            for g, (c, first) in enumerate(zip(costs, firsts)):
-                assert (first is None) == (g % 7 == 0)
-                if first is not None:
-                    assert np.array_equal(first, np.hstack((c, slacks)))
+            for g, (c, solves) in enumerate(zip(costs, solves_alone)):
+                assert (not solves) == (g % 7 == 0)
+                if solves:
+                    assert np.array_equal(solves[0], np.hstack((c, slacks)))
             inputs.clear()
             for c, kg, ranked in zip(costs, ks, got):
                 assert bitwise(ranked) == bitwise(murty_reference(c, kg, resolve_ties))
@@ -413,7 +420,8 @@ class TestStackedKBest:
 
 class _RecordingHeap:
     """Stands in for ``heapq`` in the assignment module and keeps every entry
-    pushed and popped: (cost or bound, discovery, row, node, solution, exact)."""
+    pushed and popped: (cost or bound, discovery, row, node, solution, its
+    flat indices, selected entries, exact)."""
 
     def __init__(self):
         self.pushed, self.popped = [], []

@@ -113,6 +113,12 @@ class TestSimulate:
         assert main(["simulate", "--scenario", "scenario1", "--seed", "2", "--out", str(out)]) == 0
         assert len(read_measurement_file(out / "measurements.txt", 2)) == 81
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        assert main(["simulate", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not (out / "truth.txt").exists()
+
 
 class TestTrackAndEvaluate:
     def test_empty_measurements_give_empty_estimates(self, tmp_path):
@@ -358,6 +364,15 @@ class TestBenchmark:
         assert main(args + ["--out", str(tmp_path / "out")]) == 2
         assert "workers" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_repeated_max_globals_exits_2(self, tmp_path, capsys):
+        # A repeated cap would run twice, write two identical summary rows and
+        # overwrite its runs file; it is refused before any run starts.
+        scenario = small_scenario_file(tmp_path)
+        args = ["benchmark", "--scenario", str(scenario), "--runs", "2", "--max-globals", "1,3,1"]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        assert "more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_zero_max_globals_exits_2(self, tmp_path, capsys):
         scenario = small_scenario_file(tmp_path)

@@ -3,7 +3,7 @@ import math
 import golden
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import ExhaustiveMbm, check_state, predict_reference, update_reference
 from scipy.special import logsumexp
@@ -222,7 +222,27 @@ def _update_cases(draw):
     return state, scan, draw(st.sampled_from([0.0, 0.5, 1.0])), params
 
 
+def _two_target_case(scan):
+    """Two one-hypothesis components, near (10, 10) and (30, 30), two globals."""
+    comps = tuple(
+        BernoulliComponent((SingleTargetHypothesis(
+            -0.5, 0.9, GaussianDensity([x, 0.5, x, -0.5], np.eye(4)),
+            HypothesisMeta(1, i + 1, (0,)),
+        ),))
+        for i, x in enumerate((10.0, 30.0))
+    )
+    globals_ = (GlobalHypothesis(math.log(0.75), (0, 0)), GlobalHypothesis(math.log(0.25), (0, 0)))
+    return MbmState(comps, globals_, 3), np.array(scan, dtype=float), 0.5, FilterParams(3)
+
+
 class TestUpdateAgainstReference:
+    # ``_update_cases`` draws a scan that no parent gates in about 1% of its
+    # examples, and a component without a gated hypothesis beside one with
+    # such a hypothesis in 2-9%, so both are also given outright: the first
+    # ranks (2, 0, 0) matrices, the second drops the far component and the
+    # far measurement from the ranked block.
+    @example(_two_target_case([[0.0, 40.0], [40.0, 0.0]]))
+    @example(_two_target_case([[0.0, 40.0], [10.2, 9.7], [40.0, 0.0]]))
     @settings(max_examples=300, deadline=None)
     @given(_update_cases())
     def test_bitwise_equal_to_k_best_reference(self, case):
@@ -1082,6 +1102,10 @@ class TestStackedRanking:
         assert len(calls) == len(scans)
         for costs, ks, resolve_ties, (counts, totals, cols) in calls:
             assert costs.ndim == 3 and len(costs) == len(ks) == len(counts)
+            # Only the gated block is ranked: every row and every column
+            # admits an entry in some matrix of the stack.
+            admitted = costs < FORBIDDEN
+            assert admitted.any(axis=(0, 2)).all() and admitted.any(axis=(0, 1)).all()
             assert not resolve_ties and cols.shape == (len(totals), costs.shape[1])
             end = 0
             for matrix, k_u, count in zip(costs, ks, counts):

@@ -212,6 +212,17 @@ class TestCrossingTruth:
             (21, 2): (21, 81),
         }
 
+    @pytest.mark.parametrize("seed", [-1, (1, -2), 1.5, True, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        scenario = builtin_scenario("scenario1")
+        for draw in (make_rng, lambda s: generate_truth(scenario, s),
+                     lambda s: generate_run_measurements(generate_truth(scenario, 1), s)):
+            with pytest.raises(InputError, match="seed must be an integer >= 0"):
+                draw(seed)
+
+    def test_seed_tuples_accepted(self):
+        assert make_rng((3, 1)).random() == make_rng((3, 1)).random() != make_rng(3).random()
+
     def test_same_seed_same_truth(self):
         model = builtin_scenario("scenario1").model
         a = make_crossing_truth(model, make_rng(9))
