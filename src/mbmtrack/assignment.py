@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, is_int, real_array
+from .errors import InputError, integer, real_array
 
 
 def _load_lsap():
@@ -131,8 +131,9 @@ def k_best(costs, k, resolve_ties: bool = True) -> list[Assignment] | list[list[
     stack = costs if costs.ndim == 3 else costs[None]
     n_mats = stack.shape[0]
     ks = list(k) if isinstance(k, (list, tuple)) else [k] * n_mats
-    if len(ks) != n_mats or not all(is_int(rank) and rank >= 1 for rank in ks):
+    if len(ks) != n_mats:
         raise InputError("k must be a positive integer, or one per cost matrix")
+    ks = [integer(rank, "k", 1) for rank in ks]
     counts, totals, cols = _ranked_columns(stack, ks, resolve_ties)
     solutions = zip(cols.tolist(), totals.tolist())
     results = [

@@ -39,9 +39,14 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _write_lines(path, lines) -> None:
+    """Each line ended by a newline: no lines (no steps) write an empty file."""
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
 def write_measurement_file(path, scans) -> None:
-    lines = [";".join(" ".join(_fmt(v) for v in point) for point in scan) for scan in scans]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = (";".join(" ".join(_fmt(v) for v in point) for point in scan) for scan in scans)
+    _write_lines(path, lines)
 
 
 def read_measurement_file(path, meas_dim: int) -> list[np.ndarray]:
@@ -67,15 +72,10 @@ def read_measurement_file(path, meas_dim: int) -> list[np.ndarray]:
 
 
 def write_labeled_state_file(path, per_step) -> None:
-    lines = []
-    for entries in per_step:
-        lines.append(
-            ";".join(
-                f"{label[0]}:{label[1]} " + " ".join(_fmt(v) for v in state)
-                for label, state in entries
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, (
+        ";".join(f"{t}:{l} " + " ".join(_fmt(v) for v in state) for (t, l), state in entries)
+        for entries in per_step
+    ))
 
 
 def read_labeled_state_file(path) -> list[list[tuple[tuple[int, int], np.ndarray]]]:
@@ -159,7 +159,7 @@ def cmd_evaluate(args) -> int:
             f"{k},{_fmt(result.total)},{_fmt(result.localisation_p)},{_fmt(result.missed_p)},"
             f"{_fmt(result.false_p)},{result.n_missed},{result.n_false}"
         )
-    (out / "gospa.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_lines(out / "gospa.csv", rows)
     order = gospa_params.order
     summary = [
         "steps,rms_gospa,rms_loc,rms_missed,rms_false",
@@ -173,7 +173,7 @@ def cmd_evaluate(args) -> int:
             ]
         ),
     ]
-    (out / "gospa_summary.csv").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    _write_lines(out / "gospa_summary.csv", summary)
     print(f"wrote {out / 'gospa.csv'} and {out / 'gospa_summary.csv'}")
     return 0
 
@@ -228,7 +228,7 @@ def cmd_benchmark(args) -> int:
                         ]
                     )
                 )
-        (out / f"runs_nh{nh}.csv").write_text("\n".join(run_rows) + "\n", encoding="utf-8")
+        _write_lines(out / f"runs_nh{nh}.csv", run_rows)
         summary_rows.append(
             ",".join(
                 [
@@ -245,8 +245,8 @@ def cmd_benchmark(args) -> int:
             )
         )
         timing_rows.append(f"{nh},{report.mean_runtime_s:.6f}")
-    (out / "summary.csv").write_text("\n".join(summary_rows) + "\n", encoding="utf-8")
-    (out / "timings.csv").write_text("\n".join(timing_rows) + "\n", encoding="utf-8")
+    _write_lines(out / "summary.csv", summary_rows)
+    _write_lines(out / "timings.csv", timing_rows)
     print(f"wrote {out / 'summary.csv'} and {out / 'timings.csv'}")
     return 0
 

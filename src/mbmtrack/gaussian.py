@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, finite_array
+from .errors import InputError, NumericalError, finite_array, real_number
 
 _LOG_2PI = math.log(2.0 * math.pi)
 # Innovation covariance counts as singular when the smallest Cholesky pivot
@@ -120,12 +120,9 @@ class LinearGaussianModel:
         if H.ndim != 2 or H.shape[1] != n_x:
             raise InputError(f"observation matrix must have {n_x} columns, got {H.shape}")
         R = _covariance(self.measurement_noise, "measurement_noise", H.shape[0])
-        if not 0.0 <= self.survival_prob <= 1.0:
-            raise InputError("survival_prob must lie in [0, 1]")
-        if not 0.0 <= self.detection_prob <= 1.0:
-            raise InputError("detection_prob must lie in [0, 1]")
-        if not 0.0 <= self.clutter_intensity < math.inf:
-            raise InputError("clutter_intensity must be finite and nonnegative")
+        for name, interval in (("survival_prob", "[0, 1]"), ("detection_prob", "[0, 1]"),
+                               ("clutter_intensity", "[0, inf)")):
+            object.__setattr__(self, name, real_number(getattr(self, name), name, interval))
         object.__setattr__(self, "transition", F)
         object.__setattr__(self, "process_noise", Q)
         object.__setattr__(self, "observation", H)

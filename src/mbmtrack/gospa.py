@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import FORBIDDEN, k_best
-from .errors import InputError, is_int, real_array
+from .errors import InputError, integer, real_array, real_number
 
 #: Euclidean distance on the planar position slots of a
 #: [px, vx, py, vy] state vector.
@@ -33,9 +33,9 @@ POSITION_PROJECTION = (0, 2)
 class GospaParams:
     """Cutoff c > 0, order 1 <= p < inf, and an optional state projection.
 
-    c**p must be a positive finite float.  ``projection`` selects the vector
-    indices (at least one, each >= 0) the base Euclidean distance acts on;
-    None uses the full vectors.
+    c**p must be a positive finite float.  ``projection`` is a tuple or list
+    of the vector indices (at least one, each >= 0) the base Euclidean
+    distance acts on, stored as a tuple; None uses the full vectors.
     """
 
     cutoff: float = 10.0
@@ -43,10 +43,8 @@ class GospaParams:
     projection: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.cutoff < math.inf:
-            raise InputError("GOSPA cutoff c must be finite and positive")
-        if not (1.0 <= self.order < math.inf):
-            raise InputError("GOSPA order p must lie in [1, inf)")
+        object.__setattr__(self, "cutoff", real_number(self.cutoff, "GOSPA cutoff c", "(0, inf)"))
+        object.__setattr__(self, "order", real_number(self.order, "GOSPA order p", "[1, inf)"))
         try:
             c_p = self.cutoff**self.order
         except OverflowError:
@@ -55,12 +53,13 @@ class GospaParams:
             raise InputError(
                 f"GOSPA c**p must be a positive finite float, got c={self.cutoff!r}, p={self.order!r}"
             )
-        if self.projection is not None and not (
-            len(self.projection) and all(is_int(i) and i >= 0 for i in self.projection)
-        ):
-            raise InputError(
-                f"GOSPA projection must list one or more indices >= 0, got {self.projection!r}"
-            )
+        if self.projection is not None:
+            if not isinstance(self.projection, (tuple, list)) or not self.projection:
+                raise InputError(
+                    f"GOSPA projection must list one or more indices >= 0, got {self.projection!r}"
+                )
+            indices = tuple(integer(i, "GOSPA projection index", 0) for i in self.projection)
+            object.__setattr__(self, "projection", indices)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 # k_best, kalman_predict and PreparedMeasurementUpdate stay module attributes
 # here: perfbench/tracing.py rebinds them.
 from .assignment import FORBIDDEN, _ranked_columns, k_best  # noqa: F401
-from .errors import InputError, NumericalError, finite_array, is_int
+from .errors import InputError, NumericalError, finite_array, integer, real_number
 from .gaussian import (  # noqa: F401
     GaussianDensity, LinearGaussianModel, PreparedMeasurementUpdate, check_covariance, floor_log,
     gate, innovation_factors, kalman_gains, kalman_predict, posterior_means, predict_stack,
@@ -153,14 +153,18 @@ class BirthComponent:
     density: GaussianDensity
 
     def __post_init__(self):
-        if not 0.0 <= self.existence <= 1.0:
-            raise InputError("birth existence probability must lie in [0, 1]")
+        existence = real_number(self.existence, "birth existence probability", "[0, 1]")
+        object.__setattr__(self, "existence", existence)
         check_covariance(self.density.covariance, "birth covariance")
 
 
 @dataclass(frozen=True)
 class BirthModel:
     components: tuple[BirthComponent, ...] = ()
+
+    def __post_init__(self):
+        if len({c.density.dim for c in self.components}) > 1:
+            raise InputError("birth components must share one state dimension")
 
     @cached_property
     def stacked(self) -> tuple[np.ndarray, ...]:
@@ -193,17 +197,11 @@ class FilterParams:
     estimate_existence: float = 0.4
 
     def __post_init__(self):
-        if not is_int(self.max_globals) or self.max_globals < 1:
-            raise InputError(f"max_globals must be an integer >= 1, got {self.max_globals!r}")
-        if not self.gate_threshold > 0.0:
-            raise InputError(f"gate_threshold must be positive, got {self.gate_threshold!r}")
-        for name in ("prune_global_weight", "prune_existence"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise InputError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
-        if not 0.0 <= self.estimate_existence <= 1.0:
-            raise InputError(
-                f"estimate_existence must lie in [0, 1], got {self.estimate_existence!r}"
-            )
+        object.__setattr__(self, "max_globals", integer(self.max_globals, "max_globals", 1))
+        real_number(self.max_globals, "max_globals", "[1, inf)")  # it scales float weights
+        for name, interval in (("gate_threshold", "(0, inf]"), ("prune_global_weight", "[0, 1)"),
+                               ("prune_existence", "[0, 1)"), ("estimate_existence", "[0, 1]")):
+            object.__setattr__(self, name, real_number(getattr(self, name), name, interval))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import importlib.resources
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -23,7 +22,7 @@ from functools import cached_property
 import numpy as np
 import yaml
 
-from .errors import InputError, finite_array, is_int
+from .errors import InputError, finite_array, integer, real_number
 from .gaussian import GaussianDensity, LinearGaussianModel
 # gospa stays a module attribute here: perfbench/tracing.py rebinds it.
 from .gospa import (  # noqa: F401
@@ -54,8 +53,8 @@ def constant_velocity_model(
     clutter_intensity: float = 0.0,
 ) -> LinearGaussianModel:
     """Planar constant-velocity model over states [px, vx, py, vy]."""
-    T = _finite_real("sampling_time", sampling_time, positive=True)
-    q = _finite_real("noise_intensity", noise_intensity, positive=False)
+    T = real_number(sampling_time, "sampling_time", "(0, inf)")
+    q = real_number(noise_intensity, "noise_intensity", "[0, inf)")
     try:  # a float power raises OverflowError rather than returning inf
         block = np.array([[T**3 / 3.0, T**2 / 2.0], [T**2 / 2.0, T]])
     except OverflowError:
@@ -96,6 +95,10 @@ class Scenario:
     filter_defaults: FilterParams = field(default_factory=FilterParams)
     truth: tuple[Trajectory, ...] | None = None
 
+    def __post_init__(self):
+        if any(c.density.dim != self.model.state_dim for c in self.birth.components):
+            raise InputError(f"birth components must have dimension {self.model.state_dim}")
+
     def detection_prob_at(self, step_index: int) -> float:
         """Per-step detection probability (1-based step index)."""
         if self.detection_schedule is not None and 1 <= step_index <= len(self.detection_schedule):
@@ -124,8 +127,8 @@ class Scenario:
 
 def make_rng(seed) -> np.random.Generator:
     """Counter-based Philox stream keyed by an int >= 0 (or a tuple of them)."""
-    if not all(is_int(key) and key >= 0 for key in (seed if isinstance(seed, tuple) else (seed,))):
-        raise InputError(f"seed must be an integer >= 0 or a tuple of them, got {seed!r}")
+    for key in seed if isinstance(seed, tuple) else (seed,):
+        integer(key, "seed", 0)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
@@ -191,6 +194,8 @@ def generate_measurements(
     """Detections plus Poisson clutter for one scan, in shuffled order."""
     chol_r = _noise_factor("measurement noise", model.measurement_noise)
     states = finite_array(states, "true states")
+    detection_prob = real_number(detection_prob, "detection_prob", "[0, 1]")
+    clutter_rate = real_number(clutter_rate, "clutter_rate", "[0, inf)")
     return _scan(states, detection_prob, model.observation, chol_r, region, clutter_rate, rng)
 
 
@@ -308,12 +313,8 @@ def run_monte_carlo(
     while records are still collected in run-index order, so the report is
     identical (timings aside) for any worker count.
     """
-    if not is_int(n_runs) or n_runs < 1:
-        raise InputError(f"n_runs must be an integer >= 1, got {n_runs!r}")
-    if not is_int(seed) or seed < 0:
-        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
-    if not is_int(workers) or workers < 1:
-        raise InputError(f"workers must be an integer >= 1, got {workers!r}")
+    n_runs, seed = integer(n_runs, "n_runs", 1), integer(seed, "seed", 0)
+    workers = integer(workers, "workers", 1)
     if gospa_params is None:
         gospa_params = GospaParams(projection=POSITION_PROJECTION)
     base = generate_truth(scenario, seed) if scenario.truth is None else scenario
@@ -347,9 +348,7 @@ def _parse_birth(entries) -> BirthModel:
     for entry in entries:
         mean = finite_array(entry["mean"], "birth mean")
         std = finite_array(entry["std"], "birth std", mean.shape)
-        comps.append(
-            BirthComponent(float(entry["existence"]), GaussianDensity(mean, np.diag(std**2)))
-        )
+        comps.append(BirthComponent(entry["existence"], GaussianDensity(mean, np.diag(std**2))))
     return BirthModel(tuple(comps))
 
 
@@ -358,31 +357,13 @@ def _parse_schedule(raw, duration: int, default: float) -> tuple[float, ...] | N
         return None
     schedule = [default] * duration
     for block in raw:
-        first, last = (_integer("detection schedule steps", v) for v in block["steps"])
-        if not 1 <= first <= last <= duration:
+        first, last = (integer(v, "detection schedule steps", 1) for v in block["steps"])
+        if not first <= last <= duration:
             raise InputError(f"detection schedule steps {block['steps']} out of range")
-        value = float(block["detection_prob"])
-        if not 0.0 <= value <= 1.0:
-            raise InputError("detection schedule detection_prob must lie in [0, 1]")
+        value = real_number(block["detection_prob"], "detection schedule detection_prob", "[0, 1]")
         for k in range(first, last + 1):
             schedule[k - 1] = value
     return tuple(schedule)
-
-
-def _finite_real(name: str, value, positive: bool) -> float:
-    """``value`` as a float; InputError unless it is a finite real > 0
-    (``positive``) or >= 0."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and (0.0 < value if positive else 0.0 <= value) and value < math.inf):
-        bound = ">" if positive else ">="
-        raise InputError(f"{name} must be a finite real {bound} 0, got {value!r}")
-    return float(value)
-
-
-def _integer(name: str, value) -> int:
-    if not is_int(value):
-        raise InputError(f"bad scenario configuration: {name} must be an integer, got {value!r}")
-    return int(value)
 
 
 # The keys a scenario file may hold; a list holds the keys of each of its entries.
@@ -427,29 +408,23 @@ def scenario_from_mapping(raw: dict) -> Scenario:
     # An overflow (a birth std whose square is inf, say) is a bad value too.
     with np.errstate(over="raise"):
         try:
-            region_raw = raw["region"]
-            region = (
-                (float(region_raw["x"][0]), float(region_raw["x"][1])),
-                (float(region_raw["y"][0]), float(region_raw["y"][1])),
+            region = tuple(
+                tuple(finite_array(raw["region"][axis], f"region {axis}", (2,)).tolist())
+                for axis in "xy"
             )
-            clutter_rate = float(raw["clutter_rate"])
-            duration = _integer("duration", raw["duration"])
+            clutter_rate = real_number(raw["clutter_rate"], "clutter_rate", "[0, inf)")
+            duration = integer(raw["duration"], "duration", 1)
             area = (region[0][1] - region[0][0]) * (region[1][1] - region[1][0])
             if not (math.isfinite(area) and area > 0):
                 raise InputError("region bounds must be finite and enclose a positive area")
-            if not 0.0 <= clutter_rate < math.inf:
-                raise InputError("clutter_rate must be finite and nonnegative")
-            if duration < 1:
-                raise InputError("duration must be at least one step")
             model_raw = raw.get("model", {})
-            noise = float(model_raw.get("measurement_noise_std", 1.0))
-            if not 0.0 <= noise < math.inf:
-                raise InputError("measurement_noise_std must be finite and nonnegative")
+            noise = model_raw.get("measurement_noise_std", 1.0)
+            noise = real_number(noise, "measurement_noise_std", "[0, inf)")
             model = constant_velocity_model(
-                sampling_time=float(model_raw.get("sampling_time", 1.0)),
-                noise_intensity=float(model_raw.get("process_noise_intensity", 0.01)),
-                survival_prob=float(model_raw.get("survival_prob", 0.99)),
-                detection_prob=float(model_raw.get("detection_prob", 0.9)),
+                sampling_time=model_raw.get("sampling_time", 1.0),
+                noise_intensity=model_raw.get("process_noise_intensity", 0.01),
+                survival_prob=model_raw.get("survival_prob", 0.99),
+                detection_prob=model_raw.get("detection_prob", 0.9),
                 measurement_noise=np.eye(2) * noise**2,
                 clutter_intensity=clutter_rate / area,
             )
@@ -457,15 +432,7 @@ def scenario_from_mapping(raw: dict) -> Scenario:
             schedule = _parse_schedule(
                 raw.get("detection_schedule"), duration, model.detection_prob
             )
-            # Any FilterParams field; floats are cast, max_globals is left to its check.
-            filt = raw.get("filter", {})
-            params = replace(
-                FilterParams(),
-                **{
-                    f.name: float(filt[f.name]) if isinstance(f.default, float) else filt[f.name]
-                    for f in fields(FilterParams) if f.name in filt
-                },
-            )
+            params = FilterParams(**raw.get("filter", {}))  # the keys were checked above
             return Scenario(
                 name=str(raw.get("name", "custom")),
                 model=model,
@@ -476,10 +443,9 @@ def scenario_from_mapping(raw: dict) -> Scenario:
                 detection_schedule=schedule,
                 filter_defaults=params,
             )
-        except (KeyError, TypeError, ValueError, OverflowError, FloatingPointError) as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(f"bad scenario configuration: {exc!r}") from exc
+        except (AttributeError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
+            detail = exc if isinstance(exc, InputError) else repr(exc)
+            raise InputError(f"bad scenario configuration: {detail}") from exc
 
 
 def load_scenario_file(path) -> Scenario:

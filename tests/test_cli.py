@@ -74,6 +74,15 @@ class TestFileFormats:
         assert back[0][0][0] == (1, 2)
         np.testing.assert_array_equal(back[2][1][1], [5.0, 0.0, 6.0, 0.0])
 
+    def test_empty_steps_round_trip(self, tmp_path):
+        # No steps write an empty file, which must not read back as one empty step.
+        for n_steps in (0, 1, 2):
+            write_measurement_file(tmp_path / "meas.txt", [np.zeros((0, 2))] * n_steps)
+            assert len(read_measurement_file(tmp_path / "meas.txt", 2)) == n_steps
+            write_labeled_state_file(tmp_path / "states.txt", [[]] * n_steps)
+            assert read_labeled_state_file(tmp_path / "states.txt") == [[]] * n_steps
+        assert (tmp_path / "states.txt").read_text(encoding="utf-8") == "\n\n"
+
     def test_bad_measurement_file(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1.0 2.0;x y\n", encoding="utf-8")
@@ -415,6 +424,23 @@ def test_bad_scenario_file_exits_2(tmp_path, capsys, case):
     assert not (tmp_path / "out" / "summary.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "birth",
+    [
+        [{"existence": 0.01, "mean": [140.0, 170.0], "std": [3.0, 3.0]}],
+        [{"existence": 0.01, "mean": [140.0, 0.0, 170.0, 0.0], "std": [3.0, 1.0, 3.0, 1.0]},
+         {"existence": 0.01, "mean": [140.0, 170.0], "std": [3.0, 3.0]}],
+    ],
+    ids=["two_dimensional", "mixed_dimensions"],
+)
+def test_birth_of_the_wrong_dimension_exits_2(tmp_path, capsys, birth):
+    scenario = small_scenario_file(tmp_path, extra={"birth": birth})
+    args = ["benchmark", "--scenario", str(scenario), "--runs", "1"]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 2
+    assert "birth components must" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("value", [1.5, float("nan")])
 def test_bad_detection_schedule_exits_2(tmp_path, capsys, value):
     schedule = [{"steps": [2, 3], "detection_prob": value}]
@@ -479,6 +505,11 @@ class TestRejectedTrackInput:
     def test_negative_gate_exits_2(self, tmp_path, capsys):
         assert self.run_track(tmp_path, "140 170\n", ["--gate", "-1"]) == 2
         assert "gate_threshold" in capsys.readouterr().err
+
+    def test_max_globals_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        assert self.run_track(tmp_path, "140 170\n", ["--max-globals", "1" + "0" * 400]) == 2
+        assert "max_globals must fit a float" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "estimates.txt").exists()
 
     def test_ragged_measurements_exit_2(self, tmp_path, capsys):
         assert self.run_track(tmp_path, "140 170\n1 2;3 4 5\n") == 2

@@ -833,6 +833,13 @@ def test_birth_covariance_must_be_psd():
         BirthComponent(0.1, overflowed)
 
 
+def test_birth_components_must_share_one_dimension():
+    flat = BirthComponent(0.1, GaussianDensity([100.0, 100.0], np.eye(2)))
+    with pytest.raises(InputError, match="birth components must share one state dimension"):
+        BirthModel((birth_at(100.0, 100.0), flat))
+    assert len(BirthModel((flat, flat)).stacked[0]) == 2
+
+
 class TestFilterParamsValidation:
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import mbmtrack.sim as sim
 from mbmtrack.errors import InputError
+from mbmtrack.gaussian import GaussianDensity
 from mbmtrack.gospa import GospaParams
-from mbmtrack.mbm import FilterParams
+from mbmtrack.mbm import BirthComponent, BirthModel, FilterParams
 from mbmtrack.sim import (
     builtin_scenario,
     builtin_scenarios,
@@ -166,6 +169,30 @@ class TestBuiltinScenarios:
         model = constant_velocity_model(sampling_time=2, noise_intensity=0)
         assert model.transition[0, 1] == 2.0
         assert not model.process_noise.any()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"region": {"x": ["0", "10"], "y": [0.0, 10.0]}},
+         {"birth": [{"existence": 0.1, "mean": ["5", 0.0, 5.0, 0.0], "std": [1.0] * 4}]},
+         {"birth": [{"existence": 0.1, "mean": [5.0, 0.0, 5.0, 0.0], "std": [True] * 4}]}],
+        ids=["quoted_region", "quoted_birth_mean", "bool_birth_std"],
+    )
+    def test_arrays_of_quoted_numbers_or_bools_rejected(self, extra):
+        with pytest.raises(InputError, match="elements are not real numbers"):
+            scenario_from_mapping(self.minimal_mapping(**extra))
+
+    def test_null_model_section_rejected(self):
+        with pytest.raises(InputError, match="bad scenario configuration"):
+            scenario_from_mapping(self.minimal_mapping(model=None))
+
+    def test_birth_dimension_must_match_the_model(self):
+        flat = {"existence": 0.1, "mean": [5.0, 5.0], "std": [1.0, 1.0]}
+        with pytest.raises(InputError, match="birth components must have dimension 4"):
+            scenario_from_mapping(self.minimal_mapping(birth=[flat]))
+        scenario = scenario_from_mapping(self.minimal_mapping())
+        flat_birth = BirthModel((BirthComponent(0.1, GaussianDensity(np.zeros(2), np.eye(2))),))
+        with pytest.raises(InputError, match="birth components must have dimension 4"):
+            replace(scenario, birth=flat_birth)
 
     def test_unknown_keys_rejected_by_path(self):
         raw = self.minimal_mapping(
