@@ -20,17 +20,6 @@ class NumericalError(ArithmeticError):
     """A computation became degenerate (singular innovation covariance, ...)."""
 
 
-def is_int(value) -> bool:
-    """An integer that is not a bool (numpy integers included).
-
-    A plain int returns before the slower ``numbers.Integral`` check; ``bool``
-    is a subclass of int, not int itself, so it still takes that check.
-    """
-    return type(value) is int or (
-        isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    )
-
-
 def real_number(value, what: str, interval: str) -> float:
     """``value`` as a float; InputError naming ``what`` unless it is a real
     number, not a bool, that converts to a float and lies in ``interval``.
@@ -57,9 +46,16 @@ def integer(value, what: str, low: int) -> int:
     """``value`` as an int; InputError naming ``what`` unless it is an integer,
     not a bool, that is at least ``low``.  Any size passes: a float need not hold it.
     """
-    if not (is_int(value) and value >= low):
-        raise InputError(f"{what} must be an integer >= {low}, got {value!r}")
-    return int(value)
+    # A plain int skips the slower check; a bool is not a plain int, so it takes it.
+    integral = type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    if integral and value >= low:
+        return int(value)
+    try:
+        shown = repr(value)
+    except ValueError:  # an int too long to print
+        shown = f"an integer of {int(value).bit_length()} bits"
+    raise InputError(f"{what} must be an integer >= {low}, got {shown}")
 
 
 def real_array(values, what: str) -> np.ndarray:

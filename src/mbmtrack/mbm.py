@@ -231,6 +231,8 @@ def predict(
     new_time, n_x = state.time + 1, model.state_dim
     b_means, b_covariances, b_existences, b_log_weights, b_labels = birth.stacked
     n_h, n_b = len(state.means), len(b_existences)
+    if b_means.size != n_b * n_x:
+        raise InputError(f"birth components must have dimension {n_x}")
     means, covariances = predict_stack(
         state.means.reshape(n_h, n_x), state.covariances.reshape(n_h, n_x, n_x), model
     )

@@ -83,7 +83,11 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Model, birth and clutter configuration plus (optional) ground truth."""
+    """Model, birth and clutter configuration plus (optional) ground truth.
+
+    Checked on construction, by ``dataclasses.replace`` too.  Steps past a
+    short detection schedule take the model's p_D.
+    """
 
     name: str
     model: LinearGaussianModel
@@ -98,6 +102,18 @@ class Scenario:
     def __post_init__(self):
         if any(c.density.dim != self.model.state_dim for c in self.birth.components):
             raise InputError(f"birth components must have dimension {self.model.state_dim}")
+        (x0, x1), (y0, y1) = finite_array(self.region, "region", (2, 2)).tolist()
+        if not (x0 < x1 and y0 < y1 and math.isfinite((x1 - x0) * (y1 - y0))):
+            raise InputError("region bounds must increase and enclose a finite area")
+        object.__setattr__(self, "region", ((x0, x1), (y0, y1)))
+        clutter_rate = real_number(self.clutter_rate, "clutter_rate", "[0, inf)")
+        object.__setattr__(self, "clutter_rate", clutter_rate)
+        object.__setattr__(self, "duration", integer(self.duration, "duration", 1))
+        if self.detection_schedule is not None:
+            object.__setattr__(self, "detection_schedule", tuple(
+                real_number(p_d, f"detection_schedule step {k} detection_prob", "[0, 1]")
+                for k, p_d in enumerate(self.detection_schedule, start=1)
+            ))
 
     def detection_prob_at(self, step_index: int) -> float:
         """Per-step detection probability (1-based step index)."""
@@ -352,29 +368,29 @@ def _parse_birth(entries) -> BirthModel:
     return BirthModel(tuple(comps))
 
 
-def _parse_schedule(raw, duration: int, default: float) -> tuple[float, ...] | None:
+def _parse_schedule(raw, scenario: Scenario) -> tuple[float, ...] | None:
+    """Per-step detection probabilities from the file's blocks; ``Scenario`` checks them."""
     if not raw:
         return None
-    schedule = [default] * duration
+    schedule = [scenario.model.detection_prob] * scenario.duration
     for block in raw:
         first, last = (integer(v, "detection schedule steps", 1) for v in block["steps"])
-        if not first <= last <= duration:
+        if not first <= last <= scenario.duration:
             raise InputError(f"detection schedule steps {block['steps']} out of range")
-        value = real_number(block["detection_prob"], "detection schedule detection_prob", "[0, 1]")
-        for k in range(first, last + 1):
-            schedule[k - 1] = value
+        schedule[first - 1:last] = [block["detection_prob"]] * (last - first + 1)
     return tuple(schedule)
 
 
 # The keys a scenario file may hold; a list holds the keys of each of its entries.
+# Model keys but measurement_noise_std go to constant_velocity_model, renamed thus.
+_MODEL_ARGS = {"process_noise_intensity": "noise_intensity"}
 _SCENARIO_KEYS = {
     "name": None,
     "duration": None,
     "clutter_rate": None,
     "region": {"x": None, "y": None},
     "model": dict.fromkeys((
-        "sampling_time", "process_noise_intensity", "measurement_noise_std", "survival_prob",
-        "detection_prob",
+        "sampling_time", *_MODEL_ARGS, "measurement_noise_std", "survival_prob", "detection_prob",
     )),
     "birth": [dict.fromkeys(("existence", "mean", "std"))],
     "detection_schedule": [dict.fromkeys(("steps", "detection_prob"))],
@@ -408,40 +424,26 @@ def scenario_from_mapping(raw: dict) -> Scenario:
     # An overflow (a birth std whose square is inf, say) is a bad value too.
     with np.errstate(over="raise"):
         try:
-            region = tuple(
-                tuple(finite_array(raw["region"][axis], f"region {axis}", (2,)).tolist())
-                for axis in "xy"
-            )
-            clutter_rate = real_number(raw["clutter_rate"], "clutter_rate", "[0, inf)")
-            duration = integer(raw["duration"], "duration", 1)
-            area = (region[0][1] - region[0][0]) * (region[1][1] - region[1][0])
-            if not (math.isfinite(area) and area > 0):
-                raise InputError("region bounds must be finite and enclose a positive area")
-            model_raw = raw.get("model", {})
-            noise = model_raw.get("measurement_noise_std", 1.0)
+            model_raw = {_MODEL_ARGS.get(k, k): v for k, v in raw.get("model", {}).items()}
+            noise = model_raw.pop("measurement_noise_std", 1.0)
             noise = real_number(noise, "measurement_noise_std", "[0, inf)")
-            model = constant_velocity_model(
-                sampling_time=model_raw.get("sampling_time", 1.0),
-                noise_intensity=model_raw.get("process_noise_intensity", 0.01),
-                survival_prob=model_raw.get("survival_prob", 0.99),
-                detection_prob=model_raw.get("detection_prob", 0.9),
-                measurement_noise=np.eye(2) * noise**2,
-                clutter_intensity=clutter_rate / area,
-            )
-            birth = _parse_birth(raw["birth"])
-            schedule = _parse_schedule(
-                raw.get("detection_schedule"), duration, model.detection_prob
-            )
-            params = FilterParams(**raw.get("filter", {}))  # the keys were checked above
-            return Scenario(
+            model = constant_velocity_model(measurement_noise=np.eye(2) * noise**2, **model_raw)
+            scenario = Scenario(
                 name=str(raw.get("name", "custom")),
                 model=model,
-                birth=birth,
-                region=region,
-                clutter_rate=clutter_rate,
-                duration=duration,
-                detection_schedule=schedule,
-                filter_defaults=params,
+                birth=_parse_birth(raw["birth"]),
+                region=(raw["region"]["x"], raw["region"]["y"]),
+                clutter_rate=raw["clutter_rate"],
+                duration=raw["duration"],
+                filter_defaults=FilterParams(**raw.get("filter", {})),  # keys checked above
+            )
+            # The clutter intensity and the schedule need the checked region and duration.
+            (x0, x1), (y0, y1) = scenario.region
+            area = (x1 - x0) * (y1 - y0)
+            return replace(
+                scenario,
+                model=replace(model, clutter_intensity=scenario.clutter_rate / area),
+                detection_schedule=_parse_schedule(raw.get("detection_schedule"), scenario),
             )
         except (AttributeError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
             detail = exc if isinstance(exc, InputError) else repr(exc)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mbmtrack.assignment import k_best
-from mbmtrack.errors import InputError, finite_array, integer, is_int, real_array, real_number
+from mbmtrack.errors import InputError, finite_array, integer, real_array, real_number
 from mbmtrack.gaussian import GaussianDensity
 from mbmtrack.gospa import GospaParams
 from mbmtrack.mbm import BirthComponent, FilterParams
@@ -15,12 +15,25 @@ from mbmtrack.sim import (
 
 @pytest.mark.parametrize("value", [0, -3, 10**30, np.int64(4), np.uint8(2)])
 def test_integers_accepted(value):
-    assert is_int(value)
+    assert integer(value, "probe", -10) == value
 
 
 @pytest.mark.parametrize("value", [True, False, np.bool_(True), 2.0, np.float64(1.0), "3", None])
 def test_bools_and_non_integers_rejected(value):
-    assert not is_int(value)
+    with pytest.raises(InputError, match="probe must be an integer >= -10"):
+        integer(value, "probe", -10)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [(make_rng, "seed"), (lambda v: FilterParams(max_globals=v), "max_globals")],
+)
+def test_rejected_int_too_long_to_print_names_its_bits(build, name):
+    with pytest.raises(InputError, match=f"{name} must be an integer >= ., got an integer of "
+                                         f"16610 bits"):
+        build(-10**5000)
+    with pytest.raises(InputError, match=f"{name} must be an integer >= ., got -1$"):
+        build(-1)
 
 
 @pytest.mark.parametrize(

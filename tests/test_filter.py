@@ -840,6 +840,13 @@ def test_birth_components_must_share_one_dimension():
     assert len(BirthModel((flat, flat)).stacked[0]) == 2
 
 
+def test_birth_of_the_wrong_dimension_fails_in_predict():
+    flat = BirthModel((BirthComponent(0.1, GaussianDensity(np.zeros(2), np.eye(2))),))
+    model = builtin_scenario("scenario1").model
+    with pytest.raises(InputError, match="birth components must have dimension 4"):
+        mbm.step(mbm.init_empty(), np.zeros((0, 2)), model, flat, FilterParams())
+
+
 class TestFilterParamsValidation:
     @pytest.mark.parametrize(
         "kwargs",

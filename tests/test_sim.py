@@ -10,6 +10,7 @@ from mbmtrack.gaussian import GaussianDensity
 from mbmtrack.gospa import GospaParams
 from mbmtrack.mbm import BirthComponent, BirthModel, FilterParams
 from mbmtrack.sim import (
+    Scenario,
     builtin_scenario,
     builtin_scenarios,
     constant_velocity_model,
@@ -208,6 +209,57 @@ class TestBuiltinScenarios:
         for path in ("modle", "region.z", "model.pd", "filter.max_global",
                      "detection_schedule[0].prob", "birth[0].stdev"):
             assert path in str(caught.value)
+
+
+_NAN, _INF = float("nan"), float("inf")
+# Per case: the bad field, its value on a Scenario, and the same mistake in a
+# scenario file (keys over TestBuiltinScenarios.minimal_mapping's).
+BAD_SCENARIO_FIELDS = {
+    "negative_clutter_rate": ("clutter_rate", -1.0, {"clutter_rate": -1.0}),
+    "nan_clutter_rate": ("clutter_rate", _NAN, {"clutter_rate": _NAN}),
+    "string_clutter_rate": ("clutter_rate", "1", {"clutter_rate": "1"}),
+    "nan_region": ("region", ((0, _NAN), (0, 9)), {"region": {"x": [0, _NAN], "y": [0, 9]}}),
+    "inf_region": ("region", ((0, _INF), (0, 9)), {"region": {"x": [0, _INF], "y": [0, 9]}}),
+    "zero_area_region": ("region", ((5, 5), (0, 9)), {"region": {"x": [5, 5], "y": [0, 9]}}),
+    "reversed_region": ("region", ((9, 0), (9, 0)), {"region": {"x": [9, 0], "y": [9, 0]}}),
+    "three_row_region": ("region", ((0, 9),) * 3, {"region": {"x": [0, 9, 18], "y": [0, 9, 18]}}),
+    "zero_duration": ("duration", 0, {"duration": 0}),
+    "fractional_duration": ("duration", 2.5, {"duration": 2.5}),
+    "bool_duration": ("duration", True, {"duration": True}),
+    "schedule_entry_above_one": (
+        "detection_schedule", (0.9, 1.5),
+        {"detection_schedule": [{"steps": [2, 2], "detection_prob": 1.5}]},
+    ),
+}
+
+
+def _scenario_fields():
+    base = builtin_scenario("scenario1")
+    return dict(name="probe", model=base.model, birth=base.birth,
+                region=((0.0, 300.0), (0.0, 300.0)), clutter_rate=10.0, duration=81)
+
+
+@pytest.mark.parametrize("build", ["constructor", "replace", "file"])
+@pytest.mark.parametrize("case", sorted(BAD_SCENARIO_FIELDS))
+def test_every_scenario_path_checks_every_field(case, build):
+    field, value, file_extra = BAD_SCENARIO_FIELDS[case]
+    with pytest.raises(InputError, match=field):
+        if build == "constructor":
+            Scenario(**{**_scenario_fields(), field: value})
+        elif build == "replace":
+            replace(builtin_scenario("scenario1"), **{field: value})
+        else:
+            scenario_from_mapping(TestBuiltinScenarios.minimal_mapping(**file_extra))
+
+
+def test_scenario_stores_converted_fields():
+    scenario = Scenario(**{**_scenario_fields(), "region": np.array([[0, 300], [0, 300]]),
+                           "clutter_rate": 10, "duration": np.int64(81),
+                           "detection_schedule": [0, np.float32(0.5)]})
+    assert scenario.region == ((0.0, 300.0), (0.0, 300.0))
+    assert type(scenario.region[0][1]) is float and type(scenario.clutter_rate) is float
+    assert type(scenario.duration) is int and scenario.detection_schedule == (0.0, 0.5)
+    assert scenario.detection_prob_at(3) == scenario.model.detection_prob  # a short schedule
 
 
 class TestCrossingTruth:
