@@ -254,8 +254,6 @@ def _murty(aug: np.ndarray, k: int, resolve_ties: bool, row_min: list[float], ro
 
     while heap:
         if len(emitted) >= k:
-            if not resolve_ties:
-                break
             kth = emitted[k - 1][0]
             if heap[0][0] > kth + _TIE_RTOL * max(1.0, abs(kth)):
                 break

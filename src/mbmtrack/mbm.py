@@ -462,12 +462,10 @@ def prune(state: MbmState, params: FilterParams) -> MbmState:
     # Keep the referenced hypotheses of components that some kept global
     # gives enough existence, and renumber the vectors to match.
     rows = vectors[kept] + state.offsets[:-1]
-    referenced = np.zeros(len(state.existences), dtype=bool)
-    referenced[rows] = True
-    used = referenced.nonzero()[0]
-    owner = state.offsets.searchsorted(used, side="right") - 1
-    alive = np.bincount(owner, state.existences[used] >= params.prune_existence, rows.shape[1]) > 0
-    used = used[alive[owner]]
+    alive = (state.existences[rows] >= params.prune_existence).any(axis=0)
+    used = np.zeros(len(state.existences), dtype=bool)
+    used[rows[:, alive]] = True
+    used = used.nonzero()[0]
     # A kept component's rows end where its old rows end; the first starts at 0.
     offsets = np.concatenate(([0], used.searchsorted(state.offsets[1:][alive])))
     vectors = used.searchsorted(rows[:, alive]) - offsets[:-1]

@@ -75,7 +75,7 @@ class Trajectory:
     label: tuple[int, int]
     first_step: int
     last_step: int
-    states: np.ndarray  # (duration, state_dim); rows outside the interval are anchors only
+    states: np.ndarray  # (>= duration, state_dim); rows outside the interval are anchors only
 
     def alive(self, step_index: int) -> bool:
         return self.first_step <= step_index <= self.last_step
@@ -114,6 +114,12 @@ class Scenario:
                 real_number(p_d, f"detection_schedule step {k} detection_prob", "[0, 1]")
                 for k, p_d in enumerate(self.detection_schedule, start=1)
             ))
+        for t in self.truth or ():
+            states = finite_array(t.states, f"trajectory {t.label} states")
+            if states.shape[1:] != (self.model.state_dim,) or len(states) < self.duration:
+                raise InputError(
+                    f"trajectory {t.label} states must have shape"
+                    f" (>= {self.duration}, {self.model.state_dim}), got {states.shape}")
 
     def detection_prob_at(self, step_index: int) -> float:
         """Per-step detection probability (1-based step index)."""
@@ -156,16 +162,16 @@ def _noise_factor(name: str, covariance: np.ndarray) -> np.ndarray:
         raise InputError(f"simulation needs a positive definite {name} covariance") from None
 
 
-def make_crossing_truth(
-    model: LinearGaussianModel, rng: np.random.Generator, duration: int = 81
-) -> tuple[Trajectory, ...]:
-    """Four crossing trajectories anchored at a common midpoint.
+def generate_truth(scenario: Scenario, seed: int) -> Scenario:
+    """Scenario with four crossing trajectories drawn from the base-seed Philox stream.
 
     Two targets are born at step 1 and two at step 21; the first step-1
     target dies at step 40 (alive through step 39).  Each path is drawn by
-    sampling the step-41 state near [150, 0, 150, 0] and running the model
+    sampling the midpoint state near [150, 0, 150, 0] and running the model
     dynamics forward and backward with per-transition noise.
     """
+    rng = make_rng(seed)
+    duration, model = scenario.duration, scenario.model
     specs = (
         ((1, 1), 1, 39),
         ((1, 2), 1, duration),
@@ -179,7 +185,7 @@ def make_crossing_truth(
     F_inv = np.linalg.inv(F)
     chol_q = _noise_factor("process noise", model.process_noise)
     dim = model.state_dim
-    out = []
+    truth = []
     for label, first, last in specs:
         states = np.zeros((duration, dim))
         states[midpoint_step - 1] = _MIDPOINT_MEAN + _MIDPOINT_STD * rng.standard_normal(dim)
@@ -187,32 +193,8 @@ def make_crossing_truth(
             states[k] = F @ states[k - 1] + chol_q @ rng.standard_normal(dim)
         for k in range(midpoint_step - 1, 0, -1):
             states[k - 1] = F_inv @ (states[k] - chol_q @ rng.standard_normal(dim))
-        out.append(Trajectory(label, first, min(last, duration), states))
-    return tuple(out)
-
-
-def generate_truth(scenario: Scenario, seed: int) -> Scenario:
-    """Scenario with ground truth drawn from the base-seed Philox stream."""
-    rng = make_rng(seed)
-    return replace(
-        scenario, truth=make_crossing_truth(scenario.model, rng, scenario.duration)
-    )
-
-
-def generate_measurements(
-    states,
-    detection_prob: float,
-    model: LinearGaussianModel,
-    region,
-    clutter_rate: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Detections plus Poisson clutter for one scan, in shuffled order."""
-    chol_r = _noise_factor("measurement noise", model.measurement_noise)
-    states = finite_array(states, "true states")
-    detection_prob = real_number(detection_prob, "detection_prob", "[0, 1]")
-    clutter_rate = real_number(clutter_rate, "clutter_rate", "[0, inf)")
-    return _scan(states, detection_prob, model.observation, chol_r, region, clutter_rate, rng)
+        truth.append(Trajectory(label, first, min(last, duration), states))
+    return replace(scenario, truth=tuple(truth))
 
 
 def _scan(states, detection_prob, H, chol_r, region, clutter_rate, rng) -> np.ndarray:

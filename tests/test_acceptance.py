@@ -34,10 +34,8 @@ from mbmtrack.mbm import BirthComponent, BirthModel, FilterParams
 from mbmtrack.sim import (
     builtin_scenario,
     constant_velocity_model,
-    generate_measurements,
     generate_run_measurements,
     generate_truth,
-    make_rng,
     run_monte_carlo,
 )
 
@@ -279,12 +277,9 @@ def test_criterion_8_benchmark_determinism(tmp_path):
 
 
 def test_criterion_9_clutter_chi_square():
-    model = constant_velocity_model()
-    rng = make_rng(1009)
-    region = ((0.0, 300.0), (0.0, 300.0))
-    counts = np.array(
-        [len(generate_measurements([], 0.0, model, region, 10.0, rng)) for _ in range(10_000)]
-    )
+    # No targets, so every point of the 10^4 scans of run seed 1009 is clutter.
+    clutter_only = dataclasses.replace(builtin_scenario("scenario1"), truth=(), duration=10_000)
+    counts = np.array([len(scan) for scan in generate_run_measurements(clutter_only, 1009)])
     max_count = counts.max()
     observed = np.bincount(counts, minlength=max_count + 1).astype(float)
     expected = stats.poisson.pmf(np.arange(max_count + 1), 10.0) * len(counts)

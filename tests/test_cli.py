@@ -270,6 +270,35 @@ class TestTrackAndEvaluate:
         with pytest.raises(InputError, match="must be finite"):
             read_labeled_state_file(path)
 
+    @pytest.mark.parametrize(
+        "token, message",
+        [("1-1 0 0 0 0", "bad labeled state"), ("1:a 0 0 0 0", "bad labeled state"),
+         ("1:1 0 x 0 0", "bad labeled state"), ("1:1", "has no coordinates")],
+        ids=["no_colon", "text_label", "text_coordinate", "label_only"],
+    )
+    def test_reader_rejects_malformed_state(self, tmp_path, token, message):
+        path = tmp_path / "states.txt"
+        path.write_text(f"1:1 0 0 0 0\n{token}\n", encoding="utf-8")
+        with pytest.raises(InputError, match=f"states.txt:2: .*{message}"):
+            read_labeled_state_file(path)
+
+    def evaluate(self, tmp_path, truth_text, estimates_text):
+        truth, estimates = tmp_path / "truth.txt", tmp_path / "est.txt"
+        truth.write_text(truth_text, encoding="utf-8")
+        estimates.write_text(estimates_text, encoding="utf-8")
+        return main(["evaluate", "--truth", str(truth), "--estimates", str(estimates),
+                     "--out", str(tmp_path / "eval")])
+
+    def test_evaluate_scores_planar_points_as_positions(self, tmp_path):
+        assert self.evaluate(tmp_path, "1:1 10 20\n", "1:1 13 24\n") == 0
+        row = (tmp_path / "eval" / "gospa.csv").read_text().splitlines()[1].split(",")
+        assert float(row[1]) == pytest.approx(5.0)  # one assigned pair at distance 5
+
+    def test_evaluate_three_dimensional_state_exits_2(self, tmp_path, capsys):
+        assert self.evaluate(tmp_path, "1:1 10 20 30\n", "1:1 10 20 30\n") == 2
+        assert "expected 2D points or 4D states, got dimension 3" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "gospa.csv").exists()
+
 
 class TestBenchmark:
     def test_nh_sweep_rows_and_determinism(self, tmp_path):
@@ -365,6 +394,13 @@ class TestBenchmark:
             ]
         ) == 2
 
+
+    def test_empty_max_globals_list_exits_2(self, tmp_path, capsys):
+        scenario = small_scenario_file(tmp_path)
+        args = ["benchmark", "--scenario", str(scenario), "--runs", "1", "--max-globals", ","]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        assert "--max-globals must list at least one value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_workers_exits_2(self, tmp_path, capsys, workers):
@@ -543,6 +579,17 @@ class TestRejectedTrackInput:
         assert code == 2
         err = capsys.readouterr().err
         assert "filter.max_global" in err and "modle" in err
+
+
+    def test_scenario_file_holding_a_list_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "list.yaml"
+        scenario.write_text(yaml.safe_dump([{"duration": 5}]), encoding="utf-8")
+        meas = tmp_path / "meas.txt"
+        meas.write_text("140 170\n", encoding="utf-8")
+        code = main(["track", "--scenario", str(scenario), "--measurements", str(meas),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "list.yaml does not hold a mapping" in capsys.readouterr().err
 
 
 class TestAssign:

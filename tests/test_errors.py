@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,7 @@ from mbmtrack.errors import InputError, finite_array, integer, real_array, real_
 from mbmtrack.gaussian import GaussianDensity
 from mbmtrack.gospa import GospaParams
 from mbmtrack.mbm import BirthComponent, FilterParams
-from mbmtrack.sim import (
-    constant_velocity_model, generate_measurements, make_rng, scenario_from_mapping,
-)
+from mbmtrack.sim import constant_velocity_model, make_rng, scenario_from_mapping
 
 
 @pytest.mark.parametrize("value", [0, -3, 10**30, np.int64(4), np.uint8(2)])
@@ -114,13 +113,15 @@ def test_integer_accepts_any_size_at_or_above_its_bound():
 
 _MODEL = constant_velocity_model()
 _DENSITY = GaussianDensity(np.zeros(4), np.eye(4))
-_REGION = ((0.0, 10.0), (0.0, 10.0))
 
 
 def _mapping(**extra):
     raw = {"duration": 3, "region": {"x": [0.0, 10.0], "y": [0.0, 10.0]}, "clutter_rate": 1.0,
            "birth": [{"existence": 0.1, "mean": [5.0, 0.0, 5.0, 0.0], "std": [1.0] * 4}]}
     return {**raw, **extra}
+
+
+_SCENARIO = scenario_from_mapping(_mapping())
 
 
 def _birth_file(existence):
@@ -171,13 +172,12 @@ _SCALARS = {
     ),
     "file schedule detection_prob": (lambda v: scenario_from_mapping(_schedule_file(v)),
                                      "str true"),
+    # A scan's detection probability and clutter rate are set on its Scenario.
     "scan detection_prob": (
-        lambda v: generate_measurements([], v, _MODEL, _REGION, 1.0, make_rng(0)),
-        "str none complex true nan huge",
+        lambda v: replace(_SCENARIO, detection_schedule=(v,)), "str none complex true nan huge",
     ),
     "scan clutter_rate": (
-        lambda v: generate_measurements([], 0.5, _MODEL, _REGION, v, make_rng(0)),
-        "str none complex true nan huge",
+        lambda v: replace(_SCENARIO, clutter_rate=v), "str none complex true nan huge",
     ),
 }
 

@@ -12,7 +12,7 @@ from scipy.stats import multivariate_normal
 import mbmtrack.assignment as assignment
 import mbmtrack.mbm as mbm
 from mbmtrack.assignment import FORBIDDEN, k_best
-from mbmtrack.errors import InputError
+from mbmtrack.errors import InputError, NumericalError
 from mbmtrack.gaussian import (
     GaussianDensity,
     PreparedMeasurementUpdate,
@@ -491,6 +491,15 @@ class TestPrune:
         assert len(out.components) == 1
         assert out.components[0].hypotheses[0].meta.label == (1, 2)
         assert out.global_hypotheses[0].assignment_vector == (0,)
+
+    def test_vanished_global_weights_raise(self):
+        # Every global at weight zero leaves nothing to normalize by.
+        state = self.build_state([0.5, 0.5], [(0, 0), (1, 1)])
+        vanished = MbmState(state.components, tuple(
+            GlobalHypothesis(-math.inf, g.assignment_vector) for g in state.global_hypotheses
+        ), 1)
+        with pytest.raises(NumericalError, match="weight vanished or diverged"):
+            mbm.prune(vanished, FilterParams())
 
     def test_all_below_threshold_keeps_best(self):
         state = self.build_state([0.5, 0.5], [(0, 0), (1, 1)])

@@ -75,6 +75,9 @@ def test_model_validation_errors():
         LinearGaussianModel([[1.0]], [[0.0]], [[1.0]], [[1.0]], 0.9, 0.9, -1.0)
     with pytest.raises(InputError):
         LinearGaussianModel([[1.0, 0.0]], [[0.0]], [[1.0]], [[1.0]], 0.9, 0.9, 1e-4)
+    for observation in ([[1.0, 0.0, 0.0]], [1.0, 0.0]):
+        with pytest.raises(InputError, match="observation matrix must have 2 columns"):
+            LinearGaussianModel(np.eye(2), np.eye(2), observation, [[1.0]], 0.9, 0.9, 1e-4)
     for intensity in (np.nan, np.inf):
         with pytest.raises(InputError, match="clutter_intensity"):
             LinearGaussianModel([[1.0]], [[0.0]], [[1.0]], [[1.0]], 0.9, 0.9, intensity)
@@ -331,6 +334,19 @@ class TestGateStatistics:
                         multivariate_normal.logpdf(z, mean=H @ means[i], cov=S),
                         rel=1e-10, abs=1e-10,
                     )
+
+    @pytest.mark.parametrize(
+        "corner, message",
+        [(1.0, "not positive definite"), (1.0 + 1e-13, "numerically singular")],
+    )
+    def test_planar_second_pivot_checked(self, corner, message):
+        # S = [[1, 1], [1, corner]] has a first pivot of 1 and a second of corner - 1.
+        model = LinearGaussianModel(
+            np.eye(2), np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), 0.99, 0.9, 1e-4
+        )
+        covs = np.array([np.eye(2), [[1.0, 1.0], [1.0, corner]]])
+        with pytest.raises(NumericalError, match=message):
+            innovation_factors(np.zeros((2, 2)), covs, model)
 
     @pytest.mark.parametrize("n_z", [1, 2, 3])
     @pytest.mark.parametrize("bad", [0, 1, 2])

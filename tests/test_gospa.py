@@ -283,6 +283,12 @@ class TestGospaRun:
         with pytest.raises(InputError, match="step 3: vectors have dimension 3, step 1 has 2"):
             gospa_run([[[0.0, 0.0]], [], [[0.0, 0.0, 0.0]]], [[], [], []], P10)
 
+    def test_nested_beside_flat_elements_rejected(self):
+        # Each step passes its own checks: the nested truth element has the
+        # estimate's size.  The run's elements still do not stack into one block.
+        with pytest.raises(InputError, match="^set elements must be flat vectors$"):
+            gospa_run([[[[1.0, 2.0]]]], [[[3.0, 4.0]]], P10)
+
     def test_one_estimate_set_per_truth_set(self):
         with pytest.raises(InputError, match="one estimate set per truth set"):
             gospa_run([[], []], [[]], P10)

@@ -11,13 +11,12 @@ from mbmtrack.gospa import GospaParams
 from mbmtrack.mbm import BirthComponent, BirthModel, FilterParams
 from mbmtrack.sim import (
     Scenario,
+    Trajectory,
     builtin_scenario,
     builtin_scenarios,
     constant_velocity_model,
-    generate_measurements,
     generate_run_measurements,
     generate_truth,
-    make_crossing_truth,
     make_rng,
     run_monte_carlo,
     scenario_from_mapping,
@@ -195,6 +194,12 @@ class TestBuiltinScenarios:
         with pytest.raises(InputError, match="birth components must have dimension 4"):
             replace(scenario, birth=flat_birth)
 
+    @pytest.mark.parametrize("steps", [[4, 6], [3, 2]], ids=["past_duration", "reversed"])
+    def test_schedule_block_out_of_range_rejected(self, steps):
+        schedule = [{"steps": steps, "detection_prob": 0.5}]
+        with pytest.raises(InputError, match=r"detection schedule steps \[.*\] out of range"):
+            scenario_from_mapping(self.minimal_mapping(detection_schedule=schedule))
+
     def test_unknown_keys_rejected_by_path(self):
         raw = self.minimal_mapping(
             modle={},
@@ -271,9 +276,9 @@ class TestCrossingTruth:
         assert all(c == 3 for c in counts[39:81])
 
     def test_midpoints_near_anchor(self):
-        model = builtin_scenario("scenario1").model
+        scenario = builtin_scenario("scenario1")
         for seed in range(5):
-            trajectories = make_crossing_truth(model, make_rng(seed))
+            trajectories = generate_truth(scenario, seed).truth
             assert len(trajectories) == 4
             for t in trajectories:
                 mid = t.states[40]
@@ -282,7 +287,7 @@ class TestCrossingTruth:
                 assert abs(mid[1]) < 0.5 and abs(mid[3]) < 0.5
 
     def test_labels_and_intervals(self):
-        trajectories = make_crossing_truth(builtin_scenario("scenario1").model, make_rng(0))
+        trajectories = generate_truth(builtin_scenario("scenario1"), 0).truth
         spec = {t.label: (t.first_step, t.last_step) for t in trajectories}
         assert spec == {
             (1, 1): (1, 39),
@@ -303,19 +308,20 @@ class TestCrossingTruth:
         assert make_rng((3, 1)).random() == make_rng((3, 1)).random() != make_rng(3).random()
 
     def test_same_seed_same_truth(self):
-        model = builtin_scenario("scenario1").model
-        a = make_crossing_truth(model, make_rng(9))
-        b = make_crossing_truth(model, make_rng(9))
+        scenario = builtin_scenario("scenario1")
+        a = generate_truth(scenario, 9).truth
+        b = generate_truth(scenario, 9).truth
         for t1, t2 in zip(a, b):
             assert np.array_equal(t1.states, t2.states)
 
     def test_dynamics_consistency(self):
         # each transition must be reachable under the model: x' - F x has the
         # process-noise distribution; check the empirical second moment
-        model = builtin_scenario("scenario1").model
+        scenario = builtin_scenario("scenario1")
+        model = scenario.model
         residuals = []
         for seed in range(40):
-            for t in make_crossing_truth(model, make_rng(seed)):
+            for t in generate_truth(scenario, seed).truth:
                 diffs = t.states[1:] - t.states[:-1] @ model.transition.T
                 residuals.append(diffs)
         residuals = np.concatenate(residuals)
@@ -324,44 +330,56 @@ class TestCrossingTruth:
 
 
 class TestMeasurementGeneration:
-    def region(self):
-        return ((0.0, 300.0), (0.0, 300.0))
+    @staticmethod
+    def scenario(duration, truth=(), **fields):
+        """scenario1 over ``duration`` steps with the given truth (none by default)."""
+        return replace(builtin_scenario("scenario1"), duration=duration, truth=truth, **fields)
+
+    @staticmethod
+    def still(state, duration, label=(1, 1)):
+        """A trajectory that stays at ``state`` for ``duration`` steps."""
+        return Trajectory(label, 1, duration, np.tile(state, (duration, 1)))
 
     def test_no_sources_no_measurements(self):
-        model = constant_velocity_model(clutter_intensity=0.0)
-        rng = make_rng(0)
-        for _ in range(50):
-            scan = generate_measurements([], 0.0, model, self.region(), 0.0, rng)
+        quiet = self.scenario(50, clutter_rate=0.0)
+        for scan in generate_run_measurements(quiet, 0):
             assert scan.shape == (0, 2)
 
     def test_non_finite_states_rejected(self):
-        model, state = constant_velocity_model(), [150.0, 0.0, np.nan, 0.0]
-        with pytest.raises(InputError, match="true states must be finite"):
-            generate_measurements([state], 1.0, model, self.region(), 0.0, make_rng(0))
+        track = self.still([150.0, 0.0, np.nan, 0.0], 5)
+        with pytest.raises(InputError, match=r"trajectory \(1, 1\) states must be finite"):
+            self.scenario(5, (track,))
+
+    @pytest.mark.parametrize(
+        "states", [np.zeros((5, 2)), np.zeros(5), np.zeros((5, 4, 1)), np.zeros((4, 4))],
+        ids=["two_columns", "flat", "three_dimensional", "fewer_rows_than_duration"],
+    )
+    def test_misshapen_states_rejected(self, states):
+        good = self.still(np.zeros(4), 5)
+        bad = Trajectory((21, 2), 1, 5, states)
+        with pytest.raises(InputError, match=r"trajectory \(21, 2\) states must have shape"):
+            self.scenario(5, (good, bad))
+
+    def test_truth_may_outlast_the_duration(self):
+        scenario = self.scenario(5, (self.still([1.0, 0.0, 2.0, 0.0], 9),))
+        assert len(scenario.truth_states) == 5
 
     def test_detection_residual_moments(self):
-        model = constant_velocity_model(detection_prob=1.0)
-        rng = make_rng(1)
         x = np.array([150.0, 0.0, 120.0, 0.0])
+        certain = self.scenario(10_000, (self.still(x, 10_000),), clutter_rate=0.0,
+                                model=constant_velocity_model(detection_prob=1.0))
         residuals = []
-        for _ in range(10_000):
-            scan = generate_measurements([x], 1.0, model, self.region(), 0.0, rng)
+        for scan in generate_run_measurements(certain, 1):
             assert scan.shape == (1, 2)
-            residuals.append(scan[0] - model.observation @ x)
+            residuals.append(scan[0] - certain.model.observation @ x)
         residuals = np.asarray(residuals)
         cov = residuals.T @ residuals / len(residuals)
         assert np.abs(cov - np.eye(2)).max() < 0.1
         assert np.abs(residuals.mean(axis=0)).max() < 0.05
 
     def test_clutter_mean_and_chi_square_gof(self):
-        model = constant_velocity_model()
-        rng = make_rng(123)
-        counts = np.array(
-            [
-                len(generate_measurements([], 0.0, model, self.region(), 10.0, rng))
-                for _ in range(10_000)
-            ]
-        )
+        scans = generate_run_measurements(self.scenario(10_000), 123)
+        counts = np.array([len(scan) for scan in scans])
         assert abs(counts.mean() - 10.0) < 0.2
         # chi-square goodness of fit against Poisson(10) at the 1% level
         max_count = counts.max()
@@ -381,13 +399,7 @@ class TestMeasurementGeneration:
         assert p_value > 0.01
 
     def test_clutter_uniform_over_region(self):
-        model = constant_velocity_model()
-        rng = make_rng(7)
-        points = []
-        for _ in range(2000):
-            scan = generate_measurements([], 0.0, model, self.region(), 10.0, rng)
-            points.extend(scan)
-        points = np.asarray(points)
+        points = np.concatenate(generate_run_measurements(self.scenario(2000), 7))
         assert points.min() >= 0.0 and points.max() <= 300.0
         assert abs(points[:, 0].mean() - 150.0) < 3.0
         assert abs(points[:, 1].mean() - 150.0) < 3.0
@@ -409,20 +421,32 @@ class TestMeasurementGeneration:
         return block[rng.permutation(len(block))]
 
     @pytest.mark.parametrize("clutter_rate", [0.0, 0.5, 10.0, 60.0])
-    def test_clutter_matches_per_point_draws(self, clutter_rate):
-        model = constant_velocity_model()
+    def test_clutter_matches_per_point_draws(self, clutter_rate, monkeypatch):
         region = ((-50.0, 250.0), (10.0, 400.0))
         states = [np.array([100.0, 1.0, 200.0, -1.0]), np.array([0.0, 0.0, 50.0, 0.0])]
+        scenario = self.scenario(
+            5, (self.still(states[0], 5), self.still(states[1], 5, (1, 2))),
+            region=region, clutter_rate=clutter_rate, detection_schedule=(0.6,) * 5,
+        )
+        streams = []
+
+        def recorded_rng(seed):
+            streams.append(make_rng(seed))
+            return streams[-1]
+
+        monkeypatch.setattr(sim, "make_rng", recorded_rng)
         for seed in range(20):
-            rng, reference_rng = make_rng(seed), make_rng(seed)
-            for _ in range(5):
-                scan = generate_measurements(states, 0.6, model, region, clutter_rate, rng)
+            scans = generate_run_measurements(scenario, seed)
+            reference_rng = make_rng(seed)
+            for scan in scans:
                 expected = self.per_point_scan(
-                    states, 0.6, model, region, clutter_rate, reference_rng
+                    states, 0.6, scenario.model, region, clutter_rate, reference_rng
                 )
                 assert scan.shape == expected.shape
                 assert scan.tobytes() == expected.tobytes()
-            np.testing.assert_equal(rng.bit_generator.state, reference_rng.bit_generator.state)
+            np.testing.assert_equal(
+                streams[-1].bit_generator.state, reference_rng.bit_generator.state
+            )
 
     def test_scenario3_targets_silent_early(self):
         scenario = generate_truth(builtin_scenario("scenario3"), 11)
@@ -475,6 +499,10 @@ class TestRunMeasurements:
             np.testing.assert_equal(
                 streams[-1].bit_generator.state, reference_rng.bit_generator.state
             )
+
+    def test_truth_at_needs_truth(self):
+        with pytest.raises(InputError, match="scenario has no ground truth attached"):
+            builtin_scenario("scenario1").truth_at(1)
 
     def test_truth_states_follow_truth_at(self):
         scenario = generate_truth(builtin_scenario("scenario1"), 5)
