@@ -3,7 +3,7 @@
 Subpackages:
 
 * :mod:`mbmtrack.gaussian`: Kalman prediction/update and gating;
-* :mod:`mbmtrack.assignment`: optimal and ranked k-best partial assignment;
+* :mod:`mbmtrack.assignment`: ranked k-best partial assignment;
 * :mod:`mbmtrack.mbm`: the multi-Bernoulli mixture filtering recursion;
 * :mod:`mbmtrack.gospa`: GOSPA metric with its decomposition (the package
   attribute ``gospa`` is the function; import the module's other names with
@@ -12,7 +12,7 @@ Subpackages:
 * :mod:`mbmtrack.cli`: the ``mbmtrack`` command-line front end.
 """
 
-from .assignment import Assignment, FORBIDDEN, k_best, solve_optimal
+from .assignment import Assignment, FORBIDDEN, k_best
 from .errors import InputError, NumericalError
 from .gaussian import (
     GaussianDensity,
@@ -74,7 +74,6 @@ __all__ = [
     "predict",
     "prune",
     "run_monte_carlo",
-    "solve_optimal",
     "step",
     "update",
 ]

@@ -12,17 +12,19 @@ then corresponds one-to-one to a partial assignment of the original.  Its
 other entries are FORBIDDEN, as are those a Murty node pins or excludes: one
 marker from the caller to the solver, which never selects +inf.  A matrix
 with no admissible entry has only the empty assignment and takes no solve.
-The augmented matrices of a stack are built, and their roots solved and
-summed, many at once.  Each is solved with scipy's compiled Hungarian-family
-solver (loaded on its own, without the rest of ``scipy.optimize``), and
-ranked enumeration partitions the solution space around each emitted
-assignment (Murty's scheme).  A node
-is partitioned only on the rows its ancestors left unpinned, and an exact
-feasibility pretest skips every child that has no finite assignment, on
-which the solver would raise.  The others wait in the queue under a cheap
-lower bound on their cost and are solved only on reaching its top: one
-solve for the root and one per child popped, and the output of solving
-every child at once.
+Each is solved with scipy's compiled Hungarian-family solver (loaded on its
+own, without the rest of ``scipy.optimize``), and ranked enumeration
+partitions the solution space around each emitted assignment (Murty's
+scheme).  A node is partitioned only on the rows its ancestors left
+unpinned, and an exact feasibility pretest skips every child that has no
+finite assignment, on which the solver would raise.  The others wait in the
+queue under a cheap lower bound on their cost and are solved only on
+reaching its top: one solve for the root and one per child popped, and the
+output of solving every child at once.
+
+The private ``_ranked_columns`` ranks a stack of matrices, one k each, into
+arrays; the filter's update and GOSPA scoring each rank a stack with it, and
+``k_best`` ranks one matrix as a stack of one.
 
 Ties are broken deterministically: with ``resolve_ties`` equal-cost
 assignments are ordered lexicographically by their row-to-column mapping,
@@ -78,7 +80,7 @@ FORBIDDEN = float("inf")
 # cost, not within the window.
 _TIE_RTOL = 1e-9
 
-# Matrices per shared setup in a stacked ``k_best``: the augmented block of a
+# Matrices per shared setup in ``_ranked_columns``: the augmented block of a
 # whole filter step would raise peak memory for no gain in speed.
 _CHUNK = 32
 
@@ -95,65 +97,41 @@ class Assignment:
         return tuple(sorted(self.row_to_col.items()))
 
 
-def k_best(costs, k, resolve_ties: bool = True) -> list[Assignment] | list[list[Assignment]]:
-    """The k lowest-cost partial assignments in nondecreasing cost order.
+def k_best(costs, k: int, resolve_ties: bool = True) -> list[Assignment]:
+    """The k lowest-cost partial assignments of an (R, C) matrix, by nondecreasing cost.
 
-    ``costs`` is one (R, C) matrix or a stack (G, R, C) of them; ``k`` is one
-    positive integer, or a list or tuple of one per matrix.  A matrix gives
-    a list of min(k, number of feasible assignments) results, and a stack
-    gives one such list per matrix.  The empty assignment (cost 0) is always
-    feasible, so no list is empty.  A single matrix is a stack of one: both
-    take the same path, and each matrix of a stack gets bitwise the result
-    it gets alone.
-
-    The validation and the augmented matrices are computed for a whole
-    stack at once, the latter in chunks of ``_CHUNK`` matrices, and so are
-    the root solutions: a chunk solves the root of each of its matrices
-    first, in matrix order, and then runs Murty's search for each matrix
-    that needs more than its root.  A matrix with an admissible entry costs
-    one solve plus one per Murty child whose lower bound reaches the queue's
-    top; one without costs none.  Each matrix is ranked as given, so a row
-    or column that no matrix of the stack admits still adds to every solve;
-    a caller with many of them, such as the filter's update, drops them
-    first.
+    ``k`` is a positive integer, and the list holds min(k, number of feasible
+    assignments) results; the empty assignment (cost 0) is always feasible.
+    A matrix with an admissible entry costs one solve plus one per Murty
+    child whose lower bound reaches the queue's top; one without costs none.
 
     With ``resolve_ties`` (the default), exact cost ties across the k-th
     position are resolved by the lexicographic rule, which requires
     expanding one extra subproblem per call and sorting the results.  With
     ``resolve_ties=False`` enumeration stops at exactly k solutions, returned
     in the order they leave the queue: nondecreasing cost, ties in discovery
-    order.  The filter uses this fast path since its costs are continuous
-    and ties have probability zero.
+    order.  The filter ranks on this fast path, since its costs are
+    continuous and ties have probability zero.
     """
     costs = real_array(costs, "cost matrix entries")
-    if costs.ndim not in (2, 3):
-        raise InputError(f"costs must be a matrix or a stack of matrices, got shape {costs.shape}")
-    stack = costs if costs.ndim == 3 else costs[None]
-    n_mats = stack.shape[0]
-    ks = list(k) if isinstance(k, (list, tuple)) else [k] * n_mats
-    if len(ks) != n_mats:
-        raise InputError("k must be a positive integer, or one per cost matrix")
-    ks = [integer(rank, "k", 1) for rank in ks]
-    counts, totals, cols = _ranked_columns(stack, ks, resolve_ties)
-    solutions = zip(cols.tolist(), totals.tolist())
-    results = [
-        [
-            Assignment({r: c for r, c in enumerate(row) if c >= 0}, cost)
-            for row, cost in itertools.islice(solutions, count)
-        ]
-        for count in counts
+    if costs.ndim != 2:
+        raise InputError(f"costs must be a matrix, got shape {costs.shape}")
+    _, totals, cols = _ranked_columns(costs[None], [integer(k, "k", 1)], resolve_ties)
+    return [
+        Assignment({r: c for r, c in enumerate(row) if c >= 0}, cost)
+        for row, cost in zip(cols.tolist(), totals.tolist())
     ]
-    return results if costs.ndim == 3 else results[0]
 
 
 def _ranked_columns(costs: np.ndarray, ks: list, resolve_ties: bool):
-    """``k_best`` of a (G, R, C) stack as arrays: (counts, totals, columns).
+    """``k_best`` of each matrix g of a (G, R, C) float stack, with k = ``ks[g]``,
+    as arrays: (counts, totals, columns).
 
     ``counts[g]`` is the number of solutions of matrix g, and they are the
     next ``counts[g]`` rows of ``totals`` (S,) and ``columns`` (S, R), which
     hold each solution's total cost and the caller column of every row, -1
-    where it is unassigned.  ``k_best`` builds its ``Assignment`` lists from
-    these, and the filter turns them into child keys directly.
+    where it is unassigned.  Each matrix gets bitwise the result it gets
+    alone.  Only NaN and -inf entries are checked for; ``ks`` must hold ints.
 
     The augmented matrices of ``_CHUNK`` matrices are built as one block:
     matrix g's is ``aug[g]``, its C columns and then the zero slack of row i
@@ -308,11 +286,6 @@ def _murty(aug: np.ndarray, k: int, resolve_ties: bool, row_min: list[float], ro
                 heapq.heappush(heap, (bound, next(counter), t, node, sol, flat, values, False))
             pinned += picked[t]
     return emitted
-
-
-def solve_optimal(costs) -> Assignment:
-    """The minimum-cost partial assignment (lexicographically first on ties)."""
-    return k_best(costs, 1)[0]
 
 
 def parse_cost_matrix(text: str) -> np.ndarray:

@@ -11,8 +11,8 @@ reduces to a partial assignment problem with entries d^p - c^p.
 
 ``gospa_run`` scores a whole run, one (truth, estimate) pair per step: it
 validates all the points as one block and ranks the assignment problems of
-every step in one stacked ``k_best`` call.  ``gospa`` scores one pair as a
-run of one step.
+every step as one stack, reading each step's matching from the ranked
+column array.  ``gospa`` scores one pair as a run of one step.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import FORBIDDEN, k_best
+from .assignment import FORBIDDEN, _ranked_columns
 from .errors import InputError, integer, real_array, real_number
 
 #: Euclidean distance on the planar position slots of a
@@ -115,10 +115,10 @@ def gospa_run(truths, estimates, params: GospaParams = GospaParams()) -> list[Go
     of vectors or an (n, dim) array.  Every vector of the run has one
     dimension.  The points are validated and projected as one block, and
     the cost matrices of the steps whose sets are both non-empty are padded
-    with FORBIDDEN to one (steps, n_max, m_max) stack that one ``k_best``
-    call ranks.  Padding rows take only their zero slacks, padding columns
-    are never taken and ties go to the lexicographically first matching, so
-    each step's matching is bitwise the one it gets alone.
+    with FORBIDDEN to one (steps, n_max, m_max) stack, ranked in one
+    ``_ranked_columns`` call.  Padding rows take only their zero slacks,
+    padding columns are never taken and ties go to the lexicographically
+    first matching, so each step's matching is bitwise the one it gets alone.
     """
     truths, estimates = list(truths), list(estimates)
     if len(truths) != len(estimates):
@@ -131,15 +131,16 @@ def gospa_run(truths, estimates, params: GospaParams = GospaParams()) -> list[Go
     sizes = sizes.reshape(n_steps, 2)
     n_points = int(sizes.sum())
     matchings = [()] * n_steps
-    matched = [()] * n_steps  # d^p of each step's matched pairs, in matching order
-    n_matched = np.zeros(n_steps, dtype=np.intp)
+    localisation = [0.0] * n_steps  # each step's sum of d^p, added in matching order
     scored = np.flatnonzero(sizes.all(axis=1))
     c_p = params.cutoff**params.order
     if n_points:
         try:
             block = real_array(
                 [v for t, e in zip(truths, estimates) for s in (t, e) for v in s], "set elements"
-            ).reshape(n_points, -1)
+            )
+            # A nested element (an array of vectors, say) is not a flat vector.
+            block = block.reshape(n_points, -1) if block.ndim <= 2 else None
         except InputError:
             block = None  # ragged, or not real numbers
         if (
@@ -166,24 +167,20 @@ def gospa_run(truths, estimates, params: GospaParams = GospaParams()) -> list[Go
             diffs = xs[:, :, None, :] - ys[:, None, :, :]
             dist_p = np.sqrt(np.add.reduce(diffs * diffs, axis=3)) ** params.order
         admissible = has_row[:, :, None] & has_col[:, None, :] & (dist_p < c_p)
-        ranked = k_best(np.where(admissible, dist_p - c_p, FORBIDDEN), 1)
-        pairs = [solutions[0].pairs() for solutions in ranked]
-        counts = [len(matching) for matching in pairs]
-        flat = np.array([pair for matching in pairs for pair in matching], dtype=np.intp)
-        flat = flat.reshape(-1, 2)
-        values = dist_p[np.repeat(np.arange(len(scored)), counts), flat[:, 0], flat[:, 1]]
-        values, bounds = values.tolist(), np.cumsum([0] + counts).tolist()
-        for k, matching, lo, hi in zip(scored.tolist(), pairs, bounds, bounds[1:]):
-            matchings[k], matched[k] = matching, values[lo:hi]
-        n_matched[scored] = counts
+        costs = np.where(admissible, dist_p - c_p, FORBIDDEN)
+        taken = _ranked_columns(costs, [1] * len(scored), True)[2]
+        # Each matched (step, truth, estimate), by step and then truth.
+        step_of, row = (taken >= 0).nonzero()
+        col = taken[step_of, row]
+        values = dist_p[step_of, row, col].tolist()
+        for k, i, j, value in zip(scored[step_of].tolist(), row.tolist(), col.tolist(), values):
+            matchings[k] += ((i, j),)
+            localisation[k] += value
 
     half_cp = 0.5 * c_p
     results = []
-    unmatched = (sizes - n_matched[:, None]).tolist()
-    for (n_missed, n_false), matching, distances in zip(unmatched, matchings, matched):
-        localisation_p = 0.0
-        for value in distances:
-            localisation_p += value
+    for (n_truth, n_est), matching, localisation_p in zip(sizes.tolist(), matchings, localisation):
+        n_missed, n_false = n_truth - len(matching), n_est - len(matching)
         missed_p = half_cp * n_missed
         false_p = half_cp * n_false
         total = (localisation_p + missed_p + false_p) ** (1.0 / params.order)

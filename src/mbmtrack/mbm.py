@@ -233,6 +233,7 @@ def predict(
     n_h, n_b = len(state.means), len(b_existences)
     if b_means.size != n_b * n_x:
         raise InputError(f"birth components must have dimension {n_x}")
+    _check_state(state, n_x)
     means, covariances = predict_stack(
         state.means.reshape(n_h, n_x), state.covariances.reshape(n_h, n_x, n_x), model
     )
@@ -249,6 +250,13 @@ def predict(
         np.concatenate((state.vectors, np.zeros((len(state.vectors), n_b), dtype=np.intp)), axis=1),
         state.global_log_weights,
     )
+
+
+def _check_state(state: MbmState, n_x: int | None = None) -> None:
+    if not len(state.global_log_weights):
+        raise InputError("state has no global hypotheses")
+    if n_x is not None and len(state.means) and state.means.shape[1] != n_x:
+        raise InputError(f"state hypotheses must have dimension {n_x}, not {state.means.shape[1]}")
 
 
 def _logsumexp(values) -> float:
@@ -333,6 +341,7 @@ def update(
     association to the parents' histories.  One gain call on the gate's
     factors of S serves every detected child.
     """
+    _check_state(state, model.state_dim)
     zs = _as_measurement_block(measurements, model.meas_dim)
     m, p_d = len(zs), model.detection_prob
     offsets = state.offsets[:-1]
@@ -452,6 +461,7 @@ def prune(state: MbmState, params: FilterParams) -> MbmState:
     surviving hypotheses are removed and every assignment vector shrinks
     consistently.
     """
+    _check_state(state)
     vectors, weights = _merge_duplicates(state.vectors, state.global_log_weights)
     weights = _normalized(weights)
     kept = [g for g, w in enumerate(weights.tolist()) if math.exp(w) >= params.prune_global_weight]
@@ -490,8 +500,7 @@ def prune(state: MbmState, params: FilterParams) -> MbmState:
 
 def estimate(state: MbmState, params: FilterParams) -> list[TargetEstimate]:
     """Means of the best global's hypotheses with existence above threshold."""
-    if not len(state.global_log_weights):
-        raise InputError("state has no global hypotheses")
+    _check_state(state)
     rows = state.vectors[state.global_log_weights.argmax()] + state.offsets[:-1]
     rows = rows[state.existences[rows] > params.estimate_existence]
     return [

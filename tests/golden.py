@@ -9,9 +9,10 @@ new file; ``test_golden.py`` replays the runs against it.
 Per step the file holds the sha256 of the predicted, updated and pruned
 states' arrays and of the estimates, the sizes of those states, the
 estimates themselves and the filter's LSAP solves.  Each run is scored as
-the benchmark scores it, and per run the file holds the calls and LSAP
-solves of scoring's ``k_best``.  The digests are bitwise, so they hold only
-under the numpy, scipy and Python versions recorded with them.
+the benchmark scores it, and per run the file holds the ranking calls and
+LSAP solves of scoring (``gospa_k_best_calls`` and ``gospa_lsap_solves``).
+The digests are bitwise, so they hold only under the numpy, scipy and
+Python versions recorded with them.
 """
 from __future__ import annotations
 
@@ -85,11 +86,11 @@ def _state(state: mbm.MbmState) -> tuple[str, list[int]]:
 def _recording(steps: list, scoring: dict):
     """Record each stage of every ``mbm.step``, and count LSAP solves, while the block runs.
 
-    A solve inside GOSPA's ``k_best`` counts toward ``scoring``, any other
-    toward the filter step under way.
+    A solve inside GOSPA's ``_ranked_columns`` call counts toward
+    ``scoring``, any other toward the filter step under way.
     """
     originals = {name: getattr(mbm, name) for name in ("predict", "update", "estimate", "prune")}
-    solve, score_k_best = assignment.linear_sum_assignment, gospa_module.k_best
+    solve, score_ranking = assignment.linear_sum_assignment, gospa_module._ranked_columns
     filter_solves, in_scoring = [0], []
 
     def counted_solve(*args):
@@ -99,11 +100,11 @@ def _recording(steps: list, scoring: dict):
             filter_solves[0] += 1
         return solve(*args)
 
-    def counted_k_best(*args, **kwargs):
+    def counted_ranking(*args, **kwargs):
         scoring["gospa_k_best_calls"] += 1
         in_scoring.append(True)
         try:
-            return score_k_best(*args, **kwargs)
+            return score_ranking(*args, **kwargs)
         finally:
             in_scoring.pop()
 
@@ -131,7 +132,7 @@ def _recording(steps: list, scoring: dict):
 
     patches = [(mbm, name, stage(name)) for name in originals] + [
         (assignment, "linear_sum_assignment", counted_solve),
-        (gospa_module, "k_best", counted_k_best),
+        (gospa_module, "_ranked_columns", counted_ranking),
     ]
     restore = [(module, name, getattr(module, name)) for module, name, _ in patches]
     try:
@@ -148,7 +149,7 @@ def replay(run) -> tuple[list[dict], dict]:
     """One run, filtered and scored the way the benchmark runs it.
 
     Returns per step the digests, counts, estimates (labels, then state) and
-    filter LSAP solves, and the calls and LSAP solves of scoring's ``k_best``.
+    filter LSAP solves, and the ranking calls and LSAP solves of scoring.
     The result is cached per run, so tests that read the same run share one
     pass; callers must not modify it.
     """

@@ -24,7 +24,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from mbmtrack.assignment import FORBIDDEN, Assignment, k_best, solve_optimal
+from mbmtrack.assignment import FORBIDDEN, Assignment, k_best
 from mbmtrack.errors import InputError, NumericalError
 from mbmtrack.gaussian import (
     LinearGaussianModel, floor_log, gate, innovation_factors, kalman_gains, posterior_means,
@@ -177,7 +177,7 @@ def gospa_oracle(truth, estimate, c, p):
 
 def gospa_reference(truth, estimate, params):
     """The one-step scorer that ``gospa_run`` stacks: each pair of sets
-    validated, projected and matched on its own, with ``solve_optimal``.
+    validated, projected and matched on its own, with ``k_best(costs, 1)``.
     Kept so the stacked scorer can be checked against it bitwise."""
 
     def as_points(vectors, projection):
@@ -208,7 +208,7 @@ def gospa_reference(truth, estimate, params):
             diffs = xs[:, None, :] - ys[None, :, :]
             dist_p = np.linalg.norm(diffs, axis=2) ** params.order
         costs = np.where(dist_p < c_p, dist_p - c_p, FORBIDDEN)
-        matching = solve_optimal(costs).pairs()
+        matching = k_best(costs, 1)[0].pairs()
     else:
         dist_p = np.zeros((n_truth, n_est))
         matching = ()
@@ -456,8 +456,8 @@ def update_reference(
     (parents, m) tables of detection log-weights and of assignment costs
     (misdetection/detection log-ratios).  Each prior global takes the rows
     of its parents as its cost matrix and spawns its ceil(max_globals *
-    weight) best children; one k-best call ranks the whole stack of these
-    matrices.  Weights are renormalized.
+    weight) best children, ranked by one ``k_best`` call per global.
+    Weights are renormalized.
     A child is keyed ``parent * (m + 1) + association`` (0 misdetection,
     j + 1 measurement j), which sorts by parent, misdetection first.  The
     (solutions, components) key array is its globals' misdetection keys plus
@@ -517,7 +517,7 @@ def update_reference(
         max(1, math.ceil(params.max_globals * math.exp(min(w, 0.0))))
         for w in state.global_log_weights.tolist()
     ]
-    ranked = k_best(cost[rows], k_us, resolve_ties=False)
+    ranked = [k_best(matrix, k_u, resolve_ties=False) for matrix, k_u in zip(cost[rows], k_us)]
     counts = [len(assignments) for assignments in ranked]
     solutions = list(chain.from_iterable(ranked))
     maps = [solution.row_to_col for solution in solutions]

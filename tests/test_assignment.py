@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import enumerate_partial_assignments, k_best_oracle, lex_key, murty_reference
 
 import mbmtrack.assignment as assignment
-from mbmtrack.assignment import FORBIDDEN, Assignment, k_best, parse_cost_matrix, solve_optimal
+from mbmtrack.assignment import FORBIDDEN, Assignment, k_best, parse_cost_matrix
 from mbmtrack.errors import InputError
 
 F = FORBIDDEN
@@ -36,6 +37,17 @@ def forbidden_pattern(rng, max_size=8):
 
 def bitwise(assignments):
     return [(a.row_to_col, a.total_cost.hex()) for a in assignments]
+
+
+def ranked_stack(costs, ks, resolve_ties):
+    """``_ranked_columns`` of a (G, R, C) stack, as one ``bitwise`` list per matrix."""
+    counts, totals, cols = assignment._ranked_columns(costs, ks, resolve_ties)
+    solutions = zip(cols.tolist(), totals.tolist())
+    return [
+        [({r: c for r, c in enumerate(row) if c >= 0}, total.hex())
+         for row, total in itertools.islice(solutions, count)]
+        for count in counts
+    ]
 
 
 class TestLsapLoader:
@@ -69,24 +81,26 @@ class TestLsapLoader:
 
 
 class TestSolveOptimal:
+    """The best assignment alone: ``k_best(costs, 1)``."""
+
     def test_empty_matrices(self):
         for shape in [(0, 0), (0, 3), (4, 0)]:
-            result = solve_optimal(np.zeros(shape))
+            [result] = k_best(np.zeros(shape), 1)
             assert result.row_to_col == {}
             assert result.total_cost == 0.0
 
     def test_two_by_two(self):
-        result = solve_optimal(np.array([[-5.0, -1.0], [-2.0, -4.0]]))
+        [result] = k_best(np.array([[-5.0, -1.0], [-2.0, -4.0]]), 1)
         assert result.row_to_col == {0: 0, 1: 1}
         assert result.total_cost == -9.0
 
     def test_positive_entry_left_unassigned(self):
-        result = solve_optimal(np.array([[3.0]]))
+        [result] = k_best(np.array([[3.0]]), 1)
         assert result.row_to_col == {}
         assert result.total_cost == 0.0
 
     def test_all_forbidden(self):
-        result = solve_optimal(np.full((2, 3), F))
+        [result] = k_best(np.full((2, 3), F), 1)
         assert result.row_to_col == {}
 
     def test_matches_brute_force(self):
@@ -94,7 +108,7 @@ class TestSolveOptimal:
         for _ in range(100):
             costs = random_matrix(rng, rng.integers(1, 5), rng.integers(1, 5))
             expected_map, expected_cost = k_best_oracle(costs, 1)[0]
-            result = solve_optimal(costs)
+            [result] = k_best(costs, 1)
             assert result.total_cost == pytest.approx(expected_cost, abs=1e-12)
             assert result.row_to_col == expected_map
 
@@ -106,7 +120,7 @@ class TestKBest:
             costs = random_matrix(rng, 3, 4)
             best = k_best(costs, 1)
             assert len(best) == 1
-            opt = solve_optimal(costs)
+            opt = k_best(costs, 6)[0]
             assert best[0].total_cost == pytest.approx(opt.total_cost, abs=1e-12)
             assert best[0].row_to_col == opt.row_to_col
 
@@ -311,7 +325,7 @@ class TestMurtyReference:
 @st.composite
 def _cost_stacks(draw):
     """Stacks of one shape with forbidden rows, columns and whole matrices,
-    and duplicate rows, which tie exactly."""
+    and duplicate rows, which tie exactly, with one k per matrix."""
     n_mats = draw(st.integers(1, 6))
     n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -322,27 +336,18 @@ def _cost_stacks(draw):
     costs[rng.random(n_mats) < 0.2] = F
     if n_rows > 1 and draw(st.booleans()):
         costs[:, 1] = costs[:, 0]
-    if draw(st.booleans()):
-        k = draw(st.lists(st.integers(1, 12), min_size=n_mats, max_size=n_mats))
-    else:
-        k = draw(st.integers(1, 12))
-    return costs, k
+    return costs, draw(st.lists(st.integers(1, 12), min_size=n_mats, max_size=n_mats))
 
 
 class TestStackedKBest:
-    """A stack ranks each matrix bitwise as k_best ranks it alone."""
-
-    @staticmethod
-    def one_by_one(costs, k, resolve_ties):
-        ks = k if isinstance(k, list) else [k] * len(costs)
-        return [bitwise(k_best(c, kg, resolve_ties=resolve_ties)) for c, kg in zip(costs, ks)]
+    """``_ranked_columns`` ranks each matrix of a stack bitwise as k_best ranks it alone."""
 
     @settings(max_examples=300, deadline=None)
     @given(_cost_stacks(), st.booleans())
     def test_stack_equals_each_matrix_alone(self, stack, resolve_ties):
-        costs, k = stack
-        got = k_best(costs, k, resolve_ties=resolve_ties)
-        assert [bitwise(ranked) for ranked in got] == self.one_by_one(costs, k, resolve_ties)
+        costs, ks = stack
+        alone = [bitwise(k_best(c, k, resolve_ties=resolve_ties)) for c, k in zip(costs, ks)]
+        assert ranked_stack(costs, ks, resolve_ties) == alone
 
     def test_stack_longer_than_a_chunk(self, monkeypatch):
         # Matrices of very different scales share chunks, and the stack
@@ -371,7 +376,7 @@ class TestStackedKBest:
 
         monkeypatch.setattr(assignment, "linear_sum_assignment", recorded)
         for resolve_ties in (True, False):
-            got = k_best(costs, ks, resolve_ties=resolve_ties)
+            got = ranked_stack(costs, ks, resolve_ties)
             stacked_inputs = inputs.copy()
             inputs.clear()
             alone, solves_alone = [], []
@@ -379,7 +384,7 @@ class TestStackedKBest:
                 n_before = len(inputs)
                 alone.append(bitwise(k_best(c, kg, resolve_ties=resolve_ties)))
                 solves_alone.append(inputs[n_before:])
-            assert [bitwise(ranked) for ranked in got] == alone
+            assert got == alone
             expected = []
             for start in range(0, n_mats, assignment._CHUNK):
                 chunk = solves_alone[start:start + assignment._CHUNK]
@@ -395,27 +400,28 @@ class TestStackedKBest:
                     assert np.array_equal(solves[0], np.hstack((c, slacks)))
             inputs.clear()
             for c, kg, ranked in zip(costs, ks, got):
-                assert bitwise(ranked) == bitwise(murty_reference(c, kg, resolve_ties))
+                assert ranked == bitwise(murty_reference(c, kg, resolve_ties))
 
     def test_empty_shapes(self):
-        assert k_best(np.zeros((0, 3, 2)), 1) == []
+        assert ranked_stack(np.zeros((0, 3, 2)), [], True) == []
         for shape in [(1, 0, 3), (3, 4, 0), (2, 0, 0)]:
-            assert k_best(np.zeros(shape), [2] * shape[0]) == [[Assignment({}, 0.0)]] * shape[0]
+            empty = [[({}, (0.0).hex())]] * shape[0]
+            assert ranked_stack(np.zeros(shape), [2] * shape[0], True) == empty
 
     def test_stack_validation(self):
-        good = np.zeros((2, 2, 2))
-        assert k_best(good, (1, 2)) == k_best(good, [1, 2])
-        for k in ([1], [1, 2, 3], [1, 0], [1, True], [1, 2.0], 2.0, None, np.array(2.0),
-                  np.ones((2, 1), dtype=int)):
+        # k_best ranks one matrix with one integer k; only the private
+        # ranking takes a stack, and it still rejects NaN and -inf entries.
+        for costs in (np.zeros((2, 2, 2)), np.zeros((1, 1, 1, 1))):
+            with pytest.raises(InputError, match="costs must be a matrix"):
+                k_best(costs, 1)
+        for k in ([1], (1,), 0, True, 2.0, None, np.array(2.0)):
             with pytest.raises(InputError, match="k must be"):
-                k_best(good, k)
+                k_best(np.zeros((2, 2)), k)
         for value in (np.nan, -np.inf):
-            bad = good.copy()
+            bad = np.zeros((2, 2, 2))
             bad[1, 0, 1] = value
             with pytest.raises(InputError):
-                k_best(bad, [1, 1])
-        with pytest.raises(InputError):
-            k_best(np.zeros((1, 1, 1, 1)), 1)
+                assignment._ranked_columns(bad, [1, 1], True)
 
 
 class _RecordingHeap:

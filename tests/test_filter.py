@@ -15,6 +15,7 @@ from mbmtrack.assignment import FORBIDDEN, k_best
 from mbmtrack.errors import InputError, NumericalError
 from mbmtrack.gaussian import (
     GaussianDensity,
+    LinearGaussianModel,
     PreparedMeasurementUpdate,
     floor_log,
     kalman_predict,
@@ -786,7 +787,7 @@ class TestStepAndLabels:
     def test_normalization_error_when_everything_vanishes(self):
         state = mbm.init_empty()
         bad = MbmState((), (), 0)
-        with pytest.raises(Exception):
+        with pytest.raises(InputError):
             mbm.estimate(bad, FilterParams())
         # estimate on a healthy empty state returns no targets
         assert mbm.estimate(state, FilterParams()) == []
@@ -854,6 +855,35 @@ def test_birth_of_the_wrong_dimension_fails_in_predict():
     model = builtin_scenario("scenario1").model
     with pytest.raises(InputError, match="birth components must have dimension 4"):
         mbm.step(mbm.init_empty(), np.zeros((0, 2)), model, flat, FilterParams())
+
+
+def test_state_of_the_wrong_dimension_rejected():
+    # A scenario1 state (4-D hypotheses) under a planar random-walk model.
+    scenario = builtin_scenario("scenario1")
+    state = mbm.predict(mbm.init_empty(), scenario.model, scenario.birth)
+    planar = LinearGaussianModel(np.eye(2), np.eye(2), np.eye(2), np.eye(2), 0.99, 0.9, 1e-4)
+    flat = BirthModel((BirthComponent(0.1, GaussianDensity(np.zeros(2), np.eye(2))),))
+    with pytest.raises(InputError, match="state hypotheses must have dimension 2, not 4"):
+        mbm.predict(state, planar, flat)
+    with pytest.raises(InputError, match="state hypotheses must have dimension 2, not 4"):
+        mbm.update(state, [[0.0, 0.0]], planar, FilterParams())
+    # The empty state has no hypotheses, so it fits every model.
+    empty = mbm.update(mbm.init_empty(), [[0.0, 0.0]], planar, FilterParams())
+    assert len(mbm.predict(empty, planar, flat).means) == 1
+
+
+@pytest.mark.parametrize("stage", ["predict", "update", "prune", "step"])
+def test_state_without_globals_rejected(stage):
+    scenario = builtin_scenario("scenario1")
+    bad, params = MbmState((), (), 0), FilterParams()
+    calls = {
+        "predict": lambda: mbm.predict(bad, scenario.model, scenario.birth),
+        "update": lambda: mbm.update(bad, [[0.0, 0.0]], scenario.model, params),
+        "prune": lambda: mbm.prune(bad, params),
+        "step": lambda: mbm.step(bad, [[0.0, 0.0]], scenario.model, scenario.birth, params),
+    }
+    with pytest.raises(InputError, match="^state has no global hypotheses$"):
+        calls[stage]()
 
 
 class TestFilterParamsValidation:
@@ -1147,7 +1177,7 @@ def _scored_run_counts(max_globals: int) -> dict:
     """Work counters of one scored scenario1 run (truth seed 2026, run seed 2027).
 
     Read from the golden replay of the same run, which splits LSAP solves by
-    caller: those inside GOSPA's ``k_best`` calls are scoring's, all others
+    caller: those inside GOSPA's ranking calls are scoring's, all others
     the filter's.
     """
     steps, scoring = golden.replay(("scenario1", max_globals, 2027))
@@ -1164,7 +1194,7 @@ class TestWorkCounters:
     def test_scenario1_counters_at_canonical_cap(self):
         """The filter's LSAP solves, globals and children on one scenario1 run
         at N_h = 200 are deterministic; a change that keeps rankings and
-        child selection keeps them.  Scoring the run is one GOSPA ``k_best``
+        child selection keeps them.  Scoring the run is one GOSPA ranking
         call, whose solves a change that keeps the matchings keeps too."""
         counts = _scored_run_counts(200)
         assert counts == {

@@ -289,6 +289,13 @@ class TestGospaRun:
         with pytest.raises(InputError, match="^set elements must be flat vectors$"):
             gospa_run([[[[1.0, 2.0]]]], [[[3.0, 4.0]]], P10)
 
+    def test_nested_elements_rejected(self):
+        # Every element of the run is a 2 x 2 array: each step passes its
+        # own checks, but no element is a flat vector.
+        nested = [[[[1.0, 2.0], [3.0, 4.0]]]]
+        with pytest.raises(InputError, match="^set elements must be flat vectors$"):
+            gospa_run(nested, nested, GospaParams(projection=(0, 3)))
+
     def test_one_estimate_set_per_truth_set(self):
         with pytest.raises(InputError, match="one estimate set per truth set"):
             gospa_run([[], []], [[]], P10)
