@@ -17,7 +17,6 @@ from .errors import InputError, NumericalError
 from .gaussian import (
     GaussianDensity,
     LinearGaussianModel,
-    gating_statistic,
     kalman_predict,
     kalman_update,
 )
@@ -39,7 +38,7 @@ from .mbm import (
     step,
     update,
 )
-from .sim import Scenario, builtin_scenarios, run_monte_carlo
+from .sim import Scenario, run_monte_carlo
 
 __version__ = "0.1.0"
 
@@ -62,9 +61,7 @@ __all__ = [
     "Scenario",
     "SingleTargetHypothesis",
     "TargetEstimate",
-    "builtin_scenarios",
     "estimate",
-    "gating_statistic",
     "gospa",
     "gospa_run",
     "init_empty",

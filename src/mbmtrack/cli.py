@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .assignment import k_best, parse_cost_matrix
-from .errors import InputError, NumericalError, finite_array
+from .errors import InputError, NumericalError, finite_array, read_text
 from .gospa import POSITION_PROJECTION, GospaParams, component_rms, gospa_run, rms
 from .mbm import FilterParams
 from .sim import (
@@ -52,7 +52,7 @@ def write_measurement_file(path, scans) -> None:
 def read_measurement_file(path, meas_dim: int) -> list[np.ndarray]:
     """One (points, meas_dim) scan per line: points split by ';', coordinates by spaces."""
     scans = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         points = []
         for token in filter(None, (part.strip() for part in line.split(";"))):
             try:
@@ -80,7 +80,7 @@ def write_labeled_state_file(path, per_step) -> None:
 
 def read_labeled_state_file(path) -> list[list[tuple[tuple[int, int], np.ndarray]]]:
     per_step = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         entries = []
         for token in filter(None, (part.strip() for part in line.split(";"))):
             fields = token.split()
@@ -252,7 +252,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    costs = parse_cost_matrix(Path(args.input).read_text(encoding="utf-8"))
+    costs = parse_cost_matrix(read_text(args.input))
     for assignment in k_best(costs, args.k):
         pairs = " ".join(f"{r}->{c}" for r, c in assignment.pairs())
         print(f"{assignment.total_cost:.12g}\t{pairs if pairs else '(none)'}")
@@ -334,7 +334,3 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

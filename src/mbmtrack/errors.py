@@ -1,13 +1,14 @@
 """Exception types and the input checks shared across the library.
 
 Every array a caller hands to a constructor or entry point is converted by
-``real_array`` or ``finite_array``, and every scalar parameter by
-``real_number`` or ``integer``, so bad data fails here with InputError.
-The CLI maps InputError (and file/parse failures) to exit code 2 and
-NumericalError to exit code 1.
+``real_array`` or ``finite_array``, every scalar parameter by
+``real_number`` or ``integer``, and every input file is read by
+``read_text``, so bad data fails here with InputError.  The CLI maps
+InputError (and OSError) to exit code 2 and NumericalError to exit code 1.
 """
 import math
 import numbers
+from pathlib import Path
 
 import numpy as np
 
@@ -83,3 +84,11 @@ def finite_array(values, what: str, shape: tuple[int, ...] | None = None) -> np.
     if not np.isfinite(array).all():
         raise InputError(f"{what} must be finite")
     return array
+
+
+def read_text(path) -> str:
+    """The text of the file at ``path``; InputError naming it unless it is UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc

@@ -208,7 +208,6 @@ def gate(factors, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         white = np.linalg.solve(chol, diffs.swapaxes(1, 2))
         maha = np.sum(white * white, axis=1)
-    maha = np.maximum(maha, 0.0)
     logliks = -0.5 * (chol.shape[1] * _LOG_2PI + log_det[:, None] + maha)
     return maha, logliks
 
@@ -304,8 +303,3 @@ def kalman_update(
     prepared = PreparedMeasurementUpdate(prior, model)
     return prepared.posterior(z), float(prepared.batch_statistics(z)[1][0])
 
-
-def gating_statistic(prior: GaussianDensity, z, model: LinearGaussianModel) -> float:
-    """(z - H x)' S^-1 (z - H x) with S = H P H' + R."""
-    prepared = PreparedMeasurementUpdate(prior, model)
-    return float(prepared.batch_statistics(_check_measurement(z, model.meas_dim))[0][0])

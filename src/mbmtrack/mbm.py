@@ -215,18 +215,12 @@ def init_empty() -> MbmState:
     return MbmState((), (GlobalHypothesis(0.0, ()),), 0)
 
 
-def predict(
-    state: MbmState,
-    model: LinearGaussianModel,
-    birth: BirthModel,
-    label_births: bool = True,
-) -> MbmState:
+def predict(state: MbmState, model: LinearGaussianModel, birth: BirthModel) -> MbmState:
     """Survival/dynamics prediction plus appended multi-Bernoulli birth.
 
     The number of global hypotheses is unchanged; each assignment vector is
-    extended to point at the single hypothesis of every new birth component.
-    ``label_births=False`` leaves the birth metadata blank (all numerics are
-    identical either way).
+    extended to point at the single hypothesis of every new birth component,
+    labelled (new time, index).
     """
     new_time, n_x = state.time + 1, model.state_dim
     b_means, b_covariances, b_existences, b_log_weights, b_labels = birth.stacked
@@ -243,8 +237,7 @@ def predict(
         np.concatenate((covariances, b_covariances.reshape(n_b, n_x, n_x))),
         np.concatenate((state.existences * model.survival_prob, b_existences)),
         np.concatenate((state.log_weights, b_log_weights)),
-        # Labels (new_time, index), or (0, 0) for unlabelled births.
-        np.concatenate((state.labels, b_labels * ((new_time, 1) if label_births else (0, 0)))),
+        np.concatenate((state.labels, b_labels * (new_time, 1))),
         np.concatenate((state.histories, np.full((n_b, state.histories.shape[1]), -1))),
         np.concatenate((state.offsets, state.offsets[-1] + b_labels[:, 1])),
         np.concatenate((state.vectors, np.zeros((len(state.vectors), n_b), dtype=np.intp)), axis=1),
@@ -515,10 +508,9 @@ def step(
     model: LinearGaussianModel,
     birth: BirthModel,
     params: FilterParams,
-    label_births: bool = True,
 ) -> tuple[MbmState, list[TargetEstimate]]:
     """One full cycle: predict, update, estimate, then prune."""
-    predicted = predict(state, model, birth, label_births=label_births)
+    predicted = predict(state, model, birth)
     updated = update(predicted, measurements, model, params)
     estimates = estimate(updated, params)
     return prune(updated, params), estimates

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 import yaml
 
-from .errors import InputError, finite_array, integer, real_number
+from .errors import InputError, finite_array, integer, read_text, real_number
 from .gaussian import GaussianDensity, LinearGaussianModel
 # gospa stays a module attribute here: perfbench/tracing.py rebinds it.
 from .gospa import (  # noqa: F401
@@ -433,8 +433,13 @@ def scenario_from_mapping(raw: dict) -> Scenario:
 
 
 def load_scenario_file(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        raw = yaml.safe_load(read_text(path))
+    except yaml.YAMLError as exc:  # one line: the parser's own message names no file
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise InputError(f"scenario file {path} is not valid YAML{where}: {problem}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"scenario file {path} does not hold a mapping")
     return scenario_from_mapping(raw)
@@ -446,11 +451,6 @@ def builtin_scenario(name: str) -> Scenario:
     resource = importlib.resources.files("mbmtrack").joinpath(f"data/{name}.yaml")
     with importlib.resources.as_file(resource) as path:
         return load_scenario_file(path)
-
-
-def builtin_scenarios() -> dict[str, Scenario]:
-    """The three shipped benchmark scenarios."""
-    return {name: builtin_scenario(name) for name in SCENARIO_NAMES}
 
 
 def resolve_scenario(name_or_path: str) -> Scenario:

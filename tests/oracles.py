@@ -10,7 +10,8 @@ loop that solves every child; ``gospa_reference``, GOSPA scored one step at a
 time; ``predict_reference``, predict with the birth block built on every
 call; ``update_reference``, the measurement update written against the
 public ``k_best``, turning its ``Assignment`` maps into child keys.
-``check_state`` asserts the invariants every filter state must satisfy.
+``check_state`` asserts the invariants every filter state must satisfy, and
+``label_scrambled_run`` that a hypothesis's label never reaches the numerics.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+import mbmtrack.mbm as mbm
 from mbmtrack.assignment import FORBIDDEN, Assignment, k_best
 from mbmtrack.errors import InputError, NumericalError
 from mbmtrack.gaussian import (
@@ -382,7 +384,7 @@ class ExhaustiveMbm:
 # -- filter prediction --------------------------------------------------------
 
 
-def predict_reference(state, model, birth, label_births=True):
+def predict_reference(state, model, birth):
     """``mbm.predict`` with its birth block built from the components on every
     call, kept so the cached block can be checked against it bitwise."""
     new_time, n_x, births = state.time + 1, model.state_dim, birth.components
@@ -399,8 +401,7 @@ def predict_reference(state, model, birth, label_births=True):
         np.concatenate((
             state.labels,
             np.array(
-                [(new_time, index) if label_births else (0, 0) for index in range(1, n_b + 1)],
-                dtype=np.intp,
+                [(new_time, index) for index in range(1, n_b + 1)], dtype=np.intp
             ).reshape(n_b, 2),
         )),
         np.concatenate((state.histories, np.full((n_b, state.histories.shape[1]), -1))),
@@ -594,3 +595,46 @@ def check_state(state):
     for i, comp in enumerate(state.components):
         referenced = {g.assignment_vector[i] for g in state.global_hypotheses}
         assert referenced == set(range(len(comp.hypotheses)))
+
+
+NUMERIC_ARRAYS = (
+    "means", "covariances", "existences", "log_weights", "histories", "offsets", "vectors",
+    "global_log_weights",
+)
+
+
+def label_scrambled_run(scans, models, birth, params, seed):
+    """Filter ``scans`` twice and assert that labels never reach the numerics.
+
+    The first run calls ``mbm.step``.  The second runs its stages (predict,
+    update, estimate, prune) but replaces every predicted hypothesis's label
+    with a seeded random int pair before each ``update``.  At every step the
+    two runs' ``NUMERIC_ARRAYS`` and estimate states must be bitwise equal,
+    while their labels differ.  Returns the first run's states.
+    """
+    rng = np.random.default_rng(seed)
+    plain = scrambled = mbm.init_empty()
+    states = []
+    for k, (zs, model) in enumerate(zip(scans, models), start=1):
+        plain, plain_estimates = mbm.step(plain, zs, model, birth, params)
+        predicted = mbm.predict(scrambled, model, birth)
+        labels = rng.integers(0, 2**31, size=predicted.labels.shape).astype(np.intp)
+        predicted = MbmState._stacked(
+            predicted.time, predicted.means, predicted.covariances, predicted.existences,
+            predicted.log_weights, labels, predicted.histories, predicted.offsets,
+            predicted.vectors, predicted.global_log_weights,
+        )
+        updated = mbm.update(predicted, zs, model, params)
+        estimates = mbm.estimate(updated, params)
+        scrambled = mbm.prune(updated, params)
+        for name in NUMERIC_ARRAYS:
+            got, want = getattr(scrambled, name), getattr(plain, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (
+                want.dtype, want.shape, want.tobytes()
+            ), f"step {k}: {name} depends on the labels"
+        assert [e.state.tobytes() for e in estimates] == [
+            e.state.tobytes() for e in plain_estimates
+        ], f"step {k}: estimates depend on the labels"
+        assert not len(plain.labels) or (scrambled.labels != plain.labels).any()
+        states.append(plain)
+    return states

@@ -591,6 +591,62 @@ class TestRejectedTrackInput:
         assert code == 2
         assert "list.yaml does not hold a mapping" in capsys.readouterr().err
 
+    def test_malformed_scenario_yaml_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text("a: [\n", encoding="utf-8")
+        meas = tmp_path / "meas.txt"
+        meas.write_text("140 170\n", encoding="utf-8")
+        code = main(["track", "--scenario", str(scenario), "--measurements", str(meas),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario file {scenario} is not valid YAML at line 2"), err
+
+
+# The files each subcommand reads, by flag name.
+READ_FLAGS = {
+    "simulate": ("scenario",),
+    "track": ("scenario", "measurements"),
+    "evaluate": ("truth", "estimates"),
+    "benchmark": ("scenario",),
+    "assign": ("input",),
+}
+# Contents that make an input file unreadable, and what the error line then says.
+UNREADABLE = {
+    "not_utf8": (b"\xff\xfe 1 2\n", "is not UTF-8 text"),
+    "bad_yaml": (b"a: [\n", "is not valid YAML"),
+}
+
+
+@pytest.mark.parametrize("command, flag, problem", [
+    *((command, flag, "not_utf8") for command, flags in READ_FLAGS.items() for flag in flags),
+    *((command, "scenario", "bad_yaml") for command in ("simulate", "track", "benchmark")),
+])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, command, flag, problem):
+    content, message = UNREADABLE[problem]
+    files = {
+        "scenario": small_scenario_file(tmp_path, duration=2),
+        "measurements": tmp_path / "meas.txt",
+        "truth": tmp_path / "truth.txt",
+        "estimates": tmp_path / "estimates.txt",
+        "input": tmp_path / "cost.txt",
+    }
+    files["measurements"].write_text("140 170\n\n", encoding="utf-8")
+    files["truth"].write_text("1:1 140 170\n", encoding="utf-8")
+    files["estimates"].write_text("1:1 141 170\n", encoding="utf-8")
+    files["input"].write_text("-5 -1\n-2 -4\n", encoding="utf-8")
+    argv = [command]
+    for name in READ_FLAGS[command]:
+        argv += [f"--{name}", str(files[name])]
+    argv += {"assign": [], "benchmark": ["--runs", "1", "--out", str(tmp_path)]}.get(
+        command, ["--out", str(tmp_path)])
+    assert main(argv) == 0, capsys.readouterr().err  # every file is readable
+    files[flag].write_bytes(content)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert str(files[flag]) in err[0] and message in err[0]
+
 
 class TestAssign:
     def test_prints_k_best(self, tmp_path, capsys):
@@ -663,3 +719,18 @@ def test_python_dash_m_reaches_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: mbmtrack")
+
+
+def test_python_dash_m_assign_exit_codes(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    matrix = tmp_path / "cost.txt"
+    matrix.write_text("-5 -1\n-2 -4\n", encoding="utf-8")
+    argv = [sys.executable, "-m", "mbmtrack", "assign", "--input", str(matrix), "--k", "2"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "-9\t0->0 1->1\n-5\t0->0\n"
+    matrix.write_bytes(UNREADABLE["not_utf8"][0])
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: {matrix} is not UTF-8 text"), done.stderr

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import ExhaustiveMbm, check_state, predict_reference, update_reference
+from oracles import (
+    ExhaustiveMbm, check_state, label_scrambled_run, predict_reference, update_reference,
+)
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
@@ -152,8 +154,8 @@ def random_state(rng) -> MbmState:
 
 class TestPredictAgainstReference:
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.booleans())
-    def test_bitwise_equal_to_per_call_birth_block(self, seed, n_births, label_births):
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+    def test_bitwise_equal_to_per_call_birth_block(self, seed, n_births):
         rng = np.random.default_rng(seed)
         model = constant_velocity_model(survival_prob=float(rng.uniform(0.5, 1.0)))
         birth = BirthModel(tuple(
@@ -163,8 +165,8 @@ class TestPredictAgainstReference:
         state = random_state(rng)
         # Twice over: the second call reads the block the first one built.
         for _ in range(2):
-            out = mbm.predict(state, model, birth, label_births=label_births)
-            expected = predict_reference(state, model, birth, label_births=label_births)
+            out = mbm.predict(state, model, birth)
+            expected = predict_reference(state, model, birth)
             assert out.time == expected.time
             for name in STATE_ARRAYS:
                 got, want = getattr(out, name), getattr(expected, name)
@@ -733,36 +735,11 @@ class TestStepAndLabels:
         check_state(state)
 
     def test_label_metadata_never_touches_numerics(self):
-        rng = np.random.default_rng(12)
         model = constant_velocity_model(detection_prob=0.85, clutter_intensity=2e-4)
         birth = BirthModel((birth_at(140.0, 170.0), birth_at(160.0, 150.0)))
-        params = FilterParams(max_globals=30)
-
-        def run(label_births):
-            state = mbm.init_empty()
-            states = []
-            rng_local = np.random.default_rng(12)
-            for _ in range(8):
-                zs = rng_local.uniform(130, 180, size=(rng_local.integers(0, 4), 2))
-                state, _ = mbm.step(state, zs, model, birth, params, label_births=label_births)
-                states.append(state)
-            return states
-
-        labeled = run(True)
-        blank = run(False)
-        for s_lab, s_blank in zip(labeled, blank):
-            assert len(s_lab.components) == len(s_blank.components)
-            assert len(s_lab.global_hypotheses) == len(s_blank.global_hypotheses)
-            for g1, g2 in zip(s_lab.global_hypotheses, s_blank.global_hypotheses):
-                assert g1.log_weight == g2.log_weight
-                assert g1.assignment_vector == g2.assignment_vector
-            for c1, c2 in zip(s_lab.components, s_blank.components):
-                for h1, h2 in zip(c1.hypotheses, c2.hypotheses):
-                    assert h1.log_weight == h2.log_weight
-                    assert h1.existence == h2.existence
-                    assert np.array_equal(h1.density.mean, h2.density.mean)
-                    assert np.array_equal(h1.density.covariance, h2.density.covariance)
-                    assert h1.meta.association_history == h2.meta.association_history
+        rng = np.random.default_rng(12)
+        scans = [rng.uniform(130, 180, size=(rng.integers(0, 4), 2)) for _ in range(8)]
+        label_scrambled_run(scans, [model] * 8, birth, FilterParams(max_globals=30), 13)
 
     def test_labels_unique_and_preserved(self):
         model = constant_velocity_model(detection_prob=0.9, clutter_intensity=1e-4)

@@ -10,10 +10,10 @@ from mbmtrack.gaussian import GaussianDensity
 from mbmtrack.gospa import GospaParams
 from mbmtrack.mbm import BirthComponent, BirthModel, FilterParams
 from mbmtrack.sim import (
+    SCENARIO_NAMES,
     Scenario,
     Trajectory,
     builtin_scenario,
-    builtin_scenarios,
     constant_velocity_model,
     generate_run_measurements,
     generate_truth,
@@ -25,7 +25,7 @@ from mbmtrack.sim import (
 
 class TestBuiltinScenarios:
     def test_all_three_load(self):
-        scenarios = builtin_scenarios()
+        scenarios = {name: builtin_scenario(name) for name in SCENARIO_NAMES}
         assert set(scenarios) == {"scenario1", "scenario2", "scenario3"}
 
     def test_scenario1_birth_sites(self):
@@ -60,7 +60,7 @@ class TestBuiltinScenarios:
         assert s.detection_prob_at(81) == 0.9
 
     def test_shared_model_constants(self):
-        for s in builtin_scenarios().values():
+        for s in map(builtin_scenario, SCENARIO_NAMES):
             assert s.model.survival_prob == 0.99
             assert s.model.detection_prob == 0.9
             assert s.duration == 81
