@@ -5,9 +5,7 @@ Subpackages:
 * :mod:`mbmtrack.gaussian`: Kalman prediction/update and gating;
 * :mod:`mbmtrack.assignment`: ranked k-best partial assignment;
 * :mod:`mbmtrack.mbm`: the multi-Bernoulli mixture filtering recursion;
-* :mod:`mbmtrack.gospa`: GOSPA metric with its decomposition (the package
-  attribute ``gospa`` is the function; import the module's other names with
-  ``from mbmtrack.gospa import ...``);
+* :mod:`mbmtrack.gospa`: GOSPA metric with its decomposition;
 * :mod:`mbmtrack.sim`: scenarios, synthetic data, Monte Carlo benchmark;
 * :mod:`mbmtrack.cli`: the ``mbmtrack`` command-line front end.
 """
@@ -20,16 +18,12 @@ from .gaussian import (
     kalman_predict,
     kalman_update,
 )
-from .gospa import GospaParams, GospaResult, gospa, gospa_run
+from .gospa import GospaParams, GospaResult, gospa_run
 from .mbm import (
-    BernoulliComponent,
     BirthComponent,
     BirthModel,
     FilterParams,
-    GlobalHypothesis,
-    HypothesisMeta,
     MbmState,
-    SingleTargetHypothesis,
     TargetEstimate,
     estimate,
     init_empty,
@@ -44,25 +38,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
-    "BernoulliComponent",
     "BirthComponent",
     "BirthModel",
     "FORBIDDEN",
     "FilterParams",
     "GaussianDensity",
-    "GlobalHypothesis",
     "GospaParams",
     "GospaResult",
-    "HypothesisMeta",
     "InputError",
     "LinearGaussianModel",
     "MbmState",
     "NumericalError",
     "Scenario",
-    "SingleTargetHypothesis",
     "TargetEstimate",
     "estimate",
-    "gospa",
     "gospa_run",
     "init_empty",
     "k_best",

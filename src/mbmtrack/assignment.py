@@ -26,10 +26,10 @@ The private ``_ranked_columns`` ranks a stack of matrices, one k each, into
 arrays; the filter's update and GOSPA scoring each rank a stack with it, and
 ``k_best`` ranks one matrix as a stack of one.
 
-Ties are broken deterministically: with ``resolve_ties`` equal-cost
-assignments are ordered lexicographically by their row-to-column mapping,
-with "unassigned" sorting before column 0; without it they keep the order
-in which the queue discovered them.
+Ties are broken deterministically: ``k_best``, and ``_ranked_columns`` with
+``resolve_ties``, order equal-cost assignments lexicographically by their
+row-to-column mapping, "unassigned" first.  Without it (the filter's continuous
+costs) ranking stops at exactly k solutions, ties in discovery order.
 """
 from __future__ import annotations
 
@@ -97,26 +97,20 @@ class Assignment:
         return tuple(sorted(self.row_to_col.items()))
 
 
-def k_best(costs, k: int, resolve_ties: bool = True) -> list[Assignment]:
+def k_best(costs, k: int) -> list[Assignment]:
     """The k lowest-cost partial assignments of an (R, C) matrix, by nondecreasing cost.
 
     ``k`` is a positive integer, and the list holds min(k, number of feasible
     assignments) results; the empty assignment (cost 0) is always feasible.
     A matrix with an admissible entry costs one solve plus one per Murty
     child whose lower bound reaches the queue's top; one without costs none.
-
-    With ``resolve_ties`` (the default), exact cost ties across the k-th
-    position are resolved by the lexicographic rule, which requires
-    expanding one extra subproblem per call and sorting the results.  With
-    ``resolve_ties=False`` enumeration stops at exactly k solutions, returned
-    in the order they leave the queue: nondecreasing cost, ties in discovery
-    order.  The filter ranks on this fast path, since its costs are
-    continuous and ties have probability zero.
+    Exact ties, across the k-th position too, follow the lexicographic rule,
+    at the price of one extra subproblem expanded and a sort per call.
     """
     costs = real_array(costs, "cost matrix entries")
     if costs.ndim != 2:
         raise InputError(f"costs must be a matrix, got shape {costs.shape}")
-    _, totals, cols = _ranked_columns(costs[None], [integer(k, "k", 1)], resolve_ties)
+    _, totals, cols = _ranked_columns(costs[None], [integer(k, "k", 1)], True)
     return [
         Assignment({r: c for r, c in enumerate(row) if c >= 0}, cost)
         for row, cost in zip(cols.tolist(), totals.tolist())
@@ -289,7 +283,7 @@ def _murty(aug: np.ndarray, k: int, resolve_ties: bool, row_min: list[float], ro
 
 
 def parse_cost_matrix(text: str) -> np.ndarray:
-    """Parse a whitespace/line separated cost matrix; token ``inf`` = FORBIDDEN."""
+    """Parse a whitespace/line separated cost matrix; an inf token is FORBIDDEN."""
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
@@ -297,6 +291,8 @@ def parse_cost_matrix(text: str) -> np.ndarray:
             continue
         try:
             rows.append([float(tok) for tok in tokens])
+            if any(v == FORBIDDEN and "inf" not in t.lower() for t, v in zip(tokens, rows[-1])):
+                raise ValueError("a finite entry overflows a float; only inf excludes a pair")
         except ValueError as exc:
             raise InputError(f"bad cost entry on line {line_no}: {exc}") from exc
     if not rows:

@@ -147,11 +147,9 @@ class Scenario:
         )
 
 
-def make_rng(seed) -> np.random.Generator:
-    """Counter-based Philox stream keyed by an int >= 0 (or a tuple of them)."""
-    for key in seed if isinstance(seed, tuple) else (seed,):
-        integer(key, "seed", 0)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+def make_rng(seed: int) -> np.random.Generator:
+    """Counter-based Philox stream keyed by an int >= 0."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(integer(seed, "seed", 0))))
 
 
 def _noise_factor(name: str, covariance: np.ndarray) -> np.ndarray:
@@ -258,10 +256,8 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    scenario: str
     n_runs: int
     seed: int
-    params: FilterParams
     gospa_params: GospaParams
     records: list[RunRecord]
 
@@ -334,7 +330,7 @@ def run_monte_carlo(
         records = [
             _single_run(base, params, rs, gospa_params) for rs in run_seeds
         ]
-    return MonteCarloReport(scenario.name, n_runs, seed, params, gospa_params, records)
+    return MonteCarloReport(n_runs, seed, gospa_params, records)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +428,22 @@ def scenario_from_mapping(raw: dict) -> Scenario:
             raise InputError(f"bad scenario configuration: {detail}") from exc
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that refuses a key given twice in a mapping, ``<<`` merges too."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping, keys = super().construct_mapping(node, deep), []
+        for key_node, _ in node.value:
+            keys.append(self.construct_object(key_node, deep))
+            if keys[-1] in keys[:-1]:
+                problem = f"key {keys[-1]!r} is given twice"
+                raise yaml.MarkedYAMLError(problem=problem, problem_mark=key_node.start_mark)
+        return mapping
+
+
 def load_scenario_file(path) -> Scenario:
     try:
-        raw = yaml.safe_load(read_text(path))
+        raw = yaml.load(read_text(path), _UniqueKeyLoader)
     except yaml.YAMLError as exc:  # one line: the parser's own message names no file
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

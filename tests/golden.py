@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
-import importlib
 import json
 import platform
 import sys
@@ -29,15 +28,12 @@ import numpy as np
 import scipy
 
 import mbmtrack.assignment as assignment
+import mbmtrack.gospa as gospa_module
 import mbmtrack.mbm as mbm
 import mbmtrack.sim as sim
 from mbmtrack.gospa import POSITION_PROJECTION, GospaParams
 from mbmtrack.mbm import FilterParams
 from mbmtrack.sim import builtin_scenario, generate_truth
-
-# The package attribute ``mbmtrack.gospa`` is the function, so the module
-# comes from the import system.
-gospa_module = importlib.import_module("mbmtrack.gospa")
 
 PATH = Path(__file__).with_name("golden.json")
 TRUTH_SEED = 2026

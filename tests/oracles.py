@@ -8,8 +8,10 @@ evaluations.  The exceptions are plain forms of library loops, kept so the
 library can be checked against them bitwise: ``murty_reference``, the Murty
 loop that solves every child; ``gospa_reference``, GOSPA scored one step at a
 time; ``predict_reference``, predict with the birth block built on every
-call; ``update_reference``, the measurement update written against the
-public ``k_best``, turning its ``Assignment`` maps into child keys.
+call; ``update_reference``, the measurement update ranked one matrix at a
+time by ``ranked_alone``, turning its ``Assignment`` maps into child keys.
+``ranked_alone`` and ``ranked_stack`` rank through the private
+``_ranked_columns`` under an explicit tie rule, which ``k_best`` fixes.
 ``check_state`` asserts the invariants every filter state must satisfy, and
 ``label_scrambled_run`` that a hypothesis's label never reaches the numerics.
 """
@@ -25,6 +27,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+import mbmtrack.assignment as assignment
 import mbmtrack.mbm as mbm
 from mbmtrack.assignment import FORBIDDEN, Assignment, k_best
 from mbmtrack.errors import InputError, NumericalError
@@ -154,6 +157,25 @@ def murty_reference(costs, k, resolve_ties=True):
     ]
     results.sort(key=lambda a: (a.total_cost, lex_key(a.row_to_col, n_rows)))
     return results[:k]
+
+
+def ranked_stack(costs, ks, resolve_ties):
+    """``_ranked_columns`` of a (G, R, C) stack, as one list of (map, hex
+    cost) pairs per matrix."""
+    counts, totals, cols = assignment._ranked_columns(costs, ks, resolve_ties)
+    solutions = zip(cols.tolist(), totals.tolist())
+    return [
+        [({r: c for r, c in enumerate(row) if c >= 0}, total.hex())
+         for row, total in itertools.islice(solutions, count)]
+        for count in counts
+    ]
+
+
+def ranked_alone(costs, k, resolve_ties):
+    """``k_best(costs, k)`` under an explicit tie rule: one (R, C) matrix
+    ranked by ``_ranked_columns`` as a stack of one."""
+    ranked = ranked_stack(np.asarray(costs, dtype=float)[None], [k], resolve_ties)[0]
+    return [Assignment(row_to_col, float.fromhex(total)) for row_to_col, total in ranked]
 
 
 # -- GOSPA --------------------------------------------------------------------
@@ -446,7 +468,7 @@ def update_reference(
     model: LinearGaussianModel,
     params: FilterParams,
 ) -> MbmState:
-    """The measurement update written against the public ``k_best``.
+    """The measurement update ranked one matrix at a time by ``ranked_alone``.
 
     It turns each ranked ``Assignment`` map back into child keys, and
     ``mbm.update`` must match it bitwise.  Measurement update with
@@ -457,7 +479,8 @@ def update_reference(
     (parents, m) tables of detection log-weights and of assignment costs
     (misdetection/detection log-ratios).  Each prior global takes the rows
     of its parents as its cost matrix and spawns its ceil(max_globals *
-    weight) best children, ranked by one ``k_best`` call per global.
+    weight) best children, ranked by one ``ranked_alone`` call per global,
+    without the tie rule, as the filter ranks.
     Weights are renormalized.
     A child is keyed ``parent * (m + 1) + association`` (0 misdetection,
     j + 1 measurement j), which sorts by parent, misdetection first.  The
@@ -518,7 +541,7 @@ def update_reference(
         max(1, math.ceil(params.max_globals * math.exp(min(w, 0.0))))
         for w in state.global_log_weights.tolist()
     ]
-    ranked = [k_best(matrix, k_u, resolve_ties=False) for matrix, k_u in zip(cost[rows], k_us)]
+    ranked = [ranked_alone(matrix, k_u, False) for matrix, k_u in zip(cost[rows], k_us)]
     counts = [len(assignments) for assignments in ranked]
     solutions = list(chain.from_iterable(ranked))
     maps = [solution.row_to_col for solution in solutions]

@@ -1,5 +1,4 @@
 import heapq
-import itertools
 import os
 import subprocess
 import sys
@@ -10,7 +9,10 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import enumerate_partial_assignments, k_best_oracle, lex_key, murty_reference
+from oracles import (
+    enumerate_partial_assignments, k_best_oracle, lex_key, murty_reference, ranked_alone,
+    ranked_stack,
+)
 
 import mbmtrack.assignment as assignment
 from mbmtrack.assignment import FORBIDDEN, Assignment, k_best, parse_cost_matrix
@@ -37,17 +39,6 @@ def forbidden_pattern(rng, max_size=8):
 
 def bitwise(assignments):
     return [(a.row_to_col, a.total_cost.hex()) for a in assignments]
-
-
-def ranked_stack(costs, ks, resolve_ties):
-    """``_ranked_columns`` of a (G, R, C) stack, as one ``bitwise`` list per matrix."""
-    counts, totals, cols = assignment._ranked_columns(costs, ks, resolve_ties)
-    solutions = zip(cols.tolist(), totals.tolist())
-    return [
-        [({r: c for r, c in enumerate(row) if c >= 0}, total.hex())
-         for row, total in itertools.islice(solutions, count)]
-        for count in counts
-    ]
 
 
 class TestLsapLoader:
@@ -248,7 +239,7 @@ class TestKBest:
         for _ in range(50):
             costs = random_matrix(rng, 4, 4)
             exact = k_best(costs, 6)
-            fast = k_best(costs, 6, resolve_ties=False)
+            fast = ranked_alone(costs, 6, False)
             assert [a.row_to_col for a in exact] == [a.row_to_col for a in fast]
 
     def test_input_validation(self):
@@ -283,12 +274,13 @@ def _forbidden_patterns(draw):
 
 
 class TestMurtyReference:
-    """k_best against the plain Murty loop that solves every child."""
+    """The ranking, under either tie rule, against the plain Murty loop that
+    solves every child."""
 
     @settings(max_examples=300, deadline=None)
     @given(_forbidden_patterns(), st.integers(1, 30), st.booleans())
     def test_bitwise_equal_on_random_forbidden_patterns(self, costs, k, resolve_ties):
-        got = k_best(costs, k, resolve_ties=resolve_ties)
+        got = ranked_alone(costs, k, resolve_ties)
         assert bitwise(got) == bitwise(murty_reference(costs, k, resolve_ties=resolve_ties))
 
     def test_bitwise_equal_on_seeded_patterns(self):
@@ -297,7 +289,7 @@ class TestMurtyReference:
             costs = forbidden_pattern(rng)
             k = int(rng.integers(1, 31))
             for resolve_ties in (True, False):
-                got = k_best(costs, k, resolve_ties=resolve_ties)
+                got = ranked_alone(costs, k, resolve_ties)
                 expected = murty_reference(costs, k, resolve_ties=resolve_ties)
                 assert bitwise(got) == bitwise(expected)
 
@@ -315,7 +307,7 @@ class TestMurtyReference:
             costs[np.arange(n_cols) % n_rows, np.arange(n_cols)] = -1.0
             k = int(rng.integers(1, 20))
             assert bitwise(k_best(costs, k)) == bitwise(murty_reference(costs, k))
-            fast = k_best(costs, k, resolve_ties=False)
+            fast = ranked_alone(costs, k, False)
             values_fast = [a.total_cost for a in fast]
             assert values_fast == sorted(values_fast)
             ranked = sorted(fast, key=lambda a: (a.total_cost, lex_key(a.row_to_col, n_rows)))
@@ -340,13 +332,13 @@ def _cost_stacks(draw):
 
 
 class TestStackedKBest:
-    """``_ranked_columns`` ranks each matrix of a stack bitwise as k_best ranks it alone."""
+    """``_ranked_columns`` ranks each matrix of a stack bitwise as it ranks alone."""
 
     @settings(max_examples=300, deadline=None)
     @given(_cost_stacks(), st.booleans())
     def test_stack_equals_each_matrix_alone(self, stack, resolve_ties):
         costs, ks = stack
-        alone = [bitwise(k_best(c, k, resolve_ties=resolve_ties)) for c, k in zip(costs, ks)]
+        alone = [bitwise(ranked_alone(c, k, resolve_ties)) for c, k in zip(costs, ks)]
         assert ranked_stack(costs, ks, resolve_ties) == alone
 
     def test_stack_longer_than_a_chunk(self, monkeypatch):
@@ -382,7 +374,7 @@ class TestStackedKBest:
             alone, solves_alone = [], []
             for c, kg in zip(costs, ks):
                 n_before = len(inputs)
-                alone.append(bitwise(k_best(c, kg, resolve_ties=resolve_ties)))
+                alone.append(bitwise(ranked_alone(c, kg, resolve_ties)))
                 solves_alone.append(inputs[n_before:])
             assert got == alone
             expected = []
@@ -479,7 +471,7 @@ class TestNoWastedSolve:
                     ours = self._counting(patch, assignment, scale)
                     reference = self._counting(patch, oracles, scale)
                     patch.setattr(assignment, "heapq", queue)
-                    k_best(costs, k, resolve_ties=resolve_ties)
+                    ranked_alone(costs, k, resolve_ties)
                     murty_reference(costs, k, resolve_ties=resolve_ties)
                 assert ours["all"] == ours["feasible"]
                 # The root, then one solve per unsolved child popped.
@@ -518,7 +510,7 @@ class TestLazyChildBound:
         queue = _RecordingHeap()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(assignment, "heapq", queue)
-            k_best(costs, k, resolve_ties=resolve_ties)
+            ranked_alone(costs, k, resolve_ties)
         bounds = {order: bound for bound, order, *_, exact in queue.pushed if not exact}
         solved = [(order, cost) for cost, order, *_, exact in queue.pushed if exact]
         assert len({order for order, _ in solved}) == len(solved)

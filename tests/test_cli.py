@@ -602,6 +602,26 @@ class TestRejectedTrackInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: scenario file {scenario} is not valid YAML at line 2"), err
 
+    @pytest.mark.parametrize("line, repeat", [
+        ("duration: 8\n", "duration: 5\n"),
+        ("  survival_prob: 0.99\n", "  survival_prob: 0.5\n"),
+    ], ids=["top_level", "inside_model"])
+    def test_repeated_scenario_key_exits_2(self, tmp_path, capsys, line, repeat):
+        # The last value would win without notice, as a misspelt key would be ignored.
+        path = small_scenario_file(tmp_path)
+        text = path.read_text(encoding="utf-8")
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "a")]) == 0
+        path.write_text(text.replace(line, line + repeat), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "b")]) == 2
+        at = text[:text.index(line)].count("\n") + 2
+        key = repeat.split(":")[0]
+        column = len(key) - len(key.lstrip()) + 1
+        assert capsys.readouterr().err == (
+            f"error: scenario file {path} is not valid YAML at line {at}, column {column}:"
+            f" key {key.strip()!r} is given twice\n"
+        )
+        assert not (tmp_path / "b").exists()
+
 
 # The files each subcommand reads, by flag name.
 READ_FLAGS = {
@@ -669,6 +689,24 @@ class TestAssign:
 
     def test_missing_input_exits_2(self):
         assert main(["assign", "--input", "missing.txt"]) == 2
+
+    def test_only_inf_tokens_exclude_a_pair(self, tmp_path, capsys):
+        # 1e400 reads as +inf, but it is a finite entry past the float range,
+        # not an exclusion.
+        matrix = tmp_path / "cost.txt"
+        matrix.write_text("-5 INF +inf\nInfinity -4 1e400\n", encoding="utf-8")
+        assert main(["assign", "--input", str(matrix), "--k", "10"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad cost entry on line 2:"
+            " a finite entry overflows a float; only inf excludes a pair\n"
+        )
+        matrix.write_text("-5 INF +inf\nInfinity -4 3\n", encoding="utf-8")
+        assert main(["assign", "--input", str(matrix), "--k", "10"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        # Every assignment that uses no inf entry, and no other.
+        assert [line.split("\t")[1] for line in lines] == [
+            "0->0 1->1", "0->0", "1->1", "0->0 1->2", "(none)", "1->2",
+        ]
 
 
 def test_numerical_degeneracy_exits_1(tmp_path, capsys):

@@ -104,7 +104,6 @@ def test_integer_accepts_any_size_at_or_above_its_bound():
     assert integer(10**400, "seed", 0) == 10**400
     assert type(integer(np.uint8(2), "k", 1)) is int
     make_rng(10**400)  # SeedSequence takes any int >= 0
-    make_rng((10**400, 2**64))
     assert len(k_best(np.zeros((2, 2)), 10**400)) == 7  # every assignment of a 2 x 2 matrix
     for value in (0, -1, 2.0, "3", None, 3j, True, math.nan):
         with pytest.raises(InputError, match="probe must be an integer >= 1"):

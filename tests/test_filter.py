@@ -6,14 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
-    ExhaustiveMbm, check_state, label_scrambled_run, predict_reference, update_reference,
+    ExhaustiveMbm, check_state, label_scrambled_run, predict_reference, ranked_alone,
+    update_reference,
 )
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 import mbmtrack.assignment as assignment
 import mbmtrack.mbm as mbm
-from mbmtrack.assignment import FORBIDDEN, k_best
+from mbmtrack.assignment import FORBIDDEN
 from mbmtrack.errors import InputError, NumericalError
 from mbmtrack.gaussian import (
     GaussianDensity,
@@ -1019,7 +1020,7 @@ def eager_update(state, zs, model, params):
         cost_matrix = np.array([cost_rows[i][vec[i]] for i in range(n)]).reshape(n, m)
         # One matrix at a time, so the filter's stacked call is checked against it.
         k_u = max(1, math.ceil(params.max_globals * math.exp(min(g.log_weight, 0.0))))
-        for assigned in k_best(cost_matrix, k_u, resolve_ties=False):
+        for assigned in ranked_alone(cost_matrix, k_u, False):
             child = base.copy()
             for i, j in assigned.row_to_col.items():
                 child[i] = det_index[i][(vec[i], j)]
@@ -1104,7 +1105,7 @@ class TestDeferredChildren:
 class TestStackedRanking:
     def test_lsap_solves_match_per_global_k_best(self, monkeypatch):
         """The step's one stacked ranking makes exactly the LSAP solves, and
-        gives bitwise the rankings, of a 2-D k_best per global."""
+        gives bitwise the rankings, of ranking each global's matrix alone."""
         solve = assignment.linear_sum_assignment
         solves = [0]
 
@@ -1139,7 +1140,7 @@ class TestStackedRanking:
             assert not resolve_ties and cols.shape == (len(totals), costs.shape[1])
             end = 0
             for matrix, k_u, count in zip(costs, ks, counts):
-                alone = k_best(matrix, k_u, resolve_ties=False)
+                alone = ranked_alone(matrix, k_u, False)
                 rows, costs_out = cols[end:end + count].tolist(), totals[end:end + count].tolist()
                 assert [(a.row_to_col, a.total_cost.hex()) for a in alone] == [
                     ({r: c for r, c in enumerate(row) if c >= 0}, cost.hex())

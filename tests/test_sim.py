@@ -304,8 +304,10 @@ class TestCrossingTruth:
             with pytest.raises(InputError, match="seed must be an integer >= 0"):
                 draw(seed)
 
-    def test_seed_tuples_accepted(self):
-        assert make_rng((3, 1)).random() == make_rng((3, 1)).random() != make_rng(3).random()
+    def test_seed_tuples_rejected(self):
+        # A run's stream is keyed by one int; SeedSequence would take a tuple.
+        with pytest.raises(InputError, match=r"seed must be an integer >= 0, got \(3, 1\)"):
+            make_rng((3, 1))
 
     def test_same_seed_same_truth(self):
         scenario = builtin_scenario("scenario1")
