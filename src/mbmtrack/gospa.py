@@ -9,10 +9,8 @@ Only pairs with d^p < c^p can appear in an optimal matching (matching a
 farther pair never beats leaving both unmatched), so the minimization
 reduces to a partial assignment problem with entries d^p - c^p.
 
-``gospa_run`` scores a whole run, one (truth, estimate) pair per step: it
-validates all the points as one block and ranks the assignment problems of
-every step as one stack, reading each step's matching from the ranked
-column array.  ``gospa`` scores one pair as a run of one step.
+``gospa_run`` scores a whole run, one (truth, estimate) pair per step, as one
+block of points and one stack of assignment problems; ``gospa`` scores one pair.
 """
 from __future__ import annotations
 
@@ -73,82 +71,83 @@ class GospaResult:
     matching: tuple[tuple[int, int], ...]
 
 
-def _fault(truths, estimates, projection) -> str:
-    """Why the first faulty step of a run fails its checks (the caller knows one does).
+def _check_points(points, ends, projection) -> None:
+    """InputError naming the step of the first set of ``points`` with a non-finite
+    element or a dimension that ``projection`` does not fit.  Set i of the rows (a
+    truth and then an estimate set per step) ends before row ``ends[i]``."""
+    short = projection is not None and max(projection) >= points.shape[1]
+    if short or not np.isfinite(points).all():
+        row = int(np.isfinite(points).all(axis=1).argmin())  # the first non-finite row, or 0
+        # A short dimension faults every set, the first one with rows first.
+        first = int(np.searchsorted(ends, 0 if short else row, side="right"))
+        fault = f"projection {projection} out of range for dimension {points.shape[1]}"
+        if row < ends[first] and not np.isfinite(points[row]).all():
+            fault = "set elements must be finite"
+        raise InputError(f"step {first // 2 + 1}: {fault}")
 
-    Each step is checked as a lone pair of sets: each set's elements must
-    share one dimension, be finite and be in range of the projection, and the
-    two sets must share their dimension.  Then that dimension must be the one
-    of the run's first step with elements.
-    """
-    first = None  # (step, dimension)
+
+def _walk(truths, estimates, projection) -> np.ndarray:
+    """The points of a run that is not one block of flat vectors, else InputError for its
+    first faulty step.  A number is a 1-vector, and each set passes ``_check_points``."""
+    parts, first = [], None  # first: (step, dimension) of the first step with elements
     for k, pair in enumerate(zip(truths, estimates), start=1):
         dims = []
-        for vectors in pair:
+        for side, vectors in enumerate(pair):
             try:
                 pts = [np.atleast_1d(real_array(v, "set element")) for v in vectors]
             except InputError as exc:
-                return f"step {k}: set elements must be vectors of real numbers: {exc}"
-            if not pts:
-                continue
-            dim = pts[0].size
-            if any(p.size != dim for p in pts):
-                return f"step {k}: set elements have inconsistent dimensions"
-            if not all(np.isfinite(p).all() for p in pts):
-                return f"step {k}: set elements must be finite"
-            if projection is not None and max(projection) >= dim:
-                return f"step {k}: projection {projection} out of range for dimension {dim}"
-            dims.append(dim)
-        if len(dims) == 2 and dims[0] != dims[1]:
-            return f"step {k}: truth and estimate vectors have different dimensions"
-        if first is None and dims:
-            first = (k, dims[0])
-        elif dims and dims[0] != first[1]:
-            return f"step {k}: vectors have dimension {dims[0]}, step {first[0]} has {first[1]}"
-    return "set elements must be flat vectors"
+                raise InputError(f"step {k}: set elements must be vectors of real numbers: {exc}")
+            if any(p.ndim > 1 for p in pts):
+                raise InputError("set elements must be flat vectors")
+            if len({p.size for p in pts}) > 1:
+                raise InputError(f"step {k}: set elements have inconsistent dimensions")
+            if pts:
+                parts.append(np.stack(pts))
+                dims.append(pts[0].size)
+                _check_points(parts[-1], [0] * (2 * k - 2 + side) + [len(pts)], projection)
+        if len(set(dims)) > 1:
+            raise InputError(f"step {k}: truth and estimate vectors have different dimensions")
+        first = (first or (k, dims[0])) if dims else first
+        if dims and dims[0] != first[1]:
+            raise InputError(f"step {k}: vectors have dimension {dims[0]}, "
+                             f"step {first[0]} has {first[1]}")
+    return np.concatenate(parts)
 
 
 def gospa_run(truths, estimates, params: GospaParams = GospaParams()) -> list[GospaResult]:
     """GOSPA of each step's (truth, estimate) pair of finite sets of vectors.
 
-    ``truths`` and ``estimates`` hold one set per step; a set is a sequence
-    of vectors or an (n, dim) array.  Every vector of the run has one
-    dimension.  The points are validated and projected as one block, and
-    the cost matrices of the steps whose sets are both non-empty are padded
-    with FORBIDDEN to one (steps, n_max, m_max) stack, ranked in one
-    ``_ranked_columns`` call.  Padding rows take only their zero slacks,
-    padding columns are never taken and ties go to the lexicographically
-    first matching, so each step's matching is bitwise the one it gets alone.
+    ``truths`` and ``estimates`` hold one set per step; a set is a sequence of
+    vectors or an (n, dim) array, and every vector of the run has one dimension.
+    The points are converted, checked and projected as one block; only a run that
+    does not convert is walked.  The cost matrices of the steps whose sets are
+    both non-empty, padded with FORBIDDEN to one stack, are ranked in one
+    ``_ranked_columns`` call: padding rows take only their zero slacks, padding
+    columns are never taken and ties go to the lexicographically first matching,
+    so each step's matching is bitwise the one it gets alone.
     """
     truths, estimates = list(truths), list(estimates)
     if len(truths) != len(estimates):
-        raise InputError(
-            f"GOSPA needs one estimate set per truth set, got {len(truths)} and {len(estimates)}"
-        )
+        raise InputError(f"GOSPA needs one estimate set per truth set, "
+                         f"got {len(truths)} and {len(estimates)}")
     n_steps = len(truths)
     # Set sizes in step order, truth then estimate: (steps, 2).
-    sizes = np.array([[len(t), len(e)] for t, e in zip(truths, estimates)], dtype=np.intp)
-    sizes = sizes.reshape(n_steps, 2)
+    sizes = np.array([[len(t), len(e)] for t, e in zip(truths, estimates)], np.intp).reshape(-1, 2)
     n_points = int(sizes.sum())
     matchings = [()] * n_steps
     localisation = [0.0] * n_steps  # each step's sum of d^p, added in matching order
     scored = np.flatnonzero(sizes.all(axis=1))
     c_p = params.cutoff**params.order
     if n_points:
-        try:
+        try:  # a ragged, non-real or nested run (of arrays of vectors, say) is walked
             block = real_array(
                 [v for t, e in zip(truths, estimates) for s in (t, e) for v in s], "set elements"
             )
-            # A nested element (an array of vectors, say) is not a flat vector.
             block = block.reshape(n_points, -1) if block.ndim <= 2 else None
         except InputError:
-            block = None  # ragged, or not real numbers
-        if (
-            block is None
-            or not np.isfinite(block).all()
-            or (params.projection is not None and max(params.projection) >= block.shape[1])
-        ):
-            raise InputError(_fault(truths, estimates, params.projection))
+            block = None
+        block = _walk(truths, estimates, params.projection) if block is None else block
+        _check_points(block, np.cumsum(sizes.ravel()), params.projection)
         if params.projection is not None:
             block = block[:, list(params.projection)]
     if len(scored):
@@ -181,8 +180,7 @@ def gospa_run(truths, estimates, params: GospaParams = GospaParams()) -> list[Go
     results = []
     for (n_truth, n_est), matching, localisation_p in zip(sizes.tolist(), matchings, localisation):
         n_missed, n_false = n_truth - len(matching), n_est - len(matching)
-        missed_p = half_cp * n_missed
-        false_p = half_cp * n_false
+        missed_p, false_p = half_cp * n_missed, half_cp * n_false
         total = (localisation_p + missed_p + false_p) ** (1.0 / params.order)
         results.append(
             GospaResult(total, localisation_p, missed_p, false_p, n_missed, n_false, matching)

@@ -708,6 +708,16 @@ class TestAssign:
             "0->0 1->1", "0->0", "1->1", "0->0 1->2", "(none)", "1->2",
         ]
 
+    @pytest.mark.parametrize("entry", ["-1e400", "-inf", "nan"])
+    def test_nan_and_minus_inf_entries_name_their_line(self, tmp_path, capsys, entry):
+        matrix = tmp_path / "cost.txt"
+        matrix.write_text(f"-5 -1\n\n1 {entry}\n", encoding="utf-8")
+        assert main(["assign", "--input", str(matrix)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad cost entry on line 3:"
+            " NaN, -inf and an entry that overflows to -inf are not costs\n"
+        )
+
 
 def test_numerical_degeneracy_exits_1(tmp_path, capsys):
     # zero measurement noise and a zero-covariance birth make the innovation

@@ -279,6 +279,22 @@ class TestGospaRun:
         with pytest.raises(InputError, match="step 2: set elements must be vectors of real"):
             gospa_run(truths, estimates, P10)
 
+    def test_numbers_beside_one_element_arrays_are_1_vectors(self):
+        # The run does not convert as one block, so it is walked; it still scores.
+        truths, estimates = [[1.0, np.array([2.0])], []], [[np.array([1.5])], [3.0]]
+        results = gospa_run(truths, estimates, P10)
+        expected = [gospa_reference(t, e, P10) for t, e in zip(truths, estimates)]
+        assert [bits(r) for r in results] == [bits(r) for r in expected]
+
+    def test_first_faulty_step_wins_in_a_walked_run(self):
+        # Step 2 is ragged, so the run is walked; step 1's fault is still the one named.
+        truths, estimates = [[[0.0, np.nan]], [[0.0, 0.0]]], [[], [[0.0, 0.0, 0.0]]]
+        with pytest.raises(InputError, match="^step 1: set elements must be finite$"):
+            gospa_run(truths, estimates, P10)
+        truths[0] = [[0.0, 1.0]]
+        with pytest.raises(InputError, match="^step 1: projection"):
+            gospa_run(truths, estimates, GospaParams(projection=(0, 2)))
+
     def test_one_dimension_per_run(self):
         with pytest.raises(InputError, match="step 3: vectors have dimension 3, step 1 has 2"):
             gospa_run([[[0.0, 0.0]], [], [[0.0, 0.0, 0.0]]], [[], [], []], P10)

@@ -12,10 +12,13 @@ Python version:
   measurement a hypothesis took moves with it;
 * appending two points that no hypothesis gates leaves each step's updated
   state (all nine arrays, the global log-weights and means among them) and
-  its estimates unchanged.
+  its estimates unchanged;
+* at a step whose detection probability is 0, the scan's measurements can
+  only be clutter, so replacing the scan by an empty one leaves that step's
+  updated state and estimates, and so every later step's, unchanged.
 
 A fault that treats the measurements symmetrically, or never reaches a
-gated pair, passes both; the exhaustive and reference checks cover those.
+gated pair, passes the first two; the exhaustive and reference checks cover those.
 """
 import functools
 
@@ -30,7 +33,14 @@ from mbmtrack.sim import builtin_scenario, generate_run_measurements, generate_t
 TRUTH_SEED, RUN_SEED = 2026, 2027
 # Far outside the scenarios' 300 x 300 m region and every gate.
 FAR_POINTS = np.array([[1e4, 1e4], [-1e4, -1e4]])
-RUNS = [("scenario1", 1), ("scenario2", 1), ("scenario3", 1), ("scenario1", 50)]
+# At N_h = 1 the one global of scenarios 2 and 3 takes no detection at this
+# run seed, so their N_h = 50 runs are the ones whose relations depend on a
+# measurement.
+RUNS = [("scenario1", 1), ("scenario2", 1), ("scenario3", 1), ("scenario1", 50),
+        ("scenario2", 50), ("scenario3", 50)]
+# N_h = 1 on every scenario and N_h = 50 on scenario1: each blind-step case runs
+# the filter twice.
+BLIND_RUNS = RUNS[:4]
 
 
 @functools.cache
@@ -39,14 +49,15 @@ def scenario_scans(name):
     return scenario, tuple(generate_run_measurements(scenario, RUN_SEED))
 
 
-def run(scenario, scans, max_globals):
+def run(scenario, scans, max_globals, blind=()):
     """Per step, each array of the updated state, the hypotheses of each
     updated global and the estimates, as bytes; the estimates also as a
-    sorted set."""
+    sorted set.  The steps in ``blind`` are filtered with p_D = 0."""
     params = FilterParams(max_globals=max_globals)
     state, steps = mbm.init_empty(), []
     for k, zs in enumerate(scans, start=1):
-        model = scenario.model.with_detection_prob(scenario.detection_prob_at(k))
+        p_d = 0.0 if k in blind else scenario.detection_prob_at(k)
+        model = scenario.model.with_detection_prob(p_d)
         updated = mbm.update(mbm.predict(state, model, scenario.birth), zs, model, params)
         estimates = [(e.label, e.state.tobytes()) for e in mbm.estimate(updated, params)]
         selected = updated.vectors + updated.offsets[:-1]  # (globals, components) rows
@@ -91,4 +102,15 @@ def test_ungated_points_appended(name, max_globals):
     scenario, scans = scenario_scans(name)
     padded = [np.concatenate((zs, FAR_POINTS)) for zs in scans]
     assert_steps_equal(run(scenario, padded, max_globals), plain_run(name, max_globals),
+                       (*STATE_ARRAYS, "estimates"))
+
+
+@pytest.mark.parametrize("name, max_globals", BLIND_RUNS)
+def test_blind_step_scans_act_as_empty_scans(name, max_globals):
+    scenario, scans = scenario_scans(name)
+    blind = range(3, len(scans) + 1, 7)  # steps 3, 10, 17, ...
+    blanked = [np.zeros((0, 2)) if k in blind else zs for k, zs in enumerate(scans, start=1)]
+    assert all(len(scans[k - 1]) for k in blind)
+    assert_steps_equal(run(scenario, scans, max_globals, blind),
+                       run(scenario, blanked, max_globals, blind),
                        (*STATE_ARRAYS, "estimates"))
