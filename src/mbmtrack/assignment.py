@@ -281,24 +281,3 @@ def _murty(aug: np.ndarray, k: int, resolve_ties: bool, row_min: list[float], ro
             pinned += picked[t]
     return emitted
 
-
-def parse_cost_matrix(text: str) -> np.ndarray:
-    """Parse a whitespace/line separated cost matrix; an inf token, and no other, is FORBIDDEN."""
-    rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        try:
-            rows.append([float(tok) for tok in tokens])
-            if any(v == FORBIDDEN and "inf" not in t.lower() for t, v in zip(tokens, rows[-1])):
-                raise ValueError("a finite entry overflows a float; only inf excludes a pair")
-            if not all(-FORBIDDEN < v <= FORBIDDEN for v in rows[-1]):
-                raise ValueError("NaN, -inf and an entry that overflows to -inf are not costs")
-        except ValueError as exc:
-            raise InputError(f"bad cost entry on line {line_no}: {exc}") from exc
-    if not rows:
-        return np.zeros((0, 0))
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise InputError("cost matrix rows have inconsistent lengths")
-    return np.asarray(rows, dtype=float)

@@ -5,10 +5,12 @@ File formats are line-oriented text so golden files stay diffable:
 * measurement file: one line per step, points separated by ``;``, each
   point is whitespace-separated numbers (``12.5 30.25;40 51``);
 * truth/estimates file: same layout with a leading ``t:l`` label token per
-  state (``1:2 150 0.1 148 -0.2``).
+  state (``1:2 150 0.1 148 -0.2``);
+* cost file: one matrix row per line, ``inf`` marking an excluded pair.
 
-Every subcommand is deterministic given its full flag set including the
-seed.  Exit codes: 0 success, 2 usage/input error, 1 numerical error.
+A fault in any of them names ``file:line``.  Every subcommand is
+deterministic given its full flag set including the seed.  Exit codes: 0
+success, 2 usage/input error, 1 numerical error.
 """
 from __future__ import annotations
 
@@ -20,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import k_best, parse_cost_matrix
+from .assignment import FORBIDDEN, k_best
 from .errors import InputError, NumericalError, finite_array, read_text
 from .gospa import POSITION_PROJECTION, GospaParams, component_rms, gospa_run, rms
-from .mbm import FilterParams
+from .mbm import FilterParams, _as_measurement_block
 from .sim import (
     generate_run_measurements,
     generate_truth,
@@ -59,15 +61,7 @@ def read_measurement_file(path, meas_dim: int) -> list[np.ndarray]:
                 points.append([float(v) for v in token.split()])
             except ValueError as exc:
                 raise InputError(f"{path}:{line_no}: bad measurement {token!r}") from exc
-        if any(len(point) != len(points[0]) for point in points):
-            raise InputError(f"{path}:{line_no}: measurements have inconsistent dimensions")
-        if points and len(points[0]) != meas_dim:
-            raise InputError(
-                f"{path}:{line_no}: measurements must have {meas_dim} coordinates, "
-                f"got {len(points[0])}"
-            )
-        scan = finite_array(points, f"{path}:{line_no}: measurements")
-        scans.append(scan.reshape(len(points), meas_dim))
+        scans.append(_as_measurement_block(points, meas_dim, f"{path}:{line_no}: measurements"))
     return scans
 
 
@@ -96,6 +90,26 @@ def read_labeled_state_file(path) -> list[list[tuple[tuple[int, int], np.ndarray
             entries.append((label, state))
         per_step.append(entries)
     return per_step
+
+
+def read_cost_file(path) -> np.ndarray:
+    """One matrix row per non-blank line; an inf token, and no other, is FORBIDDEN."""
+    rows = []
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            rows.append([float(tok) for tok in tokens])
+            if any(v == FORBIDDEN and "inf" not in t.lower() for t, v in zip(tokens, rows[-1])):
+                raise ValueError("a finite entry overflows a float; only inf excludes a pair")
+            if not all(-FORBIDDEN < v <= FORBIDDEN for v in rows[-1]):
+                raise ValueError("NaN, -inf and an entry that overflows to -inf are not costs")
+        except ValueError as exc:
+            raise InputError(f"{path}:{line_no}: bad cost entry: {exc}") from exc
+        if len(rows[-1]) != len(rows[0]):
+            raise InputError(f"{path}:{line_no}: cost matrix rows have inconsistent lengths")
+    return np.array(rows, dtype=float) if rows else np.zeros((0, 0))
 
 
 def _out_dir(args) -> Path:
@@ -142,10 +156,6 @@ def cmd_track(args) -> int:
 def cmd_evaluate(args) -> int:
     truth = read_labeled_state_file(args.truth)
     estimates = read_labeled_state_file(args.estimates)
-    if len(truth) != len(estimates):
-        raise InputError(
-            f"step-count mismatch: truth has {len(truth)} steps, estimates {len(estimates)}"
-        )
     gospa_params = GospaParams(cutoff=args.gospa_c, order=args.gospa_p)
     out = _out_dir(args)
     rows = ["step,total,loc_p,missed_p,false_p,n_missed,n_false"]
@@ -252,8 +262,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    costs = parse_cost_matrix(read_text(args.input))
-    for assignment in k_best(costs, args.k):
+    for assignment in k_best(read_cost_file(args.input), args.k):
         pairs = " ".join(f"{r}->{c}" for r, c in assignment.pairs())
         print(f"{assignment.total_cost:.12g}\t{pairs if pairs else '(none)'}")
     return 0

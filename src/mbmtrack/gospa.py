@@ -98,7 +98,7 @@ def _walk(truths, estimates, projection) -> np.ndarray:
             except InputError as exc:
                 raise InputError(f"step {k}: set elements must be vectors of real numbers: {exc}")
             if any(p.ndim > 1 for p in pts):
-                raise InputError("set elements must be flat vectors")
+                raise InputError(f"step {k}: set elements must be flat vectors")
             if len({p.size for p in pts}) > 1:
                 raise InputError(f"step {k}: set elements have inconsistent dimensions")
             if pts:

@@ -451,7 +451,10 @@ def load_scenario_file(path) -> Scenario:
         raise InputError(f"scenario file {path} is not valid YAML{where}: {problem}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"scenario file {path} does not hold a mapping")
-    return scenario_from_mapping(raw)
+    try:
+        return scenario_from_mapping(raw)
+    except InputError as exc:
+        raise InputError(f"scenario file {path}: {exc}") from exc
 
 
 def builtin_scenario(name: str) -> Scenario:

@@ -15,7 +15,7 @@ from oracles import (
 )
 
 import mbmtrack.assignment as assignment
-from mbmtrack.assignment import FORBIDDEN, Assignment, k_best, parse_cost_matrix
+from mbmtrack.assignment import FORBIDDEN, Assignment, k_best
 from mbmtrack.errors import InputError
 
 F = FORBIDDEN
@@ -534,26 +534,6 @@ class TestLazyChildBound:
             for resolve_ties in (True, False):
                 solved += self.check_queue(costs, int(rng.integers(2, 31)), resolve_ties)
         assert solved > 1000
-
-
-class TestParseCostMatrix:
-    def test_round_trip_with_inf(self):
-        costs = parse_cost_matrix("1.5 inf -2\ninf 0 3\n")
-        assert costs.shape == (2, 3)
-        assert costs[0, 1] == F
-        assert costs[1, 0] == F
-        assert costs[0, 2] == -2.0
-
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(InputError):
-            parse_cost_matrix("1 2\n3\n")
-
-    def test_bad_token_rejected(self):
-        with pytest.raises(InputError):
-            parse_cost_matrix("1 x\n")
-
-    def test_empty_text(self):
-        assert parse_cost_matrix("\n\n").shape == (0, 0)
 
 
 def test_assignment_pairs_sorted():

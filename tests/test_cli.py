@@ -11,11 +11,13 @@ from mbmtrack.cli import (
     _params_from_args,
     build_parser,
     main,
+    read_cost_file,
     read_labeled_state_file,
     read_measurement_file,
     write_labeled_state_file,
     write_measurement_file,
 )
+from mbmtrack.assignment import FORBIDDEN
 from mbmtrack.errors import InputError
 from mbmtrack.mbm import FilterParams
 
@@ -226,7 +228,7 @@ class TestTrackAndEvaluate:
         assert main(
             ["evaluate", "--truth", str(truth), "--estimates", str(estimates), "--out", str(tmp_path)]
         ) == 2
-        assert "mismatch" in capsys.readouterr().err
+        assert "one estimate set per truth set, got 2 and 1" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(
@@ -581,6 +583,15 @@ class TestRejectedTrackInput:
         assert "filter.max_global" in err and "modle" in err
 
 
+    def test_bad_scenario_value_names_the_file(self, tmp_path, capsys):
+        scenario = small_scenario_file(tmp_path, name="bad", duration=-1)
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: scenario file {scenario}: bad scenario configuration:"
+            " duration must be an integer >= 1, got -1\n"
+        )
+
     def test_scenario_file_holding_a_list_exits_2(self, tmp_path, capsys):
         scenario = tmp_path / "list.yaml"
         scenario.write_text(yaml.safe_dump([{"duration": 5}]), encoding="utf-8")
@@ -697,7 +708,7 @@ class TestAssign:
         matrix.write_text("-5 INF +inf\nInfinity -4 1e400\n", encoding="utf-8")
         assert main(["assign", "--input", str(matrix), "--k", "10"]) == 2
         assert capsys.readouterr().err == (
-            "error: bad cost entry on line 2:"
+            f"error: {matrix}:2: bad cost entry:"
             " a finite entry overflows a float; only inf excludes a pair\n"
         )
         matrix.write_text("-5 INF +inf\nInfinity -4 3\n", encoding="utf-8")
@@ -714,9 +725,47 @@ class TestAssign:
         matrix.write_text(f"-5 -1\n\n1 {entry}\n", encoding="utf-8")
         assert main(["assign", "--input", str(matrix)]) == 2
         assert capsys.readouterr().err == (
-            "error: bad cost entry on line 3:"
+            f"error: {matrix}:3: bad cost entry:"
             " NaN, -inf and an entry that overflows to -inf are not costs\n"
         )
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 2\n3 x\n", "2: bad cost entry: could not convert string to float: 'x'"),
+        ("1 2\n\n3\n", "3: cost matrix rows have inconsistent lengths"),
+    ], ids=["bad_token", "ragged_rows"])
+    def test_bad_line_names_file_and_line(self, tmp_path, capsys, monkeypatch, text, message):
+        monkeypatch.chdir(tmp_path)
+        Path("c.txt").write_text(text, encoding="utf-8")
+        assert main(["assign", "--input", "c.txt"]) == 2
+        assert capsys.readouterr().err == f"error: c.txt:{message}\n"
+
+
+class TestReadCostFile:
+    def test_round_trip_with_inf(self, tmp_path):
+        path = tmp_path / "cost.txt"
+        path.write_text("1.5 inf -2\ninf 0 3\n", encoding="utf-8")
+        costs = read_cost_file(path)
+        assert costs.shape == (2, 3)
+        assert costs[0, 1] == FORBIDDEN
+        assert costs[1, 0] == FORBIDDEN
+        assert costs[0, 2] == -2.0
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        path = tmp_path / "cost.txt"
+        path.write_text("1 2\n3\n", encoding="utf-8")
+        with pytest.raises(InputError, match="cost.txt:2: cost matrix rows have inconsistent"):
+            read_cost_file(path)
+
+    def test_bad_token_rejected(self, tmp_path):
+        path = tmp_path / "cost.txt"
+        path.write_text("1 x\n", encoding="utf-8")
+        with pytest.raises(InputError, match="cost.txt:1: bad cost entry"):
+            read_cost_file(path)
+
+    def test_empty_text(self, tmp_path):
+        path = tmp_path / "cost.txt"
+        path.write_text("\n\n", encoding="utf-8")
+        assert read_cost_file(path).shape == (0, 0)
 
 
 def test_numerical_degeneracy_exits_1(tmp_path, capsys):

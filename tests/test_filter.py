@@ -21,6 +21,8 @@ from mbmtrack.gaussian import (
     LinearGaussianModel,
     PreparedMeasurementUpdate,
     floor_log,
+    gate,
+    innovation_factors,
     kalman_predict,
     kalman_update,
 )
@@ -340,6 +342,37 @@ class TestDetectionUpdate:
         assert len(wide.global_hypotheses) == 2
         assert len(wide.components[0].hypotheses) == 2
 
+    def test_pair_at_exactly_the_gate_threshold_is_kept(self):
+        # Only a statistic above the threshold is FORBIDDEN.
+        model = constant_velocity_model(detection_prob=0.9, clutter_intensity=1e-4)
+        state = mbm.predict(mbm.init_empty(), model, BirthModel((birth_at(0.0, 0.0, 0.5),)))
+        zs = np.array([[3.0, -2.0]])
+        maha = float(gate(innovation_factors(state.means, state.covariances, model), zs)[0][0, 0])
+        at_gate = mbm.update(state, zs, model, FilterParams(gate_threshold=maha))
+        assert len(at_gate.global_hypotheses) == 2
+        below = FilterParams(gate_threshold=float(np.nextafter(maha, 0.0)))
+        assert len(mbm.update(state, zs, model, below).global_hypotheses) == 1
+
+    def test_each_global_spawns_ceil_of_its_share(self):
+        # Two globals of weight 1/2 at max_globals = 3 each spawn ceil(1.5) = 2
+        # of their two feasible children (miss or detect the one measurement).
+        model = constant_velocity_model(detection_prob=0.9, clutter_intensity=1e-4)
+        hyps = tuple(
+            SingleTargetHypothesis(
+                0.0, 0.5, GaussianDensity(np.full(4, x), np.eye(4)), HypothesisMeta(1, 1, (j,))
+            )
+            for j, x in enumerate((0.0, 1.0))
+        )
+        half = math.log(0.5)
+        globals_ = (GlobalHypothesis(half, (0,)), GlobalHypothesis(half, (1,)))
+        state = MbmState((BernoulliComponent(hyps),), globals_, 1)
+        params = FilterParams(max_globals=3, gate_threshold=math.inf)
+        out = mbm.update(state, [[0.5, 0.5]], model, params)
+        children = out.components[0].hypotheses
+        parents = [children[g.assignment_vector[0]].meta.association_history[0]
+                   for g in out.global_hypotheses]
+        assert sorted(parents) == [0, 0, 1, 1]
+
 
 class TestExhaustiveEquivalence:
     def test_update_matches_brute_force_over_three_steps(self):
@@ -453,6 +486,22 @@ class TestPrune:
         out = mbm.prune(state, FilterParams(max_globals=10, prune_global_weight=1e-5))
         assert len(out.global_hypotheses) == 1
         assert out.global_hypotheses[0].log_weight == pytest.approx(0.0, abs=1e-12)
+
+    def test_global_at_exactly_the_weight_threshold_is_kept(self):
+        state = self.build_state([0.7, 0.3], [(0, 0), (1, 1)])
+        weights = state.global_log_weights
+        threshold = math.exp(weights[1] - logsumexp(weights))  # as prune normalizes
+        at = mbm.prune(state, FilterParams(max_globals=10, prune_global_weight=threshold))
+        assert len(at.global_hypotheses) == 2
+        above = FilterParams(max_globals=10, prune_global_weight=np.nextafter(threshold, 1.0))
+        assert len(mbm.prune(state, above).global_hypotheses) == 1
+
+    def test_component_at_exactly_the_existence_threshold_is_kept(self):
+        state = single_hypothesis_state(0.0, 0.3, GaussianDensity(np.zeros(4), np.eye(4)))
+        threshold = float(state.existences[0])
+        assert len(mbm.prune(state, FilterParams(prune_existence=threshold)).components) == 1
+        above = FilterParams(prune_existence=float(np.nextafter(threshold, 1.0)))
+        assert len(mbm.prune(state, above).components) == 0
 
     def test_cap_keeps_highest_weights(self):
         weights = [0.4, 0.3, 0.2, 0.1]
@@ -775,16 +824,18 @@ class TestStepAndLabels:
 
         model = constant_velocity_model(clutter_intensity=1e-4)
         state = mbm.predict(mbm.init_empty(), model, scenario1_birth())
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^measurements have inconsistent dimensions$"):
             mbm.update(state, [[1.0, 2.0], [3.0]], model, FilterParams())
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^measurements must have 2 coordinates, got 3$"):
             mbm.update(state, [[1.0, 2.0, 3.0]], model, FilterParams())
+        with pytest.raises(InputError, match="^measurements must have 2 coordinates, got 1x2$"):
+            mbm.update(state, [[[1.0, 2.0]]], model, FilterParams())
 
     @pytest.mark.parametrize("element", [1.0 + 2.0j, {}, "x", np.complex128(1.0 + 2.0j)])
     def test_non_real_measurements_rejected(self, element):
         model = constant_velocity_model(clutter_intensity=1e-4)
         state = mbm.predict(mbm.init_empty(), model, scenario1_birth())
-        with pytest.raises(InputError, match="malformed measurement set"):
+        with pytest.raises(InputError, match="malformed measurements"):
             mbm.update(state, [[1.0, element]], model, FilterParams())
 
     def test_step_estimates_before_pruning(self, monkeypatch):

@@ -302,14 +302,16 @@ class TestGospaRun:
     def test_nested_beside_flat_elements_rejected(self):
         # Each step passes its own checks: the nested truth element has the
         # estimate's size.  The run's elements still do not stack into one block.
-        with pytest.raises(InputError, match="^set elements must be flat vectors$"):
+        with pytest.raises(InputError, match="^step 1: set elements must be flat vectors$"):
             gospa_run([[[[1.0, 2.0]]]], [[[3.0, 4.0]]], P10)
+        with pytest.raises(InputError, match="^step 2: set elements must be flat vectors$"):
+            gospa_run([[[3.0, 4.0]], [[[1.0, 2.0]]]], [[[3.0, 4.0]], [[3.0, 4.0]]], P10)
 
     def test_nested_elements_rejected(self):
         # Every element of the run is a 2 x 2 array: each step passes its
         # own checks, but no element is a flat vector.
         nested = [[[[1.0, 2.0], [3.0, 4.0]]]]
-        with pytest.raises(InputError, match="^set elements must be flat vectors$"):
+        with pytest.raises(InputError, match="^step 1: set elements must be flat vectors$"):
             gospa_run(nested, nested, GospaParams(projection=(0, 3)))
 
     def test_one_estimate_set_per_truth_set(self):
