@@ -24,8 +24,9 @@ import numpy as np
 
 from .assignment import FORBIDDEN, k_best
 from .errors import InputError, NumericalError, finite_array, read_text
+from .gaussian import _as_measurement_block
 from .gospa import POSITION_PROJECTION, GospaParams, component_rms, gospa_run, rms
-from .mbm import FilterParams, _as_measurement_block
+from .mbm import FilterParams
 from .sim import (
     generate_run_measurements,
     generate_truth,
@@ -159,11 +160,11 @@ def cmd_evaluate(args) -> int:
     gospa_params = GospaParams(cutoff=args.gospa_c, order=args.gospa_p)
     out = _out_dir(args)
     rows = ["step,total,loc_p,missed_p,false_p,n_missed,n_false"]
-    results = gospa_run(
-        [[_positions(state) for _, state in entries] for entries in truth],
-        [[_positions(state) for _, state in entries] for entries in estimates],
-        gospa_params,
-    )
+    points = _positions(args.truth, truth), _positions(args.estimates, estimates)
+    try:
+        results = gospa_run(*points, gospa_params)
+    except InputError as exc:
+        raise InputError(f"{args.truth}, {args.estimates}: {exc}") from exc
     for k, result in enumerate(results, start=1):
         rows.append(
             f"{k},{_fmt(result.total)},{_fmt(result.localisation_p)},{_fmt(result.missed_p)},"
@@ -188,13 +189,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _positions(state: np.ndarray) -> np.ndarray:
-    """Position slice for scoring: 4D tracker states project to (px, py)."""
-    if state.size == 4:
-        return state[list(POSITION_PROJECTION)]
-    if state.size == 2:
-        return state
-    raise InputError(f"expected 2D points or 4D states, got dimension {state.size}")
+def _positions(path, per_step) -> list[list[np.ndarray]]:
+    """Each step's states as points to score, line k of ``path`` holding step k:
+    2D points stay, 4D tracker states project to (px, py)."""
+    for line_no, entries in enumerate(per_step, 1):
+        for _, state in entries:
+            if state.size not in (2, 4):
+                raise InputError(f"{path}:{line_no}: expected 2D points or 4D states, "
+                                 f"got dimension {state.size}")
+    return [[s[list(POSITION_PROJECTION)] if s.size == 4 else s for _, s in e] for e in per_step]
 
 
 def cmd_benchmark(args) -> int:

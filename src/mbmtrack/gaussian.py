@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, finite_array, real_number
+from .errors import InputError, NumericalError, finite_array, real_array, real_number
 
 _LOG_2PI = math.log(2.0 * math.pi)
 # Innovation covariance counts as singular when the smallest Cholesky pivot
@@ -46,18 +46,13 @@ def check_covariance(cov: np.ndarray, what: str) -> None:
         raise InputError(f"{what} must be positive semi-definite")
 
 
-def _symmetric(values, what: str, n: int) -> np.ndarray:
-    """A caller's finite (n, n) matrix, symmetrized without overflow."""
+def _covariance(values, what: str, n: int) -> np.ndarray:
+    """A caller's finite (n, n) covariance, symmetrized without overflow, then PSD-checked."""
     with np.errstate(over="raise"):
         try:
-            return _symmetrized(finite_array(values, what, (n, n)))
+            cov = _symmetrized(finite_array(values, what, (n, n)))
         except FloatingPointError:
             raise InputError(f"{what} overflows when symmetrized") from None
-
-
-def _covariance(values, what: str, n: int) -> np.ndarray:
-    """A caller's (n, n) covariance, symmetrized and checked."""
-    cov = _symmetric(values, what, n)
     check_covariance(cov, what)
     return cov
 
@@ -71,9 +66,9 @@ def floor_log(value: float) -> float:
 class GaussianDensity:
     """Gaussian state density N(mean, covariance).
 
-    The covariance is symmetrized on construction, so every density built
-    from arithmetic results satisfies the symmetry invariant by
-    construction.
+    The covariance is symmetrized and checked positive semi-definite on
+    construction, so every density, a filter result or a caller's prior or
+    birth, satisfies both invariants.
     """
 
     mean: np.ndarray
@@ -84,7 +79,7 @@ class GaussianDensity:
         if mean.ndim != 1:
             raise InputError("mean must be a one-dimensional vector")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", _symmetric(self.covariance, "covariance", mean.size))
+        object.__setattr__(self, "covariance", _covariance(self.covariance, "covariance", mean.size))
 
     @property
     def dim(self) -> int:
@@ -142,6 +137,26 @@ class LinearGaussianModel:
 
     def with_detection_prob(self, detection_prob: float) -> "LinearGaussianModel":
         return dataclasses.replace(self, detection_prob=detection_prob)
+
+
+def _as_measurement_block(measurements, meas_dim: int, what: str = "measurements") -> np.ndarray:
+    """A scan as a finite (points, meas_dim) block, else InputError naming ``what``: the one
+    scan rule, for ``mbm.update``, ``PreparedMeasurementUpdate`` and the measurement-file
+    reader.  No scan (None) and an empty one are (0, meas_dim); a flat vector is one point."""
+    try:
+        block = real_array(() if measurements is None else measurements, what)
+    except InputError as exc:  # numpy refuses a ragged scan with a ValueError
+        ragged = isinstance(exc.__cause__, ValueError)
+        raise InputError(f"{what} have inconsistent dimensions") if ragged else exc
+    if block.size == 0:
+        return np.zeros((0, meas_dim))
+    block = np.atleast_2d(block)
+    if block.ndim != 2 or block.shape[1] != meas_dim:
+        got = "x".join(map(str, block.shape[1:]))
+        raise InputError(f"{what} must have {meas_dim} coordinates, got {got}")
+    if not np.isfinite(block).all():
+        raise InputError(f"{what} must be finite")
+    return block
 
 
 def predict_stack(
@@ -254,13 +269,6 @@ def _check_prior(prior: GaussianDensity, model: LinearGaussianModel) -> None:
         )
 
 
-def _check_measurement(z, meas_dim: int) -> np.ndarray:
-    z = np.atleast_1d(finite_array(z, "measurement"))
-    if z.shape != (meas_dim,):
-        raise InputError(f"measurement must have dimension {meas_dim}, got {z.shape}")
-    return z
-
-
 class PreparedMeasurementUpdate:
     """One prior's factor of S = H P H' + R, Kalman gain and posterior covariance.
 
@@ -277,15 +285,16 @@ class PreparedMeasurementUpdate:
         self._posterior_cov = covs[0]
 
     def posterior(self, z) -> GaussianDensity:
-        """Posterior density for measurement z."""
-        z = _check_measurement(z, self.meas_dim)
-        mean = posterior_means(self.prior.mean[None], self._factors[0], self._gains, z[None])
+        """Posterior density for a scan of exactly one measurement z."""
+        zs = _as_measurement_block(z, self.meas_dim)
+        if len(zs) != 1:
+            raise InputError(f"a posterior needs exactly one measurement, got {len(zs)}")
+        mean = posterior_means(self.prior.mean[None], self._factors[0], self._gains, zs)
         return GaussianDensity(mean[0], self._posterior_cov)
 
-    def batch_statistics(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gating statistics and log-likelihoods for a stack of measurements."""
-        zs = finite_array(zs, "measurements").reshape(-1, self.meas_dim)
-        maha, logliks = gate(self._factors, zs)
+    def batch_statistics(self, zs) -> tuple[np.ndarray, np.ndarray]:
+        """Gating statistics and log-likelihoods for a scan of measurements."""
+        maha, logliks = gate(self._factors, _as_measurement_block(zs, self.meas_dim))
         return maha[0], logliks[0]
 
 

@@ -22,10 +22,11 @@ import numpy as np
 # k_best, kalman_predict and PreparedMeasurementUpdate stay module attributes
 # here: perfbench/tracing.py rebinds them.
 from .assignment import FORBIDDEN, _ranked_columns, k_best  # noqa: F401
-from .errors import InputError, NumericalError, integer, real_array, real_number
+from .errors import InputError, NumericalError, integer, real_number
 from .gaussian import (  # noqa: F401
-    GaussianDensity, LinearGaussianModel, PreparedMeasurementUpdate, check_covariance, floor_log,
-    gate, innovation_factors, kalman_gains, kalman_predict, posterior_means, predict_stack,
+    GaussianDensity, LinearGaussianModel, PreparedMeasurementUpdate, _as_measurement_block,
+    check_covariance, floor_log, gate, innovation_factors, kalman_gains, kalman_predict,
+    posterior_means, predict_stack,
 )
 
 
@@ -155,7 +156,7 @@ class BirthComponent:
     def __post_init__(self):
         existence = real_number(self.existence, "birth existence probability", "[0, 1]")
         object.__setattr__(self, "existence", existence)
-        check_covariance(self.density.covariance, "birth covariance")
+        check_covariance(self.density.covariance, "birth covariance")  # even if written in place
 
 
 @dataclass(frozen=True)
@@ -431,26 +432,6 @@ def update(
         used.searchsorted(keys) - bounds[:-1],
         _normalized(weights),
     )
-
-
-def _as_measurement_block(measurements, meas_dim: int, what: str = "measurements") -> np.ndarray:
-    """A scan as a finite (points, meas_dim) block, else InputError naming ``what``: the
-    one scan check, for ``update`` and the measurement-file reader.  No scan (None) and
-    an empty one are (0, meas_dim), and one flat vector is one point."""
-    try:
-        block = real_array(() if measurements is None else measurements, what)
-    except InputError as exc:  # numpy refuses a ragged scan with a ValueError
-        ragged = isinstance(exc.__cause__, ValueError)
-        raise InputError(f"{what} have inconsistent dimensions") if ragged else exc
-    if block.size == 0:
-        return np.zeros((0, meas_dim))
-    block = np.atleast_2d(block)
-    if block.ndim != 2 or block.shape[1] != meas_dim:
-        got = "x".join(map(str, block.shape[1:]))
-        raise InputError(f"{what} must have {meas_dim} coordinates, got {got}")
-    if not np.isfinite(block).all():
-        raise InputError(f"{what} must be finite")
-    return block
 
 
 def prune(state: MbmState, params: FilterParams) -> MbmState:

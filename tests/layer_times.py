@@ -1,17 +1,25 @@
-"""Per-layer times of one scenario1 filter run: filter, ranking and LSAP.
+"""Per-layer times of one scenario1 filter run: phases, Gaussian calls, ranking and LSAP.
 
     PYTHONPATH=src python tests/layer_times.py [--max-globals 200] [--repeats 5]
 
 Filters scenario1 (truth seed 2026, run seed 2027) ``--repeats`` times at
-N_h = ``--max-globals``, timing every call of ``mbm._ranked_columns`` (the
-filter's ranking), of ``assignment._murty`` (the ranking's search past each
+N_h = ``--max-globals``, timing every call of the four phases of a step
+(``mbm.predict``, ``update``, ``estimate`` and ``prune``), of the stacked
+Gaussian calls they make (``predict_stack`` in ``predict``;
+``innovation_factors``, ``gate``, ``kalman_gains`` and ``posterior_means``
+in ``update``), of ``mbm._ranked_columns`` (the filter's ranking, inside
+``update``), of ``assignment._murty`` (the ranking's search past each
 matrix's best assignment) and of ``assignment.linear_sum_assignment``
 (scipy's compiled solver, which both call), with the solves made inside
 ``_murty`` apart from the root pass's.  Prints the median over the repeats
-of the filter's time, the ranking time, its Murty time and the rest (the
-root pass), the LSAP time and its share inside Murty, the ranking time
-outside LSAP, the Murty call count, the LSAP solve counts (all, and inside
-Murty) and the solutions the ranking emitted (the sum of its counts).
+of the filter's time; of each phase's time, ``update``'s less its ranking;
+of the Gaussian calls' time in ``predict`` and in ``update`` (part of those
+phases' times); of the ranking time, its Murty time and the rest (the root
+pass), the LSAP time and its share inside Murty, the ranking time outside
+LSAP; and of the Murty call count, the LSAP solve counts (all, and inside
+Murty) and the solutions the ranking emitted (the sum of its counts).  At
+N_h = 1 the ranking is a small part of ``update``, so the phase and
+Gaussian lines are the profile there.
 
 Scans are drawn before the clock starts, and nothing is scored.  Each timed
 call adds two ``perf_counter`` reads, about 0.1 us, to the times around it.
@@ -30,6 +38,9 @@ from mbmtrack.mbm import FilterParams
 from mbmtrack.sim import builtin_scenario, generate_run_measurements, generate_truth, run_filter
 
 TRUTH_SEED, RUN_SEED = 2026, 2027
+PHASES = ("predict", "update", "estimate", "prune")
+GAUSSIAN_IN_PREDICT = ("predict_stack",)
+GAUSSIAN_IN_UPDATE = ("innovation_factors", "gate", "kalman_gains", "posterior_means")
 OPEN_MURTY = [0]  # timed ``_murty`` calls running
 
 
@@ -68,6 +79,8 @@ def main(argv=None) -> None:
     # Each tally is [seconds, calls, counted]: the ranking counts the
     # solutions it emits.
     tallies = collections.defaultdict(lambda: [0.0, 0, 0])
+    for name in PHASES + GAUSSIAN_IN_PREDICT + GAUSSIAN_IN_UPDATE:
+        timed(mbm, name, tallies)
     timed(mbm, "_ranked_columns", tallies, lambda result: sum(result[0]))
     timed(assignment, "_murty", tallies)
     timed(assignment, "linear_sum_assignment", tallies)
@@ -82,14 +95,19 @@ def main(argv=None) -> None:
         root_lsap = tallies["linear_sum_assignment"]
         murty_lsap = tallies["linear_sum_assignment in murty"]
         lsap = [a + b for a, b in zip(root_lsap, murty_lsap)]
-        rows.append((filter_s, ranking[0], murty[0], ranking[0] - murty[0], lsap[0],
-                     murty_lsap[0], ranking[0] - lsap[0],
+        phases = [tallies[name][0] for name in PHASES]
+        phases[1] -= ranking[0]
+        gaussian = [sum(tallies[name][0] for name in names)
+                    for names in (GAUSSIAN_IN_PREDICT, GAUSSIAN_IN_UPDATE)]
+        rows.append((filter_s, *phases, *gaussian, ranking[0], murty[0], ranking[0] - murty[0],
+                     lsap[0], murty_lsap[0], ranking[0] - lsap[0],
                      murty[1], lsap[1], murty_lsap[1], ranking[2]))
     medians = [statistics.median(column) for column in zip(*rows)]
     print(f"scenario1, truth seed {TRUTH_SEED}, run seed {RUN_SEED}, "
           f"N_h = {args.max_globals}, median of {args.repeats} runs")
-    labels = ("filter", "ranking", "murty", "root pass", "lsap", "lsap in murty",
-              "ranking outside lsap")
+    labels = ("filter", "predict", "update less ranking", "estimate", "prune",
+              "gaussian in predict", "gaussian in update", "ranking", "murty", "root pass",
+              "lsap", "lsap in murty", "ranking outside lsap")
     for label, value in zip(labels, medians):
         print(f"{label + '_s':24} {value:.4f}")
     counts = ("murty", "lsap", "lsap in murty", "solutions")

@@ -228,7 +228,9 @@ class TestTrackAndEvaluate:
         assert main(
             ["evaluate", "--truth", str(truth), "--estimates", str(estimates), "--out", str(tmp_path)]
         ) == 2
-        assert "one estimate set per truth set, got 2 and 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "one estimate set per truth set, got 2 and 1" in err
+        assert err.startswith(f"error: {truth}, {estimates}: GOSPA needs")
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(
@@ -298,7 +300,12 @@ class TestTrackAndEvaluate:
 
     def test_evaluate_three_dimensional_state_exits_2(self, tmp_path, capsys):
         assert self.evaluate(tmp_path, "1:1 10 20 30\n", "1:1 10 20 30\n") == 2
-        assert "expected 2D points or 4D states, got dimension 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "expected 2D points or 4D states, got dimension 3" in err
+        assert err.startswith(f"error: {tmp_path / 'truth.txt'}:1: expected")
+        # Line k holds step k.
+        assert self.evaluate(tmp_path, "1:1 10 20\n\n", "\n1:1 10 20 30\n") == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'est.txt'}:2: expected")
         assert not (tmp_path / "eval" / "gospa.csv").exists()
 
 

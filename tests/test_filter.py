@@ -857,19 +857,46 @@ class TestStepAndLabels:
         assert calls == ["estimate", "prune"]
 
 
+@pytest.mark.parametrize(
+    "scan, tail",
+    [
+        (np.zeros((1, 4)), "must have 2 coordinates, got 4"),
+        ([1.0, 2.0, 3.0], "must have 2 coordinates, got 3"),
+        ([[1.0, 2.0], [3.0]], "have inconsistent dimensions"),
+        ([[np.nan, 2.0]], "must be finite"),
+    ],
+    ids=["one_by_four_block", "three_numbers", "ragged", "nan_point"],
+)
+def test_one_scan_rule_at_every_entry_point(scan, tail):
+    """update, batch_statistics and kalman_update refuse a bad scan with one message."""
+    model = constant_velocity_model(clutter_intensity=1e-4)
+    state = mbm.predict(mbm.init_empty(), model, scenario1_birth())
+    prior = GaussianDensity(np.zeros(4), np.eye(4))
+    for call in (
+        lambda: mbm.update(state, scan, model, FilterParams()),
+        lambda: PreparedMeasurementUpdate(prior, model).batch_statistics(scan),
+        lambda: kalman_update(prior, scan, model),
+    ):
+        with pytest.raises(InputError, match=f"^measurements {tail}$"):
+            call()
+
+
 def test_birth_covariance_must_be_psd():
     """A non-PSD birth is refused at construction, before a step gates it."""
     for bad in (-np.eye(4), np.diag([1.0, 1.0, 1.0, -1e-3])):
-        with pytest.raises(InputError, match="birth covariance must be positive semi-definite"):
+        with pytest.raises(InputError, match="^covariance must be positive semi-definite$"):
             BirthComponent(0.1, GaussianDensity([100.0, 0.0, 100.0, 0.0], bad))
     for good in (np.zeros((4, 4)), np.diag([1.0, 1.0, 1.0, -1e-18])):
         BirthComponent(0.1, GaussianDensity([100.0, 0.0, 100.0, 0.0], good))
-    # GaussianDensity refuses a covariance that overflows, but its array
-    # stays writable, so a density can still come to hold inf.
-    overflowed = GaussianDensity([0.0], [[1.0]])
-    overflowed.covariance[0, 0] = np.inf
+    # GaussianDensity refuses a covariance that overflows or is not PSD, but
+    # its array stays writable, so a density can still come to hold either.
+    written = GaussianDensity([0.0], [[1.0]])
+    written.covariance[0, 0] = -1.0
+    with pytest.raises(InputError, match="birth covariance must be positive semi-definite"):
+        BirthComponent(0.1, written)
+    written.covariance[0, 0] = np.inf
     with pytest.raises(InputError, match="birth covariance must be finite"):
-        BirthComponent(0.1, overflowed)
+        BirthComponent(0.1, written)
 
 
 def test_birth_components_must_share_one_dimension():

@@ -206,6 +206,15 @@ class TestKalmanUpdate:
             with pytest.raises(InputError, match="finite"):
                 kalman_update(prior, z, model_1d())
 
+    def test_posterior_takes_exactly_one_measurement(self):
+        prepared = PreparedMeasurementUpdate(GaussianDensity([0.0], [[1.0]]), model_1d())
+        for scan, got in (([], 0), (None, 0), ([[1.0], [2.0]], 2)):
+            message = f"^a posterior needs exactly one measurement, got {got}$"
+            with pytest.raises(InputError, match=message):
+                prepared.posterior(scan)
+        for z in (1.0, [1.0], [[1.0]]):  # one point, however it is written
+            assert prepared.posterior(z).mean == pytest.approx([0.5])
+
 
 def gate_statistic(prior, z, model):
     """(z - H x)' S^-1 (z - H x) of one prior and one measurement, as ``update`` gates."""
@@ -463,3 +472,13 @@ def test_gaussian_density_symmetrizes_and_validates():
     for mean, cov in [(m, np.eye(2)) for m in bad_means] + [([0.0, 1.0], c) for c in bad_covs]:
         with pytest.raises(InputError):
             GaussianDensity(mean, cov)
+
+
+def test_gaussian_density_covariance_must_be_psd():
+    """A density refuses a non-PSD covariance, so no prediction or update can start from one."""
+    with pytest.raises(InputError, match="^covariance must be positive semi-definite$"):
+        GaussianDensity(np.zeros(4), -10 * np.eye(4))
+    with pytest.raises(InputError, match="^covariance must be positive semi-definite$"):
+        GaussianDensity([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    for good in (np.zeros((2, 2)), np.diag([1.0, -1e-18]), [[1.0, 1.0], [1.0, 1.0]]):
+        GaussianDensity([0.0, 0.0], good)
