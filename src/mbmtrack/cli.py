@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -26,7 +25,6 @@ from .assignment import FORBIDDEN, k_best
 from .errors import InputError, NumericalError, finite_array, read_text
 from .gaussian import _as_measurement_block
 from .gospa import POSITION_PROJECTION, GospaParams, component_rms, gospa_run, rms
-from .mbm import FilterParams
 from .sim import (
     generate_run_measurements,
     generate_truth,
@@ -34,8 +32,6 @@ from .sim import (
     run_filter,
     run_monte_carlo,
 )
-
-OUT_DIR_ENV = "MBMTRACK_OUT"
 
 
 def _fmt(value: float) -> str:
@@ -114,21 +110,9 @@ def read_cost_file(path) -> np.ndarray:
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(out)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _params_from_args(args, defaults: FilterParams, max_globals: int | None = None) -> FilterParams:
-    given = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(FilterParams)
-        if getattr(args, f.name, None) is not None
-    }
-    if max_globals is not None:
-        given["max_globals"] = max_globals
-    return dataclasses.replace(defaults, **given)
 
 
 def cmd_simulate(args) -> int:
@@ -144,7 +128,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_track(args) -> int:
     scenario = resolve_scenario(args.scenario)
-    params = _params_from_args(args, scenario.filter_defaults)
+    defaults = scenario.filter_defaults
+    cap = defaults.max_globals if args.max_globals is None else args.max_globals
+    params = dataclasses.replace(defaults, max_globals=cap)
     scans = read_measurement_file(args.measurements, scenario.model.meas_dim)
     estimates = run_filter(scenario, scans, params)
     out = _out_dir(args)
@@ -202,8 +188,10 @@ def _positions(path, per_step) -> list[list[np.ndarray]]:
 
 def cmd_benchmark(args) -> int:
     scenario = resolve_scenario(args.scenario)
+    defaults = scenario.filter_defaults
+    caps = str(defaults.max_globals) if args.max_globals_list is None else args.max_globals_list
     try:
-        nh_values = [int(v) for v in str(args.max_globals_list).split(",") if v.strip()]
+        nh_values = [int(v) for v in caps.split(",") if v.strip()]
     except ValueError as exc:
         raise InputError(f"bad --max-globals list {args.max_globals_list!r}") from exc
     if not nh_values:
@@ -211,9 +199,7 @@ def cmd_benchmark(args) -> int:
     if len(set(nh_values)) < len(nh_values):
         # A repeated cap would rerun the same runs and overwrite its runs_nh<N>.csv.
         raise InputError(f"--max-globals lists a cap more than once: {args.max_globals_list!r}")
-    all_params = [
-        _params_from_args(args, scenario.filter_defaults, max_globals=nh) for nh in nh_values
-    ]
+    all_params = [dataclasses.replace(defaults, max_globals=nh) for nh in nh_values]
     gospa_params = GospaParams(args.gospa_c, args.gospa_p, POSITION_PROJECTION)
     out = _out_dir(args)
     summary_rows = [
@@ -281,14 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, scenario=True):
         if scenario:
             p.add_argument("--scenario", default="scenario1", help="builtin name or YAML path")
-        p.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV} or .)")
-
-    def add_params(p):
-        # Each dest is a FilterParams field; each subcommand adds its own --max-globals.
-        p.add_argument("--gate", type=float, dest="gate_threshold")
-        p.add_argument("--prune-weight", type=float, dest="prune_global_weight")
-        p.add_argument("--prune-existence", type=float)
-        p.add_argument("--estimate-threshold", type=float, dest="estimate_existence")
+        p.add_argument("--out", default=".", help="output directory")
 
     def add_gospa(p):
         p.add_argument("--gospa-c", type=float, default=10.0, dest="gospa_c")
@@ -302,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="run the filter over a measurement file")
     add_common(p)
     p.add_argument("--measurements", required=True)
-    p.add_argument("--max-globals", type=int)
-    add_params(p)
+    p.add_argument("--max-globals", type=int, help="global-hypothesis cap (default: scenario's)")
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("evaluate", help="per-step GOSPA between truth and estimates files")
@@ -319,11 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=100)
     p.add_argument(
         "--max-globals",
-        default="200",
         dest="max_globals_list",
-        help="comma-separated list of global-hypothesis caps",
+        help="comma-separated list of global-hypothesis caps (default: the scenario's)",
     )
-    add_params(p)
     p.add_argument("--workers", type=int, default=1, help="parallel Monte Carlo processes")
     add_gospa(p)
     p.set_defaults(func=cmd_benchmark)

@@ -46,7 +46,7 @@ _MIDPOINT_STEP = 41
 
 def constant_velocity_model(
     sampling_time: float = 1.0,
-    noise_intensity: float = 0.01,
+    process_noise_intensity: float = 0.01,
     survival_prob: float = 0.99,
     detection_prob: float = 0.9,
     measurement_noise=None,
@@ -54,7 +54,7 @@ def constant_velocity_model(
 ) -> LinearGaussianModel:
     """Planar constant-velocity model over states [px, vx, py, vy]."""
     T = real_number(sampling_time, "sampling_time", "(0, inf)")
-    q = real_number(noise_intensity, "noise_intensity", "[0, inf)")
+    q = real_number(process_noise_intensity, "process_noise_intensity", "[0, inf)")
     try:  # a float power raises OverflowError rather than returning inf
         block = np.array([[T**3 / 3.0, T**2 / 2.0], [T**2 / 2.0, T]])
     except OverflowError:
@@ -360,15 +360,15 @@ def _parse_schedule(raw, scenario: Scenario) -> tuple[float, ...] | None:
 
 
 # The keys a scenario file may hold; a list holds the keys of each of its entries.
-# Model keys but measurement_noise_std go to constant_velocity_model, renamed thus.
-_MODEL_ARGS = {"process_noise_intensity": "noise_intensity"}
+# Model keys but measurement_noise_std are constant_velocity_model's own arguments.
 _SCENARIO_KEYS = {
     "name": None,
     "duration": None,
     "clutter_rate": None,
     "region": {"x": None, "y": None},
     "model": dict.fromkeys((
-        "sampling_time", *_MODEL_ARGS, "measurement_noise_std", "survival_prob", "detection_prob",
+        "sampling_time", "process_noise_intensity", "measurement_noise_std",
+        "survival_prob", "detection_prob",
     )),
     "birth": [dict.fromkeys(("existence", "mean", "std"))],
     "detection_schedule": [dict.fromkeys(("steps", "detection_prob"))],
@@ -402,7 +402,7 @@ def scenario_from_mapping(raw: dict) -> Scenario:
     # An overflow (a birth std whose square is inf, say) is a bad value too.
     with np.errstate(over="raise"):
         try:
-            model_raw = {_MODEL_ARGS.get(k, k): v for k, v in raw.get("model", {}).items()}
+            model_raw = {**raw.get("model", {})}
             noise = model_raw.pop("measurement_noise_std", 1.0)
             noise = real_number(noise, "measurement_noise_std", "[0, inf)")
             model = constant_velocity_model(measurement_noise=np.eye(2) * noise**2, **model_raw)

@@ -1,15 +1,15 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from mbmtrack import cli
 from mbmtrack.cli import (
-    _params_from_args,
-    build_parser,
     main,
     read_cost_file,
     read_labeled_state_file,
@@ -153,7 +153,7 @@ class TestTrackAndEvaluate:
         assert main(base + ["--out", str(t1)]) == 0
         assert main(base + ["--out", str(t2)]) == 0
         assert (t1 / "estimates.txt").read_bytes() == (t2 / "estimates.txt").read_bytes()
-        assert main(base + ["--out", str(t3), "--max-globals", "100", "--gate", "25"]) == 0
+        assert main(base + ["--out", str(t3), "--max-globals", "100"]) == 0
 
     def test_scenario1_budget_sweep_completes(self, tmp_path):
         # a short measurement file keeps the sweep cheap; both caps must run
@@ -406,10 +406,19 @@ class TestBenchmark:
 
     def test_empty_max_globals_list_exits_2(self, tmp_path, capsys):
         scenario = small_scenario_file(tmp_path)
-        args = ["benchmark", "--scenario", str(scenario), "--runs", "1", "--max-globals", ","]
-        assert main(args + ["--out", str(tmp_path / "out")]) == 2
-        assert "--max-globals must list at least one value" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for caps in (",", ""):
+            args = ["benchmark", "--scenario", str(scenario), "--runs", "1", "--max-globals", caps]
+            assert main(args + ["--out", str(tmp_path / "out")]) == 2
+            assert "--max-globals must list at least one value" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_cap_defaults_to_the_scenario_file(self, tmp_path):
+        scenario = small_scenario_file(tmp_path)  # its filter block sets max_globals: 30
+        args = ["benchmark", "--scenario", str(scenario), "--runs", "1", "--out", str(tmp_path)]
+        assert main(args) == 0
+        summary = (tmp_path / "summary.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[0] for row in summary] == ["max_globals", "30"]
+        assert (tmp_path / "runs_nh30.csv").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_workers_exits_2(self, tmp_path, capsys, workers):
@@ -495,39 +504,62 @@ def test_bad_detection_schedule_exits_2(tmp_path, capsys, value):
     assert not (tmp_path / "out" / "measurements.txt").exists()
 
 
-class TestFilterParamsFromArgs:
-    def test_unset_flags_keep_scenario_defaults(self):
-        args = build_parser().parse_args(["track", "--measurements", "m.txt"])
-        defaults = FilterParams(max_globals=30, gate_threshold=12.0)
-        assert _params_from_args(args, defaults) == defaults
+class TestFilterParamsFromScenario:
+    """The scenario file's filter block sets every threshold; --max-globals only the cap."""
 
-    def test_set_flags_override(self):
-        args = build_parser().parse_args(
-            [
-                "track", "--measurements", "m.txt", "--max-globals", "7", "--gate", "25",
-                "--prune-weight", "1e-4", "--prune-existence", "0.01",
-                "--estimate-threshold", "0.6",
-            ]
-        )
-        assert _params_from_args(args, FilterParams(max_globals=30)) == FilterParams(
-            max_globals=7,
-            gate_threshold=25.0,
-            prune_global_weight=1e-4,
-            prune_existence=0.01,
-            estimate_existence=0.6,
-        )
+    FILTER = {"max_globals": 30, "gate_threshold": 12.0, "prune_global_weight": 1e-4,
+              "prune_existence": 0.01, "estimate_existence": 0.6}
 
-    def test_benchmark_cap_overrides_flag(self):
-        args = build_parser().parse_args(["benchmark", "--max-globals", "5,9", "--gate", "30"])
-        assert _params_from_args(args, FilterParams(), max_globals=9) == FilterParams(
-            max_globals=9, gate_threshold=30.0
-        )
+    def params_used(self, tmp_path, monkeypatch, command, flags=()):
+        """The FilterParams each filter run of ``command`` receives."""
+        used = []
+
+        def record(run, position):
+            def recorded(*args, **kwargs):
+                used.append(args[position])
+                return run(*args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(cli, "run_filter", record(cli.run_filter, 2))
+        monkeypatch.setattr(cli, "run_monte_carlo", record(cli.run_monte_carlo, 1))
+        scenario = small_scenario_file(tmp_path, duration=3, extra={"filter": self.FILTER})
+        meas = tmp_path / "meas.txt"
+        meas.write_text("140 170\n", encoding="utf-8")
+        inputs = ["--measurements", str(meas)] if command == "track" else ["--runs", "1"]
+        argv = [command, "--scenario", str(scenario), *inputs, "--out", str(tmp_path / "out")]
+        assert main(argv + list(flags)) == 0
+        return used
+
+    @pytest.mark.parametrize("command", ["track", "benchmark"])
+    def test_without_flags_the_file_sets_every_threshold(self, tmp_path, monkeypatch, command):
+        assert self.params_used(tmp_path, monkeypatch, command) == [FilterParams(**self.FILTER)]
+
+    @pytest.mark.parametrize(
+        "command, caps", [("track", "7"), ("benchmark", "5,9")], ids=["track", "benchmark"]
+    )
+    def test_max_globals_replaces_only_the_cap(self, tmp_path, monkeypatch, command, caps):
+        used = self.params_used(tmp_path, monkeypatch, command, ["--max-globals", caps])
+        file_params = FilterParams(**self.FILTER)
+        expected = [replace(file_params, max_globals=int(nh)) for nh in caps.split(",")]
+        assert used == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["track", "--measurements", "m.txt", "--gate", "25"],
+         ["benchmark", "--prune-weight", "1e-4"]],
+        ids=["track_gate", "benchmark_prune_weight"],
+    )
+    def test_threshold_flags_are_unrecognized(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRejectedTrackInput:
-    def run_track(self, tmp_path, measurement_text, extra=()):
-        scenario = small_scenario_file(tmp_path)
+    def run_track(self, tmp_path, measurement_text, extra=(), scenario_extra=None):
+        scenario = small_scenario_file(tmp_path, extra=scenario_extra)
         meas = tmp_path / "meas.txt"
         meas.write_text(measurement_text, encoding="utf-8")
         return main(
@@ -548,8 +580,16 @@ class TestRejectedTrackInput:
             read_measurement_file(path, 2)
 
     def test_negative_gate_exits_2(self, tmp_path, capsys):
-        assert self.run_track(tmp_path, "140 170\n", ["--gate", "-1"]) == 2
-        assert "gate_threshold" in capsys.readouterr().err
+        bad_filter = {"filter": {"gate_threshold": -1}}
+        assert self.run_track(tmp_path, "140 170\n", scenario_extra=bad_filter) == 2
+        err = capsys.readouterr().err
+        assert "mini.yaml" in err and "gate_threshold" in err
+
+    def test_negative_process_noise_exits_2(self, tmp_path, capsys):
+        model = {"process_noise_intensity": -1}
+        assert self.run_track(tmp_path, "140 170\n", scenario_extra={"model": model}) == 2
+        err = capsys.readouterr().err
+        assert "mini.yaml" in err and "process_noise_intensity" in err
 
     def test_max_globals_beyond_the_float_range_exits_2(self, tmp_path, capsys):
         assert self.run_track(tmp_path, "140 170\n", ["--max-globals", "1" + "0" * 400]) == 2
@@ -805,13 +845,13 @@ def test_usage_error_exits_2():
     assert excinfo.value.code == 2
 
 
-def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
-    matrix = tmp_path / "cost.txt"
-    matrix.write_text("-1\n", encoding="utf-8")
-    monkeypatch.setenv("MBMTRACK_OUT", str(tmp_path / "envout"))
+def test_out_defaults_to_the_working_directory(tmp_path, monkeypatch):
     scenario = small_scenario_file(tmp_path, duration=5)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
     assert main(["simulate", "--scenario", str(scenario), "--seed", "1"]) == 0
-    assert (tmp_path / "envout" / "measurements.txt").exists()
+    assert (work / "measurements.txt").exists() and (work / "truth.txt").exists()
 
 
 def test_python_dash_m_reaches_the_cli():

@@ -157,7 +157,7 @@ _SCALARS = {
     "GOSPA cutoff": (lambda v: GospaParams(cutoff=v), "str none complex true"),
     "GOSPA order": (lambda v: GospaParams(order=v), "str none complex true"),
     "sampling_time": (lambda v: constant_velocity_model(sampling_time=v), "huge"),
-    "noise_intensity": (lambda v: constant_velocity_model(noise_intensity=v), "huge"),
+    "noise_intensity": (lambda v: constant_velocity_model(process_noise_intensity=v), "huge"),
     "file clutter_rate": (lambda v: scenario_from_mapping(_mapping(clutter_rate=v)), "str true"),
     "file measurement_noise_std": (
         lambda v: scenario_from_mapping(_mapping(model={"measurement_noise_std": v})), "str true"

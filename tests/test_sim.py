@@ -138,22 +138,22 @@ class TestBuiltinScenarios:
 
     def test_model_overflow_rejected(self):
         with pytest.raises(InputError, match="process_noise must be finite"):
-            constant_velocity_model(sampling_time=2.0, noise_intensity=1e308)
+            constant_velocity_model(sampling_time=2.0, process_noise_intensity=1e308)
 
     @pytest.mark.parametrize(
         "kwargs, name",
         [
             ({"sampling_time": 1e200}, "sampling_time"),
-            ({"sampling_time": 1e200, "noise_intensity": 0.0}, "sampling_time"),
+            ({"sampling_time": 1e200, "process_noise_intensity": 0.0}, "sampling_time"),
             ({"sampling_time": float("inf")}, "sampling_time"),
             ({"sampling_time": float("nan")}, "sampling_time"),
             ({"sampling_time": 0.0}, "sampling_time"),
             ({"sampling_time": -1.0}, "sampling_time"),
             ({"sampling_time": "a"}, "sampling_time"),
             ({"sampling_time": True}, "sampling_time"),
-            ({"noise_intensity": float("inf")}, "noise_intensity"),
-            ({"noise_intensity": -0.5}, "noise_intensity"),
-            ({"noise_intensity": None}, "noise_intensity"),
+            ({"process_noise_intensity": float("inf")}, "noise_intensity"),
+            ({"process_noise_intensity": -0.5}, "noise_intensity"),
+            ({"process_noise_intensity": None}, "noise_intensity"),
         ],
         ids=["time_cubed_overflows", "time_cubed_overflows_noiseless", "inf_time", "nan_time",
              "zero_time", "negative_time", "string_time", "bool_time", "inf_noise",
@@ -166,7 +166,7 @@ class TestBuiltinScenarios:
             constant_velocity_model(**kwargs)
 
     def test_model_accepts_zero_noise_and_integer_time(self):
-        model = constant_velocity_model(sampling_time=2, noise_intensity=0)
+        model = constant_velocity_model(sampling_time=2, process_noise_intensity=0)
         assert model.transition[0, 1] == 2.0
         assert not model.process_noise.any()
 
