@@ -24,7 +24,7 @@ import numpy as np
 from .assignment import FORBIDDEN, k_best
 from .errors import InputError, NumericalError, finite_array, read_text
 from .gaussian import _as_measurement_block
-from .gospa import POSITION_PROJECTION, GospaParams, component_rms, gospa_run, rms
+from .gospa import POSITION_PROJECTION, GospaParams, gospa_run, run_summary
 from .sim import (
     generate_run_measurements,
     generate_truth,
@@ -36,6 +36,11 @@ from .sim import (
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
+
+
+def _row(*fields) -> str:
+    """One CSV row: an int as ``str`` writes it, any other number by ``_fmt``."""
+    return ",".join(str(f) if isinstance(f, int) else _fmt(f) for f in fields)
 
 
 def _write_lines(path, lines) -> None:
@@ -151,25 +156,11 @@ def cmd_evaluate(args) -> int:
         results = gospa_run(*points, gospa_params)
     except InputError as exc:
         raise InputError(f"{args.truth}, {args.estimates}: {exc}") from exc
-    for k, result in enumerate(results, start=1):
-        rows.append(
-            f"{k},{_fmt(result.total)},{_fmt(result.localisation_p)},{_fmt(result.missed_p)},"
-            f"{_fmt(result.false_p)},{result.n_missed},{result.n_false}"
-        )
+    rows += (_row(k, r.total, r.localisation_p, r.missed_p, r.false_p, r.n_missed, r.n_false)
+             for k, r in enumerate(results, start=1))
     _write_lines(out / "gospa.csv", rows)
-    order = gospa_params.order
-    summary = [
-        "steps,rms_gospa,rms_loc,rms_missed,rms_false",
-        ",".join(
-            [
-                str(len(results)),
-                _fmt(rms(r.total for r in results)),
-                _fmt(component_rms(results, "localisation_p", order)),
-                _fmt(component_rms(results, "missed_p", order)),
-                _fmt(component_rms(results, "false_p", order)),
-            ]
-        ),
-    ]
+    summary = ["steps,rms_gospa,rms_loc,rms_missed,rms_false",
+               _row(len(results), *run_summary(results, gospa_params.order))]
     _write_lines(out / "gospa_summary.csv", summary)
     print(f"wrote {out / 'gospa.csv'} and {out / 'gospa_summary.csv'}")
     return 0
@@ -211,38 +202,14 @@ def cmd_benchmark(args) -> int:
             scenario, params, args.runs, args.seed, gospa_params, workers=args.workers
         )
         run_rows = ["run,step,m_k,n_estimates,gospa_total,loc_p,missed_p,false_p"]
-        for record in report.records:
-            for k, score in enumerate(record.gospa, start=1):
-                run_rows.append(
-                    ",".join(
-                        [
-                            str(record.seed - args.seed),
-                            str(k),
-                            str(len(record.measurements[k - 1])),
-                            str(len(record.estimates[k - 1])),
-                            _fmt(score.total),
-                            _fmt(score.localisation_p),
-                            _fmt(score.missed_p),
-                            _fmt(score.false_p),
-                        ]
-                    )
-                )
+        for r in report.records:
+            for k, g in enumerate(r.gospa, start=1):
+                run_rows.append(_row(r.seed - args.seed, k, len(r.measurements[k - 1]),
+                                     len(r.estimates[k - 1]), g.total, g.localisation_p,
+                                     g.missed_p, g.false_p))
         _write_lines(out / f"runs_nh{nh}.csv", run_rows)
-        summary_rows.append(
-            ",".join(
-                [
-                    str(nh),
-                    str(report.n_runs),
-                    str(report.seed),
-                    _fmt(gospa_params.cutoff),
-                    _fmt(gospa_params.order),
-                    _fmt(report.mean_rms_gospa),
-                    _fmt(report.mean_component_rms("localisation_p")),
-                    _fmt(report.mean_component_rms("missed_p")),
-                    _fmt(report.mean_component_rms("false_p")),
-                ]
-            )
-        )
+        summary_rows.append(_row(nh, args.runs, args.seed, gospa_params.cutoff,
+                                 gospa_params.order, *report.mean_summary))
         timing_rows.append(f"{nh},{report.mean_runtime_s:.6f}")
     _write_lines(out / "summary.csv", summary_rows)
     _write_lines(out / "timings.csv", timing_rows)

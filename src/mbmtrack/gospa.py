@@ -193,15 +193,11 @@ def gospa(truth, estimate, params: GospaParams = GospaParams()) -> GospaResult:
     return gospa_run([truth], [estimate], params)[0]
 
 
-def rms(values) -> float:
-    """Root mean square of a sequence of per-step totals."""
-    values = real_array(list(values), "GOSPA totals")
-    if values.size == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(values**2)))
-
-
-def component_rms(results, name: str, order: float) -> float:
-    """Run-level aggregate of a decomposition term: (its mean over steps)^(1/order)."""
-    values = [getattr(r, name) for r in results]
-    return float(np.mean(values)) ** (1.0 / order) if values else 0.0
+def run_summary(results, order: float) -> tuple[float, float, float, float]:
+    """A run's RMS-GOSPA (of its per-step totals), then its localisation, missed and false
+    terms, each as (its mean over steps)^(1/order); zeros for a run of no steps."""
+    if not results:
+        return (0.0, 0.0, 0.0, 0.0)
+    rms = float(np.sqrt(np.mean(np.array([r.total for r in results]) ** 2)))
+    terms = zip(*((r.localisation_p, r.missed_p, r.false_p) for r in results))
+    return (rms, *(float(np.mean(t)) ** (1.0 / order) for t in terms))

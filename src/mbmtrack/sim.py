@@ -26,7 +26,7 @@ from .errors import InputError, finite_array, integer, read_text, real_number
 from .gaussian import GaussianDensity, LinearGaussianModel
 # gospa stays a module attribute here: perfbench/tracing.py rebinds it.
 from .gospa import (  # noqa: F401
-    POSITION_PROJECTION, GospaParams, GospaResult, component_rms, gospa, gospa_run, rms,
+    POSITION_PROJECTION, GospaParams, GospaResult, gospa, gospa_run, run_summary,
 )
 from .mbm import (
     BirthComponent,
@@ -102,6 +102,9 @@ class Scenario:
     def __post_init__(self):
         if any(c.density.dim != self.model.state_dim for c in self.birth.components):
             raise InputError(f"birth components must have dimension {self.model.state_dim}")
+        if self.model.meas_dim != 2:  # the region, and so the clutter, is planar
+            raise InputError(f"measurements must be planar, got measurement dimension "
+                             f"{self.model.meas_dim}")
         (x0, x1), (y0, y1) = finite_array(self.region, "region", (2, 2)).tolist()
         if not (x0 < x1 and y0 < y1 and math.isfinite((x1 - x0) * (y1 - y0))):
             raise InputError("region bounds must increase and enclose a finite area")
@@ -247,27 +250,22 @@ class RunRecord:
     measurements: list[np.ndarray]
     estimates: list[list[TargetEstimate]]
     gospa: list[GospaResult]
+    summary: tuple[float, float, float, float]  # gospa.run_summary of ``gospa``
     duration_s: float
 
     @property
     def rms_total(self) -> float:
-        return rms(g.total for g in self.gospa)
+        return self.summary[0]
 
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    n_runs: int
-    seed: int
-    gospa_params: GospaParams
     records: list[RunRecord]
 
     @property
-    def mean_rms_gospa(self) -> float:
-        return float(np.mean([r.rms_total for r in self.records]))
-
-    def mean_component_rms(self, name: str) -> float:
-        p = self.gospa_params.order
-        return float(np.mean([component_rms(r.gospa, name, p) for r in self.records]))
+    def mean_summary(self) -> tuple[float, ...]:
+        """The mean over the runs of each field of their ``summary``."""
+        return tuple(float(np.mean(column)) for column in zip(*(r.summary for r in self.records)))
 
     @property
     def mean_runtime_s(self) -> float:
@@ -289,7 +287,9 @@ def _single_run(
         [[e.state for e in step_estimates] for step_estimates in estimates],
         gospa_params,
     )
-    return RunRecord(run_seed, scans, estimates, scores, duration)
+    return RunRecord(
+        run_seed, scans, estimates, scores, run_summary(scores, gospa_params.order), duration
+    )
 
 
 def run_monte_carlo(
@@ -330,7 +330,7 @@ def run_monte_carlo(
         records = [
             _single_run(base, params, rs, gospa_params) for rs in run_seeds
         ]
-    return MonteCarloReport(n_runs, seed, gospa_params, records)
+    return MonteCarloReport(records)
 
 
 # ---------------------------------------------------------------------------

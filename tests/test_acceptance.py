@@ -223,7 +223,7 @@ def test_criterion_7_scenario1_desk_scale():
     mean_card = float(np.mean(cardinalities))
     assert abs(mean_card - 3.0) <= 0.5
 
-    assert math.isfinite(report.mean_rms_gospa)
+    assert math.isfinite(report.mean_summary[0])
     loc = np.zeros(81)
     missed = np.zeros(81)
     for record in report.records:
@@ -234,7 +234,7 @@ def test_criterion_7_scenario1_desk_scale():
     assert missed[:2].mean() > loc[:2].mean()
     assert loc[60:].mean() > missed[60:].mean()
     print(f"\nACCEPTANCE PASS: criterion 7: 20 runs in {elapsed:.1f}s (<60s, {workers} workers), "
-          f"mean cardinality {mean_card:.2f} in 3±0.5, RMS-GOSPA {report.mean_rms_gospa:.2f} finite, "
+          f"mean cardinality {mean_card:.2f} in 3±0.5, RMS-GOSPA {report.mean_summary[0]:.2f} finite, "
           f"missed dominates only during the birth transient")
 
 

@@ -340,54 +340,28 @@ class TestBenchmark:
         # benchmark with the same seed
         scenario = small_scenario_file(tmp_path)
         sim_out = tmp_path / "sim"
-        main(["simulate", "--scenario", str(scenario), "--seed", "9", "--out", str(sim_out)])
+        assert main(["simulate", "--scenario", str(scenario), "--seed", "9",
+                     "--out", str(sim_out)]) == 0
         track_out = tmp_path / "trk"
-        main(
-            [
-                "track",
-                "--scenario",
-                str(scenario),
-                "--measurements",
-                str(sim_out / "measurements.txt"),
-                "--out",
-                str(track_out),
-            ]
-        )
+        assert main(["track", "--scenario", str(scenario),
+                     "--measurements", str(sim_out / "measurements.txt"),
+                     "--out", str(track_out)]) == 0
         eval_out = tmp_path / "ev"
-        main(
-            [
-                "evaluate",
-                "--truth",
-                str(sim_out / "truth.txt"),
-                "--estimates",
-                str(track_out / "estimates.txt"),
-                "--out",
-                str(eval_out),
-            ]
-        )
+        assert main(["evaluate", "--truth", str(sim_out / "truth.txt"),
+                     "--estimates", str(track_out / "estimates.txt"), "--out", str(eval_out)]) == 0
         bench_out = tmp_path / "bench"
-        main(
-            [
-                "benchmark",
-                "--scenario",
-                str(scenario),
-                "--seed",
-                "9",
-                "--runs",
-                "1",
-                "--max-globals",
-                "30",
-                "--out",
-                str(bench_out),
-            ]
-        )
+        assert main(["benchmark", "--scenario", str(scenario), "--seed", "9", "--runs", "1",
+                     "--max-globals", "30", "--out", str(bench_out)]) == 0
+        # Both commands write each number by one formatter, so the fields match as text.
         gospa_rows = (eval_out / "gospa.csv").read_text().strip().splitlines()[1:]
         run_rows = (bench_out / "runs_nh30.csv").read_text().strip().splitlines()[1:]
         assert len(gospa_rows) == len(run_rows)
         for g_row, r_row in zip(gospa_rows, run_rows):
-            assert float(g_row.split(",")[1]) == pytest.approx(
-                float(r_row.split(",")[4]), abs=1e-12
-            )
+            assert g_row.split(",")[1:5] == r_row.split(",")[4:8]
+        # With one run, each mean over the runs is that run's own summary.
+        summary = (eval_out / "gospa_summary.csv").read_text().splitlines()[1].split(",")
+        means = (bench_out / "summary.csv").read_text().splitlines()[1].split(",")
+        assert summary[1:] == means[5:]
 
     def test_bad_max_globals_exits_2(self, tmp_path):
         scenario = small_scenario_file(tmp_path)

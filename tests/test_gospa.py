@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import gospa_oracle, gospa_reference
 
 from mbmtrack.errors import InputError
-from mbmtrack.gospa import GospaParams, GospaResult, component_rms, gospa, gospa_run, rms
+from mbmtrack.gospa import GospaParams, GospaResult, gospa, gospa_run, run_summary
 
 P10 = GospaParams(cutoff=10.0, order=2.0)
 
@@ -320,12 +320,16 @@ class TestGospaRun:
 
 
 def test_rms_aggregate():
-    assert rms([3.0, 4.0]) == pytest.approx(np.sqrt(12.5))
-    assert rms([]) == 0.0
+    results = [GospaResult(total, 0.0, 0.0, 0.0, 0, 0, ()) for total in (3.0, 4.0)]
+    assert run_summary(results, 2.0)[0] == pytest.approx(np.sqrt(12.5))
+    assert run_summary([], 2.0) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_component_rms_aggregate():
     results = [GospaResult(0.0, 0.0, m, 0.0, 0, 0, ()) for m in (1.0, 8.0)]
-    assert component_rms(results, "missed_p", 2.0) == pytest.approx(4.5**0.5)
-    assert component_rms(results, "missed_p", 3.0) == pytest.approx(4.5 ** (1.0 / 3.0))
-    assert component_rms([], "missed_p", 2.0) == 0.0
+    assert run_summary(results, 2.0)[2] == pytest.approx(4.5**0.5)
+    assert run_summary(results, 3.0)[2] == pytest.approx(4.5 ** (1.0 / 3.0))
+    assert run_summary([], 2.0)[2] == 0.0
+    # Each term has its own slot: localisation, missed, then false.
+    one_step = [GospaResult(0.0, 1.0, 8.0, 27.0, 0, 0, ())]
+    assert run_summary(one_step, 3.0)[1:] == pytest.approx((1.0, 2.0, 3.0))

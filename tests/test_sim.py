@@ -267,6 +267,21 @@ def test_scenario_stores_converted_fields():
     assert scenario.detection_prob_at(3) == scenario.model.detection_prob  # a short schedule
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+def test_scenario_rejects_measurements_that_are_not_planar(rows, build):
+    # The region and its uniform clutter are planar, so a scan could not hold
+    # both a clutter point and a detection of any other dimension.
+    base = builtin_scenario("scenario1")
+    model = replace(base.model, observation=np.eye(rows, 4), measurement_noise=np.eye(rows))
+    message = f"^measurements must be planar, got measurement dimension {rows}$"
+    with pytest.raises(InputError, match=message):
+        if build == "constructor":
+            Scenario(**{**_scenario_fields(), "model": model})
+        else:
+            replace(base, model=model)
+
+
 class TestCrossingTruth:
     def test_counts_follow_birth_and_death_schedule(self):
         scenario = generate_truth(builtin_scenario("scenario1"), 3)
@@ -527,7 +542,7 @@ class TestMonteCarlo:
         params = FilterParams(max_globals=50)
         a = run_monte_carlo(scenario, params, 2, 5)
         b = run_monte_carlo(scenario, params, 2, 5)
-        assert a.mean_rms_gospa == b.mean_rms_gospa
+        assert a.mean_summary[0] == b.mean_summary[0]
         for ra, rb in zip(a.records, b.records):
             assert ra.seed == rb.seed
             for sa, sb in zip(ra.gospa, rb.gospa):
@@ -537,12 +552,28 @@ class TestMonteCarlo:
                 for x, y in zip(ea, eb):
                     assert np.array_equal(x.state, y.state)
 
+    def test_records_summarise_their_runs_at_the_report_order(self):
+        gospa_params = GospaParams(cutoff=20.0, order=3.0, projection=(0, 2))
+        report = run_monte_carlo(self.small_scenario(), FilterParams(max_globals=50), 2, 5,
+                                 gospa_params)
+        for record in report.records:
+            n = len(record.gospa)
+            assert record.rms_total == pytest.approx(
+                (sum(g.total**2 for g in record.gospa) / n) ** 0.5, rel=1e-12)
+            terms = [sum(getattr(g, name) for g in record.gospa) / n
+                     for name in ("localisation_p", "missed_p", "false_p")]
+            assert record.summary == pytest.approx(
+                (record.rms_total, *(t ** (1.0 / 3.0) for t in terms)), rel=1e-12)
+        runs = [record.summary for record in report.records]
+        assert report.mean_summary == pytest.approx(
+            tuple((a + b) / 2 for a, b in zip(*runs)), rel=1e-12)
+
     def test_workers_do_not_change_results(self):
         scenario = self.small_scenario()
         params = FilterParams(max_globals=50)
         serial = run_monte_carlo(scenario, params, 2, 5, workers=1)
         parallel = run_monte_carlo(scenario, params, 2, 5, workers=2)
-        assert serial.mean_rms_gospa == parallel.mean_rms_gospa
+        assert serial.mean_summary[0] == parallel.mean_summary[0]
         for ra, rb in zip(serial.records, parallel.records):
             for sa, sb in zip(ra.gospa, rb.gospa):
                 assert sa.total == sb.total
@@ -592,7 +623,7 @@ class TestMonteCarlo:
         mean_missed = np.mean([s.missed_p for s in late])
         mean_false = np.mean([s.false_p for s in late])
         assert mean_missed + mean_false < 5.0
-        assert np.isfinite(report.mean_rms_gospa)
+        assert np.isfinite(report.mean_summary[0])
 
     def test_n_runs_validated(self):
         bad = [(0, 1, 1, "n_runs"), (2.5, 1, 1, "n_runs"), (True, 1, 1, "n_runs"),
