@@ -24,7 +24,7 @@ import numpy as np
 from .assignment import FORBIDDEN, k_best
 from .errors import InputError, NumericalError, finite_array, read_text
 from .gaussian import _as_measurement_block
-from .gospa import POSITION_PROJECTION, GospaParams, gospa_run, run_summary
+from .gospa import GospaParams, gospa_run, run_summary
 from .sim import (
     generate_run_measurements,
     generate_truth,
@@ -174,7 +174,7 @@ def _positions(path, per_step) -> list[list[np.ndarray]]:
             if state.size not in (2, 4):
                 raise InputError(f"{path}:{line_no}: expected 2D points or 4D states, "
                                  f"got dimension {state.size}")
-    return [[s[list(POSITION_PROJECTION)] if s.size == 4 else s for _, s in e] for e in per_step]
+    return [[s[[0, 2]] if s.size == 4 else s for _, s in e] for e in per_step]
 
 
 def cmd_benchmark(args) -> int:
@@ -191,7 +191,7 @@ def cmd_benchmark(args) -> int:
         # A repeated cap would rerun the same runs and overwrite its runs_nh<N>.csv.
         raise InputError(f"--max-globals lists a cap more than once: {args.max_globals_list!r}")
     all_params = [dataclasses.replace(defaults, max_globals=nh) for nh in nh_values]
-    gospa_params = GospaParams(args.gospa_c, args.gospa_p, POSITION_PROJECTION)
+    gospa_params = GospaParams(args.gospa_c, args.gospa_p)
     out = _out_dir(args)
     summary_rows = [
         "max_globals,n_runs,seed,gospa_c,gospa_p,mean_rms_gospa,mean_rms_loc,mean_rms_missed,mean_rms_false"

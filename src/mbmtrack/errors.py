@@ -43,20 +43,21 @@ def real_number(value, what: str, interval: str) -> float:
     return number
 
 
-def integer(value, what: str, low: int) -> int:
+def integer(value, what: str, low: int, high: float = math.inf) -> int:
     """``value`` as an int; InputError naming ``what`` unless it is an integer,
-    not a bool, that is at least ``low``.  Any size passes: a float need not hold it.
+    not a bool, in [``low``, ``high``].  Any size passes: a float need not hold it.
     """
     # A plain int skips the slower check; a bool is not a plain int, so it takes it.
     integral = type(value) is int or (
         isinstance(value, numbers.Integral) and not isinstance(value, bool))
-    if integral and value >= low:
+    if integral and low <= value <= high:
         return int(value)
     try:
         shown = repr(value)
     except ValueError:  # an int too long to print
         shown = f"an integer of {int(value).bit_length()} bits"
-    raise InputError(f"{what} must be an integer >= {low}, got {shown}")
+    bound = f"<= {high}" if integral and value > high else f">= {low}"
+    raise InputError(f"{what} must be an integer {bound}, got {shown}")
 
 
 def real_array(values, what: str) -> np.ndarray:

@@ -20,25 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import FORBIDDEN, _ranked_columns
-from .errors import InputError, integer, real_array, real_number
-
-#: Euclidean distance on the planar position slots of a
-#: [px, vx, py, vy] state vector.
-POSITION_PROJECTION = (0, 2)
+from .errors import InputError, real_array, real_number
 
 
 @dataclass(frozen=True)
 class GospaParams:
-    """Cutoff c > 0, order 1 <= p < inf, and an optional state projection.
-
-    c**p must be a positive finite float.  ``projection`` is a tuple or list
-    of the vector indices (at least one, each >= 0) the base Euclidean
-    distance acts on, stored as a tuple; None uses the full vectors.
-    """
+    """Cutoff c > 0 and order 1 <= p < inf; c**p must be a positive finite float."""
 
     cutoff: float = 10.0
     order: float = 2.0
-    projection: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "cutoff", real_number(self.cutoff, "GOSPA cutoff c", "(0, inf)"))
@@ -51,13 +41,6 @@ class GospaParams:
             raise InputError(
                 f"GOSPA c**p must be a positive finite float, got c={self.cutoff!r}, p={self.order!r}"
             )
-        if self.projection is not None:
-            if not isinstance(self.projection, (tuple, list)) or not self.projection:
-                raise InputError(
-                    f"GOSPA projection must list one or more indices >= 0, got {self.projection!r}"
-                )
-            indices = tuple(integer(i, "GOSPA projection index", 0) for i in self.projection)
-            object.__setattr__(self, "projection", indices)
 
 
 @dataclass(frozen=True)
@@ -71,22 +54,17 @@ class GospaResult:
     matching: tuple[tuple[int, int], ...]
 
 
-def _check_points(points, ends, projection) -> None:
+def _check_points(points, ends) -> None:
     """InputError naming the step of the first set of ``points`` with a non-finite
-    element or a dimension that ``projection`` does not fit.  Set i of the rows (a
-    truth and then an estimate set per step) ends before row ``ends[i]``."""
-    short = projection is not None and max(projection) >= points.shape[1]
-    if short or not np.isfinite(points).all():
-        row = int(np.isfinite(points).all(axis=1).argmin())  # the first non-finite row, or 0
-        # A short dimension faults every set, the first one with rows first.
-        first = int(np.searchsorted(ends, 0 if short else row, side="right"))
-        fault = f"projection {projection} out of range for dimension {points.shape[1]}"
-        if row < ends[first] and not np.isfinite(points[row]).all():
-            fault = "set elements must be finite"
-        raise InputError(f"step {first // 2 + 1}: {fault}")
+    element.  Set i of the rows (a truth and then an estimate set per step) ends
+    before row ``ends[i]``."""
+    if not np.isfinite(points).all():
+        row = int(np.isfinite(points).all(axis=1).argmin())  # the first non-finite row
+        first = int(np.searchsorted(ends, row, side="right"))
+        raise InputError(f"step {first // 2 + 1}: set elements must be finite")
 
 
-def _walk(truths, estimates, projection) -> np.ndarray:
+def _walk(truths, estimates) -> np.ndarray:
     """The points of a run that is not one block of flat vectors, else InputError for its
     first faulty step.  A number is a 1-vector, and each set passes ``_check_points``."""
     parts, first = [], None  # first: (step, dimension) of the first step with elements
@@ -104,7 +82,7 @@ def _walk(truths, estimates, projection) -> np.ndarray:
             if pts:
                 parts.append(np.stack(pts))
                 dims.append(pts[0].size)
-                _check_points(parts[-1], [0] * (2 * k - 2 + side) + [len(pts)], projection)
+                _check_points(parts[-1], [0] * (2 * k - 2 + side) + [len(pts)])
         if len(set(dims)) > 1:
             raise InputError(f"step {k}: truth and estimate vectors have different dimensions")
         first = (first or (k, dims[0])) if dims else first
@@ -119,7 +97,7 @@ def gospa_run(truths, estimates, params: GospaParams = GospaParams()) -> list[Go
 
     ``truths`` and ``estimates`` hold one set per step; a set is a sequence of
     vectors or an (n, dim) array, and every vector of the run has one dimension.
-    The points are converted, checked and projected as one block; only a run that
+    The points are converted and checked as one block; only a run that
     does not convert is walked.  The cost matrices of the steps whose sets are
     both non-empty, padded with FORBIDDEN to one stack, are ranked in one
     ``_ranked_columns`` call: padding rows take only their zero slacks, padding
@@ -146,10 +124,8 @@ def gospa_run(truths, estimates, params: GospaParams = GospaParams()) -> list[Go
             block = block.reshape(n_points, -1) if block.ndim <= 2 else None
         except InputError:
             block = None
-        block = _walk(truths, estimates, params.projection) if block is None else block
-        _check_points(block, np.cumsum(sizes.ravel()), params.projection)
-        if params.projection is not None:
-            block = block[:, list(params.projection)]
+        block = _walk(truths, estimates) if block is None else block
+        _check_points(block, np.cumsum(sizes.ravel()))
     if len(scored):
         # Row of each scored step's first truth and first estimate in ``block``.
         starts = (np.cumsum(sizes.ravel()) - sizes.ravel()).reshape(n_steps, 2)[scored]

@@ -8,7 +8,8 @@ seed.
 
 Work that does not depend on the filter recursion is done once per run, not
 once per step: a run's scans share one factor of R and read the scenario's
-per-step truth arrays, and the run is scored by one ``gospa_run`` call.
+per-step truth arrays, and the run is scored by one ``gospa_run`` call on the
+positions H x that the model observes.
 """
 from __future__ import annotations
 
@@ -25,9 +26,7 @@ import yaml
 from .errors import InputError, finite_array, integer, read_text, real_number
 from .gaussian import GaussianDensity, LinearGaussianModel
 # gospa stays a module attribute here: perfbench/tracing.py rebinds it.
-from .gospa import (  # noqa: F401
-    POSITION_PROJECTION, GospaParams, GospaResult, gospa, gospa_run, run_summary,
-)
+from .gospa import GospaParams, GospaResult, gospa, gospa_run, run_summary  # noqa: F401
 from .mbm import (
     BirthComponent,
     BirthModel,
@@ -109,9 +108,9 @@ class Scenario:
         if not (x0 < x1 and y0 < y1 and math.isfinite((x1 - x0) * (y1 - y0))):
             raise InputError("region bounds must increase and enclose a finite area")
         object.__setattr__(self, "region", ((x0, x1), (y0, y1)))
-        clutter_rate = real_number(self.clutter_rate, "clutter_rate", "[0, inf)")
+        clutter_rate = real_number(self.clutter_rate, "clutter_rate", "[0, 1e4]")
         object.__setattr__(self, "clutter_rate", clutter_rate)
-        object.__setattr__(self, "duration", integer(self.duration, "duration", 1))
+        object.__setattr__(self, "duration", integer(self.duration, "duration", 1, 10**5))
         if self.detection_schedule is not None:
             object.__setattr__(self, "detection_schedule", tuple(
                 real_number(p_d, f"detection_schedule step {k} detection_prob", "[0, 1]")
@@ -171,8 +170,11 @@ def generate_truth(scenario: Scenario, seed: int) -> Scenario:
     sampling the midpoint state near [150, 0, 150, 0] and running the model
     dynamics forward and backward with per-transition noise.
     """
-    rng = make_rng(seed)
     duration, model = scenario.duration, scenario.model
+    if model.state_dim != len(_MIDPOINT_MEAN):
+        raise InputError(f"generate_truth's crossing trajectories need a state of dimension "
+                         f"{len(_MIDPOINT_MEAN)}, got {model.state_dim}")
+    rng = make_rng(seed)
     specs = (
         ((1, 1), 1, 39),
         ((1, 2), 1, duration),
@@ -282,11 +284,13 @@ def _single_run(
     t0 = time.perf_counter()
     estimates = run_filter(scenario, scans, params)
     duration = time.perf_counter() - t0
-    scores = gospa_run(
-        scenario.truth_states,
-        [[e.state for e in step_estimates] for step_estimates in estimates],
-        gospa_params,
-    )
+    H, truths = scenario.model.observation, scenario.truth_states
+    states = [e.state for step_estimates in estimates for e in step_estimates]
+    # Each side's positions H x, projected as one block and then split per step.
+    truth_points, estimate_points = (
+        np.split(np.reshape(block, (-1, H.shape[1])) @ H.T, np.cumsum([len(s) for s in sets])[:-1])
+        for block, sets in ((np.concatenate(truths), truths), (states, estimates)))
+    scores = gospa_run(truth_points, estimate_points, gospa_params)
     return RunRecord(
         run_seed, scans, estimates, scores, run_summary(scores, gospa_params.order), duration
     )
@@ -297,7 +301,7 @@ def run_monte_carlo(
     params: FilterParams,
     n_runs: int,
     seed: int,
-    gospa_params: GospaParams | None = None,
+    gospa_params: GospaParams = GospaParams(),
     workers: int = 1,
 ) -> MonteCarloReport:
     """Independently seeded filter runs over the scenario's ground truth.
@@ -309,8 +313,6 @@ def run_monte_carlo(
     """
     n_runs, seed = integer(n_runs, "n_runs", 1), integer(seed, "seed", 0)
     workers = integer(workers, "workers", 1)
-    if gospa_params is None:
-        gospa_params = GospaParams(projection=POSITION_PROJECTION)
     base = generate_truth(scenario, seed) if scenario.truth is None else scenario
     run_seeds = [seed + i for i in range(1, n_runs + 1)]
     if workers > 1 and n_runs > 1:

@@ -31,7 +31,7 @@ import mbmtrack.assignment as assignment
 import mbmtrack.gospa as gospa_module
 import mbmtrack.mbm as mbm
 import mbmtrack.sim as sim
-from mbmtrack.gospa import POSITION_PROJECTION, GospaParams
+from mbmtrack.gospa import GospaParams
 from mbmtrack.mbm import FilterParams
 from mbmtrack.sim import builtin_scenario, generate_truth
 
@@ -156,7 +156,7 @@ def replay(run) -> tuple[list[dict], dict]:
     with _recording(steps, scoring):
         sim._single_run(
             scenario, FilterParams(max_globals=max_globals), run_seed,
-            GospaParams(projection=POSITION_PROJECTION),
+            GospaParams(),
         )
     return steps, scoring
 

@@ -201,10 +201,10 @@ def gospa_oracle(truth, estimate, c, p):
 
 def gospa_reference(truth, estimate, params):
     """The one-step scorer that ``gospa_run`` stacks: each pair of sets
-    validated, projected and matched on its own, with ``k_best(costs, 1)``.
+    validated and matched on its own, with ``k_best(costs, 1)``.
     Kept so the stacked scorer can be checked against it bitwise."""
 
-    def as_points(vectors, projection):
+    def as_points(vectors):
         pts = [np.atleast_1d(np.asarray(v, dtype=float)) for v in vectors]
         if not pts:
             return np.zeros((0, 0))
@@ -214,14 +214,10 @@ def gospa_reference(truth, estimate, params):
         block = np.vstack(pts)
         if not np.isfinite(block).all():
             raise InputError("set elements must be finite")
-        if projection is not None:
-            if max(projection) >= dim:
-                raise InputError(f"projection {projection} out of range for dimension {dim}")
-            block = block[:, list(projection)]
         return block
 
-    xs = as_points(truth, params.projection)
-    ys = as_points(estimate, params.projection)
+    xs = as_points(truth)
+    ys = as_points(estimate)
     n_truth, n_est = xs.shape[0], ys.shape[0]
     if n_truth and n_est and xs.shape[1] != ys.shape[1]:
         raise InputError("truth and estimate vectors have different dimensions")

@@ -171,13 +171,15 @@ _SCALARS = {
     ),
     "file schedule detection_prob": (lambda v: scenario_from_mapping(_schedule_file(v)),
                                      "str true"),
-    # A scan's detection probability and clutter rate are set on its Scenario.
+    # A scan's detection probability and clutter rate, and the run's duration,
+    # are set on its Scenario.
     "scan detection_prob": (
         lambda v: replace(_SCENARIO, detection_schedule=(v,)), "str none complex true nan huge",
     ),
     "scan clutter_rate": (
         lambda v: replace(_SCENARIO, clutter_rate=v), "str none complex true nan huge",
     ),
+    "scan duration": (lambda v: replace(_SCENARIO, duration=v), "str none complex true nan huge"),
 }
 
 
@@ -193,7 +195,12 @@ def test_bad_scalar_raises_input_error(name, kind):
 
 @pytest.mark.parametrize(
     "name, out_of_range",
-    [("scan detection_prob", 1.5), ("scan clutter_rate", -1.0)],
+    [("scan detection_prob", 1.5), ("scan clutter_rate", -1.0),
+     # Past the README's bounds: numpy could not draw (1e300) or allocate
+     # (9.2e18, 10**12 and 10**19) what a run of them asks for.
+     ("scan clutter_rate", 1e4 + 1.0), ("scan clutter_rate", 9.2e18),
+     ("scan clutter_rate", 1e300), ("scan duration", 10**5 + 1), ("scan duration", 10**12),
+     ("scan duration", 10**19)],
 )
 def test_out_of_range_scan_scalar_raises_input_error(name, out_of_range):
     with pytest.raises(InputError, match=name.split()[-1]):
@@ -209,7 +216,7 @@ def test_checked_scalars_are_stored_converted():
     assert params == FilterParams(max_globals=5, gate_threshold=9.0, prune_existence=0.5)
     model = _MODEL.with_detection_prob(1)
     assert type(model.detection_prob) is float and type(model.survival_prob) is float
-    gospa_params = GospaParams(cutoff=10, order=np.int64(2), projection=[np.int64(0), 2])
-    assert gospa_params == GospaParams(cutoff=10.0, order=2.0, projection=(0, 2))
-    assert type(gospa_params.cutoff) is float and type(gospa_params.projection[0]) is int
+    gospa_params = GospaParams(cutoff=10, order=np.int64(2))
+    assert gospa_params == GospaParams(cutoff=10.0, order=2.0)
+    assert type(gospa_params.cutoff) is float and type(gospa_params.order) is float
     assert type(BirthComponent(np.float32(0.5), _DENSITY).existence) is float

@@ -64,12 +64,6 @@ class TestGospaBasics:
         with pytest.raises(InputError, match="finite"):
             gospa(sets["truth"], sets["estimate"], P10)
 
-    def test_projection(self):
-        params = GospaParams(cutoff=10.0, order=2.0, projection=(0, 2))
-        truth = [np.array([1.0, 99.0, 2.0, -99.0])]
-        estimate = [np.array([4.0, 0.0, 6.0, 0.0])]
-        assert gospa(truth, estimate, params).total == pytest.approx(5.0)
-
     def test_param_validation(self):
         with pytest.raises(InputError):
             GospaParams(cutoff=0.0)
@@ -84,9 +78,6 @@ class TestGospaBasics:
             ({"cutoff": 1e-200}, "c\\*\\*p"),  # underflows to 0
             ({"cutoff": np.inf}, "cutoff"),
             ({"cutoff": np.nan}, "cutoff"),
-            ({"projection": (-5,)}, "projection"),
-            ({"projection": ()}, "projection"),
-            ({"projection": (0, True)}, "projection"),
         ],
     )
     def test_params_out_of_range_rejected(self, kwargs, message):
@@ -210,14 +201,9 @@ def gospa_runs(draw):
     vector = st.lists(coordinate, min_size=dim, max_size=dim).map(np.array)
     point_set = st.lists(vector, max_size=5)
     steps = draw(st.lists(st.tuples(point_set, point_set), max_size=8))
-    projection = draw(st.one_of(
-        st.none(),
-        st.lists(st.integers(min_value=0, max_value=dim - 1), min_size=1, max_size=3).map(tuple),
-    ))
     params = GospaParams(
         cutoff=draw(st.floats(min_value=0.5, max_value=20.0)),
         order=draw(st.floats(min_value=1.0, max_value=4.0)),
-        projection=projection,
     )
     return [t for t, _ in steps], [e for _, e in steps], params
 
@@ -233,9 +219,8 @@ class TestGospaRun:
         expected = [gospa_reference(t, e, params) for t, e in zip(truths, estimates)]
         assert [bits(r) for r in results] == [bits(r) for r in expected]
 
-    @pytest.mark.parametrize("projection", [None, (0,)])
-    def test_empty_steps_and_runs(self, projection):
-        params = GospaParams(cutoff=4.0, order=1.0, projection=projection)
+    def test_empty_steps_and_runs(self):
+        params = GospaParams(cutoff=4.0, order=1.0)
         point = [np.array([1.0, 2.0])]
         assert gospa_run([], [], params) == []
         runs = [
@@ -255,17 +240,16 @@ class TestGospaRun:
         assert [bits(r) for r in results] == [bits(r) for r in expected]
 
     FAULTS = {
-        # name: (step-2 truth, step-2 estimate, projection)
-        "non-finite": ([[0.0, np.inf]], [[0.0, 0.0]], None),
-        "inconsistent": ([[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0, 0.0]], None),
-        "truth and estimate": ([[0.0, 0.0, 0.0]], [[0.0, 0.0]], None),
-        "projection": ([[0.0, 0.0]], [[1.0, 1.0]], (0, 2)),
+        # name: (step-2 truth, step-2 estimate)
+        "non-finite": ([[0.0, np.inf]], [[0.0, 0.0]]),
+        "inconsistent": ([[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0, 0.0]]),
+        "truth and estimate": ([[0.0, 0.0, 0.0]], [[0.0, 0.0]]),
     }
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_step_message_names_the_step(self, fault):
-        truth, estimate, projection = self.FAULTS[fault]
-        params = GospaParams(projection=projection)
+        truth, estimate = self.FAULTS[fault]
+        params = GospaParams()
         with pytest.raises(InputError) as alone:
             gospa_reference(truth, estimate, params)
         # Step 1 is empty, so only step 2's own checks can fail; step 3 is fine.
@@ -291,9 +275,6 @@ class TestGospaRun:
         truths, estimates = [[[0.0, np.nan]], [[0.0, 0.0]]], [[], [[0.0, 0.0, 0.0]]]
         with pytest.raises(InputError, match="^step 1: set elements must be finite$"):
             gospa_run(truths, estimates, P10)
-        truths[0] = [[0.0, 1.0]]
-        with pytest.raises(InputError, match="^step 1: projection"):
-            gospa_run(truths, estimates, GospaParams(projection=(0, 2)))
 
     def test_one_dimension_per_run(self):
         with pytest.raises(InputError, match="step 3: vectors have dimension 3, step 1 has 2"):
@@ -312,7 +293,7 @@ class TestGospaRun:
         # own checks, but no element is a flat vector.
         nested = [[[[1.0, 2.0], [3.0, 4.0]]]]
         with pytest.raises(InputError, match="^step 1: set elements must be flat vectors$"):
-            gospa_run(nested, nested, GospaParams(projection=(0, 3)))
+            gospa_run(nested, nested, P10)
 
     def test_one_estimate_set_per_truth_set(self):
         with pytest.raises(InputError, match="one estimate set per truth set"):

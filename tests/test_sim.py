@@ -6,7 +6,7 @@ from scipy import stats
 
 import mbmtrack.sim as sim
 from mbmtrack.errors import InputError
-from mbmtrack.gaussian import GaussianDensity
+from mbmtrack.gaussian import GaussianDensity, LinearGaussianModel
 from mbmtrack.gospa import GospaParams
 from mbmtrack.mbm import BirthComponent, BirthModel, FilterParams
 from mbmtrack.sim import (
@@ -324,6 +324,15 @@ class TestCrossingTruth:
         with pytest.raises(InputError, match=r"seed must be an integer >= 0, got \(3, 1\)"):
             make_rng((3, 1))
 
+    def test_crossing_trajectories_need_a_4d_state(self):
+        model = LinearGaussianModel(np.eye(2), np.eye(2), np.eye(2), np.eye(2), 0.99, 0.9, 0.0)
+        birth = BirthModel((BirthComponent(0.1, GaussianDensity(np.zeros(2), np.eye(2))),))
+        scenario = replace(builtin_scenario("scenario1"), model=model, birth=birth)
+        with pytest.raises(InputError, match="need a state of dimension 4, got 2"):
+            generate_truth(scenario, 1)
+        with pytest.raises(InputError, match="need a state of dimension 4, got 2"):
+            run_monte_carlo(scenario, FilterParams(), 1, 1)
+
     def test_same_seed_same_truth(self):
         scenario = builtin_scenario("scenario1")
         a = generate_truth(scenario, 9).truth
@@ -553,7 +562,7 @@ class TestMonteCarlo:
                     assert np.array_equal(x.state, y.state)
 
     def test_records_summarise_their_runs_at_the_report_order(self):
-        gospa_params = GospaParams(cutoff=20.0, order=3.0, projection=(0, 2))
+        gospa_params = GospaParams(cutoff=20.0, order=3.0)
         report = run_monte_carlo(self.small_scenario(), FilterParams(max_globals=50), 2, 5,
                                  gospa_params)
         for record in report.records:
@@ -624,6 +633,24 @@ class TestMonteCarlo:
         mean_false = np.mean([s.false_p for s in late])
         assert mean_missed + mean_false < 5.0
         assert np.isfinite(report.mean_summary[0])
+
+    def test_scoring_does_not_depend_on_the_state_layout(self):
+        # The same scenario over states [px, py, vx, vy]: a run is scored on
+        # the positions H x, so it scores as the [px, vx, py, vy] layout does.
+        base = generate_truth(replace(builtin_scenario("scenario1"), duration=30), 2026)
+        P = np.eye(4)[[0, 2, 1, 3]]
+        m = base.model
+        model = replace(m, transition=P @ m.transition @ P.T,
+                        process_noise=P @ m.process_noise @ P.T, observation=m.observation @ P.T)
+        birth = BirthModel(tuple(
+            BirthComponent(b.existence, GaussianDensity(
+                P @ b.density.mean, P @ b.density.covariance @ P.T))
+            for b in base.birth.components))
+        truth = tuple(replace(t, states=t.states @ P.T) for t in base.truth)
+        permuted = replace(base, model=model, birth=birth, truth=truth)
+        params = FilterParams(max_globals=20)
+        expected = run_monte_carlo(base, params, 3, 1).mean_summary
+        assert run_monte_carlo(permuted, params, 3, 1).mean_summary == expected
 
     def test_n_runs_validated(self):
         bad = [(0, 1, 1, "n_runs"), (2.5, 1, 1, "n_runs"), (True, 1, 1, "n_runs"),
