@@ -151,11 +151,12 @@ def cmd_evaluate(args) -> int:
     gospa_params = GospaParams(cutoff=args.gospa_c, order=args.gospa_p)
     out = _out_dir(args)
     rows = ["step,total,loc_p,missed_p,false_p,n_missed,n_false"]
-    points = _positions(args.truth, truth), _positions(args.estimates, estimates)
-    try:
-        results = gospa_run(*points, gospa_params)
-    except InputError as exc:
-        raise InputError(f"{args.truth}, {args.estimates}: {exc}") from exc
+    if len(truth) != len(estimates):
+        raise InputError(f"{args.truth}, {args.estimates}: GOSPA needs one estimate set per "
+                         f"truth set, got {len(truth)} and {len(estimates)}")
+    sizes = np.array([[len(t), len(e)] for t, e in zip(truth, estimates)], np.intp).reshape(-1, 2)
+    results = gospa_run(_positions(args.truth, truth), _positions(args.estimates, estimates),
+                        sizes, gospa_params)
     rows += (_row(k, r.total, r.localisation_p, r.missed_p, r.false_p, r.n_missed, r.n_false)
              for k, r in enumerate(results, start=1))
     _write_lines(out / "gospa.csv", rows)
@@ -166,15 +167,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _positions(path, per_step) -> list[list[np.ndarray]]:
-    """Each step's states as points to score, line k of ``path`` holding step k:
-    2D points stay, 4D tracker states project to (px, py)."""
+def _positions(path, per_step) -> np.ndarray:
+    """Every step's states as one (points, 2) block to score, line k of ``path``
+    holding step k: 2D points stay, 4D tracker states project to (px, py)."""
     for line_no, entries in enumerate(per_step, 1):
         for _, state in entries:
             if state.size not in (2, 4):
                 raise InputError(f"{path}:{line_no}: expected 2D points or 4D states, "
                                  f"got dimension {state.size}")
-    return [[s[[0, 2]] if s.size == 4 else s for _, s in e] for e in per_step]
+    return np.reshape([s[[0, 2]] if s.size == 4 else s for e in per_step for _, s in e], (-1, 2))
 
 
 def cmd_benchmark(args) -> int:
@@ -204,7 +205,7 @@ def cmd_benchmark(args) -> int:
         run_rows = ["run,step,m_k,n_estimates,gospa_total,loc_p,missed_p,false_p"]
         for r in report.records:
             for k, g in enumerate(r.gospa, start=1):
-                run_rows.append(_row(r.seed - args.seed, k, len(r.measurements[k - 1]),
+                run_rows.append(_row(r.seed - args.seed, k, r.measurement_counts[k - 1],
                                      len(r.estimates[k - 1]), g.total, g.localisation_p,
                                      g.missed_p, g.false_p))
         _write_lines(out / f"runs_nh{nh}.csv", run_rows)

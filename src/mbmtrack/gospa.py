@@ -9,8 +9,9 @@ Only pairs with d^p < c^p can appear in an optimal matching (matching a
 farther pair never beats leaving both unmatched), so the minimization
 reduces to a partial assignment problem with entries d^p - c^p.
 
-``gospa_run`` scores a whole run, one (truth, estimate) pair per step, as one
-block of points and one stack of assignment problems; ``gospa`` scores one pair.
+``gospa_run`` scores a whole run, given as a block of points per side and
+each step's two set sizes, as one stack of assignment problems; ``gospa``
+scores one pair.
 """
 from __future__ import annotations
 
@@ -25,7 +26,10 @@ from .errors import InputError, real_array, real_number
 
 @dataclass(frozen=True)
 class GospaParams:
-    """Cutoff c > 0 and order 1 <= p < inf; c**p must be a positive finite float."""
+    """Cutoff c > 0 and order 1 <= p < inf, with c**p in (0, 1e100].
+
+    The bound keeps a step's total over N points below c**p * N, so RMS-GOSPA
+    squares it without overflow."""
 
     cutoff: float = 10.0
     order: float = 2.0
@@ -37,9 +41,9 @@ class GospaParams:
             c_p = self.cutoff**self.order
         except OverflowError:
             c_p = math.inf
-        if not 0.0 < c_p < math.inf:
+        if not 0.0 < c_p <= 1e100:
             raise InputError(
-                f"GOSPA c**p must be a positive finite float, got c={self.cutoff!r}, p={self.order!r}"
+                f"GOSPA c**p must be in (0, 1e100], got c={self.cutoff!r}, p={self.order!r}"
             )
 
 
@@ -54,87 +58,55 @@ class GospaResult:
     matching: tuple[tuple[int, int], ...]
 
 
-def _check_points(points, ends) -> None:
-    """InputError naming the step of the first set of ``points`` with a non-finite
-    element.  Set i of the rows (a truth and then an estimate set per step) ends
-    before row ``ends[i]``."""
-    if not np.isfinite(points).all():
-        row = int(np.isfinite(points).all(axis=1).argmin())  # the first non-finite row
-        first = int(np.searchsorted(ends, row, side="right"))
-        raise InputError(f"step {first // 2 + 1}: set elements must be finite")
+def gospa_run(truth, estimate, sizes, params: GospaParams = GospaParams()) -> list[GospaResult]:
+    """GOSPA of each step's (truth, estimate) pair of finite sets of points.
 
-
-def _walk(truths, estimates) -> np.ndarray:
-    """The points of a run that is not one block of flat vectors, else InputError for its
-    first faulty step.  A number is a 1-vector, and each set passes ``_check_points``."""
-    parts, first = [], None  # first: (step, dimension) of the first step with elements
-    for k, pair in enumerate(zip(truths, estimates), start=1):
-        dims = []
-        for side, vectors in enumerate(pair):
-            try:
-                pts = [np.atleast_1d(real_array(v, "set element")) for v in vectors]
-            except InputError as exc:
-                raise InputError(f"step {k}: set elements must be vectors of real numbers: {exc}")
-            if any(p.ndim > 1 for p in pts):
-                raise InputError(f"step {k}: set elements must be flat vectors")
-            if len({p.size for p in pts}) > 1:
-                raise InputError(f"step {k}: set elements have inconsistent dimensions")
-            if pts:
-                parts.append(np.stack(pts))
-                dims.append(pts[0].size)
-                _check_points(parts[-1], [0] * (2 * k - 2 + side) + [len(pts)])
-        if len(set(dims)) > 1:
-            raise InputError(f"step {k}: truth and estimate vectors have different dimensions")
-        first = (first or (k, dims[0])) if dims else first
-        if dims and dims[0] != first[1]:
-            raise InputError(f"step {k}: vectors have dimension {dims[0]}, "
-                             f"step {first[0]} has {first[1]}")
-    return np.concatenate(parts)
-
-
-def gospa_run(truths, estimates, params: GospaParams = GospaParams()) -> list[GospaResult]:
-    """GOSPA of each step's (truth, estimate) pair of finite sets of vectors.
-
-    ``truths`` and ``estimates`` hold one set per step; a set is a sequence of
-    vectors or an (n, dim) array, and every vector of the run has one dimension.
-    The points are converted and checked as one block; only a run that
-    does not convert is walked.  The cost matrices of the steps whose sets are
-    both non-empty, padded with FORBIDDEN to one stack, are ranked in one
-    ``_ranked_columns`` call: padding rows take only their zero slacks, padding
-    columns are never taken and ties go to the lexicographically first matching,
-    so each step's matching is bitwise the one it gets alone.
+    ``truth`` and ``estimate`` each hold one side's points of every step, in
+    step order, as one (points, dim) real block, and row k of ``sizes`` is
+    step k's truth and estimate counts; a side with no points may be any
+    empty array.  A non-finite point is refused naming its step.  The cost
+    matrices of the steps whose sets are both non-empty, padded with
+    FORBIDDEN to one stack, are ranked in one ``_ranked_columns`` call:
+    padding rows take only their zero slacks, padding columns are never taken
+    and ties go to the lexicographically first matching, so each step's
+    matching is bitwise the one it gets alone.
     """
-    truths, estimates = list(truths), list(estimates)
-    if len(truths) != len(estimates):
-        raise InputError(f"GOSPA needs one estimate set per truth set, "
-                         f"got {len(truths)} and {len(estimates)}")
-    n_steps = len(truths)
-    # Set sizes in step order, truth then estimate: (steps, 2).
-    sizes = np.array([[len(t), len(e)] for t, e in zip(truths, estimates)], np.intp).reshape(-1, 2)
-    n_points = int(sizes.sum())
+    counts, dtype = real_array(sizes, "GOSPA sizes"), np.asarray(sizes).dtype
+    if dtype.kind == "f" or counts.ndim != 2 or counts.shape[1] != 2 or (counts < 0).any():
+        raise InputError(f"GOSPA sizes must be non-negative integers of shape (steps, 2), "
+                         f"got {dtype} of shape {counts.shape}")
+    sizes = counts.astype(np.intp)
+    ends = np.cumsum(sizes, axis=0)  # per side, the row after each step's last point
+    totals, blocks = sizes.sum(axis=0), []
+    for points, what, n_rows in zip((truth, estimate), ("truth", "estimate"), totals.tolist()):
+        block = real_array(points, f"GOSPA {what} points")
+        if (block.size or n_rows) and (block.ndim != 2 or len(block) != n_rows):
+            raise InputError(f"GOSPA {what} points must be a ({n_rows}, dim) block, "
+                             f"got shape {block.shape}")
+        blocks.append(block)
+    truth, estimate = blocks
+    if totals.all() and truth.shape[1] != estimate.shape[1]:
+        raise InputError(f"GOSPA truth and estimate points have different dimensions, "
+                         f"{truth.shape[1]} and {estimate.shape[1]}")
+    # The step of each side's first non-finite point; the earlier one is named.
+    bad = [int(np.searchsorted(ends[:, side], np.isfinite(b).all(axis=1).argmin(), "right"))
+           for side, b in enumerate(blocks) if not np.isfinite(b).all()]
+    if bad:
+        raise InputError(f"step {min(bad) + 1}: set elements must be finite")
+    n_steps = len(sizes)
     matchings = [()] * n_steps
     localisation = [0.0] * n_steps  # each step's sum of d^p, added in matching order
     scored = np.flatnonzero(sizes.all(axis=1))
     c_p = params.cutoff**params.order
-    if n_points:
-        try:  # a ragged, non-real or nested run (of arrays of vectors, say) is walked
-            block = real_array(
-                [v for t, e in zip(truths, estimates) for s in (t, e) for v in s], "set elements"
-            )
-            block = block.reshape(n_points, -1) if block.ndim <= 2 else None
-        except InputError:
-            block = None
-        block = _walk(truths, estimates) if block is None else block
-        _check_points(block, np.cumsum(sizes.ravel()))
     if len(scored):
-        # Row of each scored step's first truth and first estimate in ``block``.
-        starts = (np.cumsum(sizes.ravel()) - sizes.ravel()).reshape(n_steps, 2)[scored]
+        # Row of each scored step's first truth and first estimate in its block.
+        starts = (ends - sizes)[scored]
         n_t, n_e = sizes[scored, 0], sizes[scored, 1]
         rows, cols = np.arange(n_t.max()), np.arange(n_e.max())
         has_row, has_col = rows < n_t[:, None], cols < n_e[:, None]
-        # Padding reads the run's first point; its entries are FORBIDDEN below.
-        xs = block[np.where(has_row, starts[:, :1] + rows, 0)]
-        ys = block[np.where(has_col, starts[:, 1:] + cols, 0)]
+        # Padding reads its side's first point; its entries are FORBIDDEN below.
+        xs = truth[np.where(has_row, starts[:, :1] + rows, 0)]
+        ys = estimate[np.where(has_col, starts[:, 1:] + cols, 0)]
         # Coordinates near the float limit overflow to a distance of inf.
         # That is the right value: such a pair lies beyond the finite cutoff
         # either way, so it is never matched.
@@ -165,8 +137,9 @@ def gospa_run(truths, estimates, params: GospaParams = GospaParams()) -> list[Go
 
 
 def gospa(truth, estimate, params: GospaParams = GospaParams()) -> GospaResult:
-    """GOSPA distance between two finite sets of vectors: a run of one step."""
-    return gospa_run([truth], [estimate], params)[0]
+    """GOSPA distance between two finite sets of points: a run of one step."""
+    truth, estimate = real_array(truth, "truth set"), real_array(estimate, "estimate set")
+    return gospa_run(truth, estimate, [[len(truth), len(estimate)]], params)[0]
 
 
 def run_summary(results, order: float) -> tuple[float, float, float, float]:

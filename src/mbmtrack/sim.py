@@ -249,7 +249,7 @@ def run_filter(
 @dataclass(frozen=True)
 class RunRecord:
     seed: int
-    measurements: list[np.ndarray]
+    measurement_counts: list[int]  # each step's number of measurements
     estimates: list[list[TargetEstimate]]
     gospa: list[GospaResult]
     summary: tuple[float, float, float, float]  # gospa.run_summary of ``gospa``
@@ -286,14 +286,13 @@ def _single_run(
     duration = time.perf_counter() - t0
     H, truths = scenario.model.observation, scenario.truth_states
     states = [e.state for step_estimates in estimates for e in step_estimates]
-    # Each side's positions H x, projected as one block and then split per step.
+    # Each side's positions H x, projected as one block.
     truth_points, estimate_points = (
-        np.split(np.reshape(block, (-1, H.shape[1])) @ H.T, np.cumsum([len(s) for s in sets])[:-1])
-        for block, sets in ((np.concatenate(truths), truths), (states, estimates)))
-    scores = gospa_run(truth_points, estimate_points, gospa_params)
-    return RunRecord(
-        run_seed, scans, estimates, scores, run_summary(scores, gospa_params.order), duration
-    )
+        np.reshape(block, (-1, H.shape[1])) @ H.T for block in (np.concatenate(truths), states))
+    sizes = [[len(t), len(e)] for t, e in zip(truths, estimates)]
+    scores = gospa_run(truth_points, estimate_points, sizes, gospa_params)
+    return RunRecord(run_seed, [len(scan) for scan in scans], estimates, scores,
+                     run_summary(scores, gospa_params.order), duration)
 
 
 def run_monte_carlo(

@@ -267,6 +267,17 @@ class TestTrackAndEvaluate:
         assert message in capsys.readouterr().err
         assert not (out / "gospa.csv").exists()
 
+    def test_cutoff_power_past_its_bound_exits_2(self, tmp_path, capsys):
+        # One missed truth point at c**p = 1e300 would give RMS-GOSPA the square of 5e299.
+        truth, estimates = tmp_path / "truth.txt", tmp_path / "est.txt"
+        write_labeled_state_file(truth, [[((1, 1), np.array([10.0, 0.0, 20.0, 0.0]))]])
+        write_labeled_state_file(estimates, [[]])
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--truth", str(truth), "--estimates", str(estimates),
+                     "--out", str(out), "--gospa-c", "1e300", "--gospa-p", "1"]) == 2
+        assert "error: GOSPA c**p must be in (0, 1e100], got c=1e+300, p=1.0" in capsys.readouterr().err
+        assert not (out / "gospa_summary.csv").exists()
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_reader_rejects_non_finite_state(self, tmp_path, token):
         path = tmp_path / "states.txt"

@@ -78,6 +78,7 @@ class TestGospaBasics:
             ({"cutoff": 1e-200}, "c\\*\\*p"),  # underflows to 0
             ({"cutoff": np.inf}, "cutoff"),
             ({"cutoff": np.nan}, "cutoff"),
+            ({"cutoff": 1e60}, "c\\*\\*p"),  # 1e120 is past the 1e100 bound
         ],
     )
     def test_params_out_of_range_rejected(self, kwargs, message):
@@ -185,9 +186,21 @@ def bits(result: GospaResult) -> tuple:
     )
 
 
+def steps(block, counts):
+    """Each step's rows of a side's block, ``counts`` giving each step's size."""
+    return [block[end - n:end] for n, end in zip(counts, np.cumsum(counts))]
+
+
+def reference_run(truth, estimate, sizes, params):
+    """Each step scored alone by the one-step reference."""
+    pairs = zip(steps(truth, sizes[:, 0]), steps(estimate, sizes[:, 1]))
+    return [gospa_reference(t, e, params) for t, e in pairs]
+
+
 @st.composite
 def gospa_runs(draw):
-    """A run of (truth, estimate) steps of one dimension, with its parameters.
+    """A run as two point blocks of one dimension and its per-step sizes, with
+    its parameters.
 
     Coordinates mix a small integer grid (exact distance ties), general
     floats, and values whose differences overflow to an infinite distance.
@@ -198,14 +211,20 @@ def gospa_runs(draw):
         st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
         st.sampled_from([1e200, -1e200, 1.7e308, -1.7e308]),
     )
-    vector = st.lists(coordinate, min_size=dim, max_size=dim).map(np.array)
-    point_set = st.lists(vector, max_size=5)
-    steps = draw(st.lists(st.tuples(point_set, point_set), max_size=8))
+    count = st.integers(min_value=0, max_value=5)
+    sizes = np.array(draw(st.lists(st.tuples(count, count), max_size=8)), np.intp).reshape(-1, 2)
+    truth, estimate = (
+        np.array(draw(st.lists(coordinate, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+        for n in sizes.sum(axis=0).tolist()
+    )
     params = GospaParams(
         cutoff=draw(st.floats(min_value=0.5, max_value=20.0)),
         order=draw(st.floats(min_value=1.0, max_value=4.0)),
     )
-    return [t for t, _ in steps], [e for _, e in steps], params
+    return truth, estimate, sizes, params
+
+
+NO_STEPS = np.zeros((0, 2), np.intp)
 
 
 class TestGospaRun:
@@ -214,90 +233,85 @@ class TestGospaRun:
     @settings(max_examples=200, deadline=None)
     @given(gospa_runs())
     def test_bitwise_equal_to_per_step_reference(self, run):
-        truths, estimates, params = run
-        results = gospa_run(truths, estimates, params)
-        expected = [gospa_reference(t, e, params) for t, e in zip(truths, estimates)]
+        truth, estimate, sizes, params = run
+        results = gospa_run(truth, estimate, sizes, params)
+        expected = reference_run(truth, estimate, sizes, params)
         assert [bits(r) for r in results] == [bits(r) for r in expected]
 
     def test_empty_steps_and_runs(self):
         params = GospaParams(cutoff=4.0, order=1.0)
-        point = [np.array([1.0, 2.0])]
-        assert gospa_run([], [], params) == []
+        assert gospa_run(np.zeros((0, 2)), np.zeros((0, 2)), NO_STEPS, params) == []
+        assert gospa_run([], np.zeros(0), NO_STEPS, params) == []
         runs = [
-            ([[], []], [[], []]),  # every step empty
-            ([[], point, [], point], [point, [], [], point]),
+            (np.zeros((0, 2)), np.zeros((0, 2)), [[0, 0], [0, 0]]),  # every step empty
+            (np.array([[1.0, 2.0]] * 2), np.array([[1.0, 2.0]] * 2),
+             [[0, 1], [1, 0], [0, 0], [1, 1]]),
         ]
-        for truths, estimates in runs:
-            results = gospa_run(truths, estimates, params)
-            expected = [gospa_reference(t, e, params) for t, e in zip(truths, estimates)]
+        for truth, estimate, sizes in runs:
+            results = gospa_run(truth, estimate, sizes, params)
+            expected = reference_run(truth, estimate, np.array(sizes), params)
             assert [bits(r) for r in results] == [bits(r) for r in expected]
 
-    def test_accepts_per_step_arrays(self):
-        truths = [np.array([[0.0, 0.0], [5.0, 5.0]]), np.zeros((0, 2))]
-        estimates = [[np.array([1.0, 0.0])], [np.array([3.0, 4.0])]]
-        results = gospa_run(truths, estimates, P10)
-        expected = [gospa_reference(t, e, P10) for t, e in zip(truths, estimates)]
-        assert [bits(r) for r in results] == [bits(r) for r in expected]
-
-    FAULTS = {
-        # name: (step-2 truth, step-2 estimate)
-        "non-finite": ([[0.0, np.inf]], [[0.0, 0.0]]),
-        "inconsistent": ([[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0, 0.0]]),
-        "truth and estimate": ([[0.0, 0.0, 0.0]], [[0.0, 0.0]]),
-    }
-
-    @pytest.mark.parametrize("fault", sorted(FAULTS))
-    def test_step_message_names_the_step(self, fault):
-        truth, estimate = self.FAULTS[fault]
-        params = GospaParams()
-        with pytest.raises(InputError) as alone:
-            gospa_reference(truth, estimate, params)
-        # Step 1 is empty, so only step 2's own checks can fail; step 3 is fine.
-        truths, estimates = [[], truth, [[0.0, 0.0]]], [[], estimate, []]
-        with pytest.raises(InputError, match=re.escape(f"step 2: {alone.value}")):
-            gospa_run(truths, estimates, params)
-
-    @pytest.mark.parametrize("element", [1.0 + 2.0j, {}, "x", np.complex128(1.0 + 2.0j)])
-    def test_non_real_elements_name_the_step(self, element):
-        truths, estimates = [[[0.0, 0.0]], [[0.0, element]]], [[], [[1.0, 1.0]]]
-        with pytest.raises(InputError, match="step 2: set elements must be vectors of real"):
-            gospa_run(truths, estimates, P10)
-
-    def test_numbers_beside_one_element_arrays_are_1_vectors(self):
-        # The run does not convert as one block, so it is walked; it still scores.
-        truths, estimates = [[1.0, np.array([2.0])], []], [[np.array([1.5])], [3.0]]
-        results = gospa_run(truths, estimates, P10)
-        expected = [gospa_reference(t, e, P10) for t, e in zip(truths, estimates)]
-        assert [bits(r) for r in results] == [bits(r) for r in expected]
-
-    def test_first_faulty_step_wins_in_a_walked_run(self):
-        # Step 2 is ragged, so the run is walked; step 1's fault is still the one named.
-        truths, estimates = [[[0.0, np.nan]], [[0.0, 0.0]]], [[], [[0.0, 0.0, 0.0]]]
-        with pytest.raises(InputError, match="^step 1: set elements must be finite$"):
-            gospa_run(truths, estimates, P10)
+    @pytest.mark.parametrize("empty", [[], np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0))],
+                             ids=["list", "1-D", "0x3", "2x0"])
+    def test_a_side_with_no_points_may_be_any_empty_array(self, empty):
+        truth = np.array([[0.0, 0.0], [5.0, 5.0]])
+        results = gospa_run(truth, empty, [[2, 0], [0, 0]], P10)
+        assert [bits(r) for r in results] == [bits(gospa_reference(truth, [], P10)),
+                                              bits(gospa_reference([], [], P10))]
 
     def test_one_dimension_per_run(self):
-        with pytest.raises(InputError, match="step 3: vectors have dimension 3, step 1 has 2"):
-            gospa_run([[[0.0, 0.0]], [], [[0.0, 0.0, 0.0]]], [[], [], []], P10)
-
-    def test_nested_beside_flat_elements_rejected(self):
-        # Each step passes its own checks: the nested truth element has the
-        # estimate's size.  The run's elements still do not stack into one block.
-        with pytest.raises(InputError, match="^step 1: set elements must be flat vectors$"):
-            gospa_run([[[[1.0, 2.0]]]], [[[3.0, 4.0]]], P10)
-        with pytest.raises(InputError, match="^step 2: set elements must be flat vectors$"):
-            gospa_run([[[3.0, 4.0]], [[[1.0, 2.0]]]], [[[3.0, 4.0]], [[3.0, 4.0]]], P10)
+        with pytest.raises(InputError, match="^GOSPA truth and estimate points have "
+                                             "different dimensions, 2 and 3$"):
+            gospa_run(np.zeros((1, 2)), np.zeros((1, 3)), [[1, 0], [0, 1]], P10)
 
     def test_nested_elements_rejected(self):
-        # Every element of the run is a 2 x 2 array: each step passes its
-        # own checks, but no element is a flat vector.
-        nested = [[[[1.0, 2.0], [3.0, 4.0]]]]
-        with pytest.raises(InputError, match="^step 1: set elements must be flat vectors$"):
-            gospa_run(nested, nested, P10)
+        # Every point of the run is a 2 x 2 array, so its block is 3-D.
+        nested = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        with pytest.raises(InputError, match=re.escape(
+                "GOSPA truth points must be a (1, dim) block, got shape (1, 2, 2)")):
+            gospa_run(nested, nested, [[1, 1]], P10)
 
-    def test_one_estimate_set_per_truth_set(self):
-        with pytest.raises(InputError, match="one estimate set per truth set"):
-            gospa_run([[], []], [[]], P10)
+    POINT = np.zeros((1, 2))
+    REFUSED = {
+        # name: (truth, estimate, sizes, message)
+        "complex truth": (
+            np.array([[1.0 + 2.0j, 0.0]]), POINT, [[1, 1]], "^malformed GOSPA truth points: "),
+        "string estimate": (POINT, [["0", "1"]], [[1, 1]], "^malformed GOSPA estimate points: "),
+        "1-D truth": (np.zeros(2), POINT, [[2, 1]], r"\(2, dim\) block, got shape \(2,\)$"),
+        "truth rows past its sizes": (
+            np.zeros((3, 2)), POINT, [[2, 1]], r"truth points must be a \(2, dim\) block, "
+                                               r"got shape \(3, 2\)$"),
+        "estimate rows where its sizes have none": (
+            POINT, POINT, [[1, 0]], r"estimate points must be a \(0, dim\) block"),
+        "empty truth with sizes": ([], POINT, [[1, 1]], r"\(1, dim\) block, got shape \(0,\)$"),
+        "nan truth in step 2": (
+            np.array([[0.0, 0.0], [np.nan, 0.0]]), np.zeros((0, 2)), [[1, 0], [1, 0], [0, 0]],
+            "^step 2: set elements must be finite$"),
+        "inf estimate in step 3": (
+            np.zeros((0, 2)), np.array([[0.0, 0.0], [1.0, 1.0], [0.0, -np.inf]]),
+            [[0, 1], [0, 0], [0, 2]], "^step 3: set elements must be finite$"),
+        "the truth's fault comes first": (
+            np.array([[np.nan, 0.0], [np.nan, 0.0]]), np.array([[0.0, 0.0], [np.inf, 0.0]]),
+            [[1, 0], [0, 1], [1, 1]], "^step 1: "),
+        "the estimate's fault comes first": (
+            np.array([[0.0, 0.0], [np.nan, 0.0]]), np.array([[np.inf, 0.0]]),
+            [[1, 1], [1, 0]], "^step 1: "),
+        "float sizes": (POINT, POINT, [[1.0, 1.0]], "^GOSPA sizes must be non-negative integers "
+                                                   r"of shape \(steps, 2\), got float64"),
+        "negative sizes": (POINT, POINT, [[2, -1]], "non-negative integers"),
+        "1-D sizes": (POINT, POINT, [1, 1], r"got int\d+ of shape \(2,\)$"),
+        "three sizes per step": (POINT, POINT, [[1, 1, 0]], r"got int\d+ of shape \(1, 3\)$"),
+        "ragged sizes": (POINT, POINT, [[1, 1], [0]], "^malformed GOSPA sizes: "),
+        "bool sizes": (POINT, POINT, [[True, True]], "^malformed GOSPA sizes: bool"),
+        "no sizes": (POINT, POINT, [], r"got float64 of shape \(0,\)$"),
+    }
+
+    @pytest.mark.parametrize("case", list(REFUSED))
+    def test_refused_blocks_and_sizes(self, case):
+        truth, estimate, sizes, message = self.REFUSED[case]
+        with pytest.raises(InputError, match=message):
+            gospa_run(truth, estimate, sizes, P10)
 
 
 def test_rms_aggregate():
