@@ -9,7 +9,6 @@ posteriors stay positive semi-definite.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -134,9 +133,6 @@ class LinearGaussianModel:
     @property
     def log_clutter_intensity(self) -> float:
         return floor_log(self.clutter_intensity)
-
-    def with_detection_prob(self, detection_prob: float) -> "LinearGaussianModel":
-        return dataclasses.replace(self, detection_prob=detection_prob)
 
 
 def _as_measurement_block(measurements, meas_dim: int, what: str = "measurements") -> np.ndarray:

@@ -138,7 +138,8 @@ def gospa_run(truth, estimate, sizes, params: GospaParams = GospaParams()) -> li
 
 def gospa(truth, estimate, params: GospaParams = GospaParams()) -> GospaResult:
     """GOSPA distance between two finite sets of points: a run of one step."""
-    truth, estimate = real_array(truth, "truth set"), real_array(estimate, "estimate set")
+    truth, estimate = (np.atleast_1d(real_array(points, f"{what} set"))
+                       for points, what in ((truth, "truth"), (estimate, "estimate")))
     return gospa_run(truth, estimate, [[len(truth), len(estimate)]], params)[0]
 
 

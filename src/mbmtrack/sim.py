@@ -84,8 +84,9 @@ class Trajectory:
 class Scenario:
     """Model, birth and clutter configuration plus (optional) ground truth.
 
-    Checked on construction, by ``dataclasses.replace`` too.  Steps past a
-    short detection schedule take the model's p_D.
+    Checked on construction, by ``dataclasses.replace`` too, which also sets
+    the model's clutter intensity to ``clutter_rate`` over the region's area.
+    ``model_at`` gives each step's model.
     """
 
     name: str
@@ -94,7 +95,7 @@ class Scenario:
     region: tuple[tuple[float, float], tuple[float, float]]
     clutter_rate: float
     duration: int
-    detection_schedule: tuple[float, ...] | None = None
+    detection_schedule: tuple[float, ...] = ()
     filter_defaults: FilterParams = field(default_factory=FilterParams)
     truth: tuple[Trajectory, ...] | None = None
 
@@ -105,17 +106,22 @@ class Scenario:
             raise InputError(f"measurements must be planar, got measurement dimension "
                              f"{self.model.meas_dim}")
         (x0, x1), (y0, y1) = finite_array(self.region, "region", (2, 2)).tolist()
-        if not (x0 < x1 and y0 < y1 and math.isfinite((x1 - x0) * (y1 - y0))):
-            raise InputError("region bounds must increase and enclose a finite area")
+        area = (x1 - x0) * (y1 - y0)
+        if not (x0 < x1 and y0 < y1 and 0.0 < area < math.inf):
+            raise InputError("region bounds must increase and enclose a positive, finite area")
         object.__setattr__(self, "region", ((x0, x1), (y0, y1)))
         clutter_rate = real_number(self.clutter_rate, "clutter_rate", "[0, 1e4]")
         object.__setattr__(self, "clutter_rate", clutter_rate)
+        intensity = clutter_rate / area
+        if not math.isfinite(intensity):
+            raise InputError(f"clutter_rate {clutter_rate!r} over region area {area!r} overflows")
+        if self.model.clutter_intensity != intensity:
+            object.__setattr__(self, "model", replace(self.model, clutter_intensity=intensity))
         object.__setattr__(self, "duration", integer(self.duration, "duration", 1, 10**5))
-        if self.detection_schedule is not None:
-            object.__setattr__(self, "detection_schedule", tuple(
-                real_number(p_d, f"detection_schedule step {k} detection_prob", "[0, 1]")
-                for k, p_d in enumerate(self.detection_schedule, start=1)
-            ))
+        object.__setattr__(self, "detection_schedule", tuple(
+            real_number(p_d, f"detection_schedule step {k} detection_prob", "[0, 1]")
+            for k, p_d in enumerate(self.detection_schedule, start=1)
+        ))
         for t in self.truth or ():
             states = finite_array(t.states, f"trajectory {t.label} states")
             if states.shape[1:] != (self.model.state_dim,) or len(states) < self.duration:
@@ -123,11 +129,17 @@ class Scenario:
                     f"trajectory {t.label} states must have shape"
                     f" (>= {self.duration}, {self.model.state_dim}), got {states.shape}")
 
-    def detection_prob_at(self, step_index: int) -> float:
-        """Per-step detection probability (1-based step index)."""
-        if self.detection_schedule is not None and 1 <= step_index <= len(self.detection_schedule):
-            return self.detection_schedule[step_index - 1]
-        return self.model.detection_prob
+    @cached_property
+    def _models(self) -> dict[float, LinearGaussianModel]:
+        """``model`` at each p_D of the schedule, one object per value; built on first use."""
+        models = {p: replace(self.model, detection_prob=p) for p in set(self.detection_schedule)}
+        return models | {self.model.detection_prob: self.model}
+
+    def model_at(self, step_index: int) -> LinearGaussianModel:
+        """Step ``step_index``'s (1-based) model: ``model`` at its scheduled p_D, or past it."""
+        if 1 <= step_index <= len(self.detection_schedule):
+            return self._models[self.detection_schedule[step_index - 1]]
+        return self.model
 
     def truth_at(self, step_index: int) -> list[tuple[tuple[int, int], np.ndarray]]:
         if self.truth is None:
@@ -224,7 +236,7 @@ def generate_run_measurements(scenario: Scenario, run_seed: int) -> list[np.ndar
     model = scenario.model
     chol_r = _noise_factor("measurement noise", model.measurement_noise)
     return [
-        _scan(states, scenario.detection_prob_at(k), model.observation, chol_r,
+        _scan(states, scenario.model_at(k).detection_prob, model.observation, chol_r,
               scenario.region, scenario.clutter_rate, rng)
         for k, states in enumerate(scenario.truth_states, start=1)
     ]
@@ -236,12 +248,8 @@ def run_filter(
     """Run the MBM recursion over a measurement sequence."""
     state = init_empty()
     estimates = []
-    models: dict[float, LinearGaussianModel] = {}  # one per distinct detection probability
     for k, scan in enumerate(measurements, start=1):
-        p_d = scenario.detection_prob_at(k)
-        if p_d not in models:
-            models[p_d] = scenario.model.with_detection_prob(p_d)
-        state, step_estimates = step(state, scan, models[p_d], scenario.birth, params)
+        state, step_estimates = step(state, scan, scenario.model_at(k), scenario.birth, params)
         estimates.append(step_estimates)
     return estimates
 
@@ -347,10 +355,10 @@ def _parse_birth(entries) -> BirthModel:
     return BirthModel(tuple(comps))
 
 
-def _parse_schedule(raw, scenario: Scenario) -> tuple[float, ...] | None:
+def _parse_schedule(raw, scenario: Scenario) -> tuple[float, ...]:
     """Per-step detection probabilities from the file's blocks; ``Scenario`` checks them."""
     if not raw:
-        return None
+        return ()
     schedule = [scenario.model.detection_prob] * scenario.duration
     for block in raw:
         first, last = (integer(v, "detection schedule steps", 1) for v in block["steps"])
@@ -406,24 +414,18 @@ def scenario_from_mapping(raw: dict) -> Scenario:
             model_raw = {**raw.get("model", {})}
             noise = model_raw.pop("measurement_noise_std", 1.0)
             noise = real_number(noise, "measurement_noise_std", "[0, inf)")
-            model = constant_velocity_model(measurement_noise=np.eye(2) * noise**2, **model_raw)
             scenario = Scenario(
                 name=str(raw.get("name", "custom")),
-                model=model,
+                model=constant_velocity_model(measurement_noise=np.eye(2) * noise**2, **model_raw),
                 birth=_parse_birth(raw["birth"]),
                 region=(raw["region"]["x"], raw["region"]["y"]),
                 clutter_rate=raw["clutter_rate"],
                 duration=raw["duration"],
                 filter_defaults=FilterParams(**raw.get("filter", {})),  # keys checked above
             )
-            # The clutter intensity and the schedule need the checked region and duration.
-            (x0, x1), (y0, y1) = scenario.region
-            area = (x1 - x0) * (y1 - y0)
-            return replace(
-                scenario,
-                model=replace(model, clutter_intensity=scenario.clutter_rate / area),
-                detection_schedule=_parse_schedule(raw.get("detection_schedule"), scenario),
-            )
+            # The schedule needs the checked duration.
+            schedule = _parse_schedule(raw.get("detection_schedule"), scenario)
+            return replace(scenario, detection_schedule=schedule)
         except (AttributeError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
             detail = exc if isinstance(exc, InputError) else repr(exc)
             raise InputError(f"bad scenario configuration: {detail}") from exc

@@ -194,8 +194,7 @@ def test_criterion_6_label_invariance():
     scenario = generate_truth(builtin_scenario("scenario1"), 31)
     short = dataclasses.replace(scenario, duration=15)
     scans = generate_run_measurements(short, 32)
-    models = [short.model.with_detection_prob(short.detection_prob_at(k))
-              for k in range(1, short.duration + 1)]
+    models = [short.model_at(k) for k in range(1, short.duration + 1)]
     states = label_scrambled_run(scans, models, short.birth, FilterParams(max_globals=100), 33)
     for state in states:
         check_state(state)

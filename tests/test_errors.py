@@ -143,7 +143,8 @@ _SCALARS = {
     "survival_prob": (lambda v: constant_velocity_model(survival_prob=v), "str none complex true"),
     "detection_prob": (lambda v: constant_velocity_model(detection_prob=v),
                        "str none complex true"),
-    "model copy detection_prob": (_MODEL.with_detection_prob, "str none complex true"),
+    "model copy detection_prob": (lambda v: replace(_MODEL, detection_prob=v),
+                                  "str none complex true"),
     "clutter_intensity": (lambda v: constant_velocity_model(clutter_intensity=v),
                           "str none complex true huge"),
     "birth existence": (lambda v: BirthComponent(v, _DENSITY), "str none complex true"),
@@ -214,7 +215,7 @@ def test_checked_scalars_are_stored_converted():
     assert type(params.max_globals) is int and type(params.gate_threshold) is float
     assert type(params.prune_existence) is float
     assert params == FilterParams(max_globals=5, gate_threshold=9.0, prune_existence=0.5)
-    model = _MODEL.with_detection_prob(1)
+    model = replace(_MODEL, detection_prob=1)
     assert type(model.detection_prob) is float and type(model.survival_prob) is float
     gospa_params = GospaParams(cutoff=10, order=np.int64(2))
     assert gospa_params == GospaParams(cutoff=10.0, order=2.0)

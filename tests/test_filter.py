@@ -1137,7 +1137,7 @@ class TestDeferredChildren:
         params = FilterParams(max_globals=max_globals)
         state = mbm.init_empty()
         for k, zs in enumerate(scans, start=1):
-            model = scenario.model.with_detection_prob(scenario.detection_prob_at(k))
+            model = scenario.model_at(k)
             updated = mbm.update(mbm.predict(state, model, scenario.birth), zs, model, params)
             check_state(updated)  # also asserts that every hypothesis is referenced
             state = mbm.prune(updated, params)
@@ -1150,7 +1150,7 @@ class TestDeferredChildren:
         state = mbm.init_empty()
         unreferenced = 0
         for k, zs in enumerate(scans, start=1):
-            model = scenario.model.with_detection_prob(scenario.detection_prob_at(k))
+            model = scenario.model_at(k)
             predicted = mbm.predict(state, model, scenario.birth)
             lazy = mbm.update(predicted, zs, model, params)
             eager = eager_update(predicted, zs, model, params)
@@ -1175,7 +1175,7 @@ class TestDeferredChildren:
         params = FilterParams(max_globals=200)
         state = mbm.init_empty()
         for k, zs in enumerate(generate_run_measurements(scenario, 2027)[:25], start=1):
-            model = scenario.model.with_detection_prob(scenario.detection_prob_at(k))
+            model = scenario.model_at(k)
             state, _ = mbm.step(state, zs, model, scenario.birth, params)
             check_state(state)
 
@@ -1205,7 +1205,7 @@ class TestStackedRanking:
         params = FilterParams(max_globals=200)
         state = mbm.init_empty()
         for k, zs in enumerate(scans, start=1):
-            model = scenario.model.with_detection_prob(scenario.detection_prob_at(k))
+            model = scenario.model_at(k)
             state, _ = mbm.step(state, zs, model, scenario.birth, params)
         stacked_solves, solves[0] = solves[0], 0
         assert len(calls) == len(scans)

@@ -56,6 +56,12 @@ class TestGospaBasics:
         with pytest.raises(InputError):
             gospa([np.zeros(2)], [np.zeros(3)], P10)
 
+    @pytest.mark.parametrize("sets, side", [((5.0, []), "truth"), (([], 5.0), "estimate")])
+    def test_scalar_set_rejected(self, sets, side):
+        message = f"^GOSPA {side} points must be a \\(1, dim\\) block, got shape \\(1,\\)$"
+        with pytest.raises(InputError, match=message):
+            gospa(*sets, P10)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", ["truth", "estimate"])
     def test_non_finite_elements_rejected(self, value, side):

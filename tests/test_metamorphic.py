@@ -21,6 +21,7 @@ A fault that treats the measurements symmetrically, or never reaches a
 gated pair, passes the first two; the exhaustive and reference checks cover those.
 """
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,8 +57,7 @@ def run(scenario, scans, max_globals, blind=()):
     params = FilterParams(max_globals=max_globals)
     state, steps = mbm.init_empty(), []
     for k, zs in enumerate(scans, start=1):
-        p_d = 0.0 if k in blind else scenario.detection_prob_at(k)
-        model = scenario.model.with_detection_prob(p_d)
+        model = replace(scenario.model, detection_prob=0.0) if k in blind else scenario.model_at(k)
         updated = mbm.update(mbm.predict(state, model, scenario.birth), zs, model, params)
         estimates = [(e.label, e.state.tobytes()) for e in mbm.estimate(updated, params)]
         selected = updated.vectors + updated.offsets[:-1]  # (globals, components) rows

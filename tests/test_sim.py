@@ -54,10 +54,20 @@ class TestBuiltinScenarios:
 
     def test_scenario3_detection_schedule(self):
         s = builtin_scenario("scenario3")
-        assert s.detection_prob_at(1) == 0.0
-        assert s.detection_prob_at(10) == 0.0
-        assert s.detection_prob_at(11) == 0.9
-        assert s.detection_prob_at(81) == 0.9
+        assert s.model_at(1).detection_prob == 0.0
+        assert s.model_at(10).detection_prob == 0.0
+        assert s.model_at(11).detection_prob == 0.9
+        assert s.model_at(81).detection_prob == 0.9
+
+    def test_equal_detection_probs_share_one_model(self):
+        s = builtin_scenario("scenario3")
+        assert s.model_at(1) is s.model_at(10)
+        # The schedule's 0.9 steps, and steps past it, run under the model itself.
+        assert s.model_at(11) is s.model_at(81) is s.model_at(82) is s.model
+        blind = s.model_at(1)
+        assert blind.detection_prob == 0.0 and blind.clutter_intensity == s.model.clutter_intensity
+        plain = builtin_scenario("scenario1")
+        assert plain.detection_schedule == () and plain.model_at(1) is plain.model
 
     def test_shared_model_constants(self):
         for s in map(builtin_scenario, SCENARIO_NAMES):
@@ -226,6 +236,12 @@ BAD_SCENARIO_FIELDS = {
     "nan_region": ("region", ((0, _NAN), (0, 9)), {"region": {"x": [0, _NAN], "y": [0, 9]}}),
     "inf_region": ("region", ((0, _INF), (0, 9)), {"region": {"x": [0, _INF], "y": [0, 9]}}),
     "zero_area_region": ("region", ((5, 5), (0, 9)), {"region": {"x": [5, 5], "y": [0, 9]}}),
+    "underflowing_area_region": (
+        "region", ((0, 1e-200), (0, 1e-200)), {"region": {"x": [0, 1e-200], "y": [0, 1e-200]}},
+    ),
+    "intensity_overflowing_region": (  # a subnormal area of 1e-320
+        "region", ((0, 1e-160), (0, 1e-160)), {"region": {"x": [0, 1e-160], "y": [0, 1e-160]}},
+    ),
     "reversed_region": ("region", ((9, 0), (9, 0)), {"region": {"x": [9, 0], "y": [9, 0]}}),
     "three_row_region": ("region", ((0, 9),) * 3, {"region": {"x": [0, 9, 18], "y": [0, 9, 18]}}),
     "zero_duration": ("duration", 0, {"duration": 0}),
@@ -257,6 +273,22 @@ def test_every_scenario_path_checks_every_field(case, build):
             scenario_from_mapping(TestBuiltinScenarios.minimal_mapping(**file_extra))
 
 
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+def test_clutter_intensity_follows_rate_and_region(build):
+    fields = {"clutter_rate": 40.0, "region": ((0.0, 200.0), (-50.0, 50.0))}
+    if build == "constructor":
+        scenario = Scenario(**{**_scenario_fields(), **fields})
+    else:
+        scenario = replace(builtin_scenario("scenario1"), **fields)
+    assert scenario.model.clutter_intensity == 40.0 / 20000.0
+    # A new rate alone, and a new model, are re-derived as well.
+    assert replace(scenario, clutter_rate=10.0).model.clutter_intensity == 10.0 / 20000.0
+    other = replace(scenario.model, clutter_intensity=1.0)
+    assert replace(scenario, model=other).model.clutter_intensity == 40.0 / 20000.0
+    assert replace(builtin_scenario("scenario1"), clutter_rate=40.0).model.clutter_intensity \
+        == 40.0 / 90000.0
+
+
 def test_scenario_stores_converted_fields():
     scenario = Scenario(**{**_scenario_fields(), "region": np.array([[0, 300], [0, 300]]),
                            "clutter_rate": 10, "duration": np.int64(81),
@@ -264,7 +296,7 @@ def test_scenario_stores_converted_fields():
     assert scenario.region == ((0.0, 300.0), (0.0, 300.0))
     assert type(scenario.region[0][1]) is float and type(scenario.clutter_rate) is float
     assert type(scenario.duration) is int and scenario.detection_schedule == (0.0, 0.5)
-    assert scenario.detection_prob_at(3) == scenario.model.detection_prob  # a short schedule
+    assert scenario.model_at(3) is scenario.model  # past a short schedule
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -495,7 +527,7 @@ class TestRunMeasurements:
             chol_r = np.linalg.cholesky(model.measurement_noise)
             points = []
             for _, x in scenario.truth_at(k):
-                if rng.random() < scenario.detection_prob_at(k):
+                if rng.random() < scenario.model_at(k).detection_prob:
                     points.append(model.observation @ x + chol_r @ rng.standard_normal(2))
             (x0, x1), (y0, y1) = scenario.region
             clutter = rng.uniform(
