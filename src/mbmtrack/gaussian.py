@@ -150,7 +150,7 @@ def _as_measurement_block(measurements, meas_dim: int, what: str = "measurements
     if block.ndim != 2 or block.shape[1] != meas_dim:
         got = "x".join(map(str, block.shape[1:]))
         raise InputError(f"{what} must have {meas_dim} coordinates, got {got}")
-    if not np.isfinite(block).all():
+    if not np.logical_and.reduce(np.isfinite(block), axis=None):
         raise InputError(f"{what} must be finite")
     return block
 
@@ -181,12 +181,12 @@ def innovation_factors(
     # k-th squared diagonal entry of every factor.
     if model.meas_dim == 2:
         a, b, c = S[:, 0, 0], S[:, 1, 0], S[:, 1, 1]
-        if (a <= 0.0).any():
+        if np.logical_or.reduce(a <= 0.0):
             raise NumericalError("innovation covariance is not positive definite")
         l11 = np.sqrt(a)
         l21 = b / l11
         pivots = np.array([a, c - l21 * l21])
-        if (pivots[1] <= 0.0).any():
+        if np.logical_or.reduce(pivots[1] <= 0.0):
             raise NumericalError("innovation covariance is not positive definite")
         chol = np.zeros(S.shape)
         chol[:, 0, 0], chol[:, 1, 0], chol[:, 1, 1] = l11, l21, np.sqrt(pivots[1])
@@ -198,7 +198,7 @@ def innovation_factors(
                 f"innovation covariance is not positive definite: {exc}"
             ) from exc
         pivots = np.diagonal(chol, axis1=1, axis2=2).T ** 2
-    if (pivots.min(axis=0) < _PIVOT_RTOL * pivots.max(axis=0)).any():
+    if np.logical_or.reduce(np.minimum.reduce(pivots) < _PIVOT_RTOL * np.maximum.reduce(pivots)):
         raise NumericalError("innovation covariance is numerically singular")
     return predicted, chol, np.log(pivots).sum(axis=0)
 

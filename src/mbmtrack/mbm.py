@@ -258,9 +258,13 @@ def _logsumexp(values) -> float:
 
     Performs scipy's operations in scipy's order (split out the terms equal
     to the maximum, sum the shifted exponentials of the rest, divide by the
-    tie count, then log1p), so the results agree bitwise.
+    tie count, then log1p), so the results agree bitwise.  For a lone term a
+    that formula is log1p(0) + log(1) + a, so a comes back as it is; adding
+    +0.0 turns -0.0 into scipy's +0.0.
     """
     a = np.asarray(values, dtype=float)
+    if a.size == 1:
+        return a.item() + 0.0
     if a.size == 0:
         return -math.inf
     a_max = a.max()
@@ -347,7 +351,7 @@ def update(
     denom = 1.0 - existences * p_d
     log_mis_factor = np.array([floor_log(d) for d in denom.tolist()])
     mis_existence = np.divide(
-        existences * (1.0 - p_d), denom, out=np.ones_like(denom), where=denom > 0.0
+        existences * (1.0 - p_d), denom, out=np.ones(len(denom)), where=denom > 0.0
     )
     mis_existence = np.minimum(np.maximum(mis_existence, 0.0), 1.0)
     # Log-weights of the children, indexed by key: column 0 misdetection,
@@ -413,7 +417,7 @@ def update(
     parent, association = np.divmod(used, m + 1)
     means, covariances = state.means[parent], state.covariances[parent]
     detected = association > 0
-    if detected.any():  # then the gate ran: ``factors`` holds the detectable parents' S
+    if np.logical_or.reduce(detected):  # then ``factors`` holds the detectable parents' S
         gains, posterior_covs = kalman_gains(state.covariances[detectable], factors[1], model)
         pair = detectable.searchsorted(parent[detected])
         covariances[detected] = posterior_covs[pair]
@@ -454,7 +458,7 @@ def prune(state: MbmState, params: FilterParams) -> MbmState:
     # Keep the referenced hypotheses of components that some kept global
     # gives enough existence, and renumber the vectors to match.
     rows = vectors[kept] + state.offsets[:-1]
-    alive = (state.existences[rows] >= params.prune_existence).any(axis=0)
+    alive = np.logical_or.reduce(state.existences[rows] >= params.prune_existence, axis=0)
     used = np.zeros(len(state.existences), dtype=bool)
     used[rows[:, alive]] = True
     used = used.nonzero()[0]
@@ -465,7 +469,7 @@ def prune(state: MbmState, params: FilterParams) -> MbmState:
     # Left padding makes the columns that every kept history leaves at -1 a
     # prefix; dropping them bounds the width by the oldest kept history.
     histories = state.histories[used]
-    histories = histories[:, np.count_nonzero((histories < 0).all(axis=0)):]
+    histories = histories[:, np.count_nonzero(np.logical_and.reduce(histories < 0, axis=0)):]
     return MbmState._stacked(
         state.time,
         state.means[used],

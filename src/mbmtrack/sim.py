@@ -118,9 +118,14 @@ class Scenario:
         if self.model.clutter_intensity != intensity:
             object.__setattr__(self, "model", replace(self.model, clutter_intensity=intensity))
         object.__setattr__(self, "duration", integer(self.duration, "duration", 1, 10**5))
+        try:
+            schedule = tuple(self.detection_schedule)
+        except TypeError:  # None or a bare number; () is the no-schedule form
+            raise InputError("detection_schedule must be a sequence of detection probabilities, "
+                             f"got {type(self.detection_schedule).__name__}") from None
         object.__setattr__(self, "detection_schedule", tuple(
             real_number(p_d, f"detection_schedule step {k} detection_prob", "[0, 1]")
-            for k, p_d in enumerate(self.detection_schedule, start=1)
+            for k, p_d in enumerate(schedule, start=1)
         ))
         for t in self.truth or ():
             states = finite_array(t.states, f"trajectory {t.label} states")

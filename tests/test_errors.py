@@ -208,6 +208,13 @@ def test_out_of_range_scan_scalar_raises_input_error(name, out_of_range):
         _SCALARS[name][0](out_of_range)
 
 
+@pytest.mark.parametrize("schedule", [None, 5])
+def test_non_sequence_detection_schedule_raises_input_error(schedule):
+    with pytest.raises(InputError, match="^detection_schedule must be a sequence"):
+        replace(_SCENARIO, detection_schedule=schedule)
+    assert replace(_SCENARIO, detection_schedule=()).model_at(1) is _SCENARIO.model
+
+
 def test_checked_scalars_are_stored_converted():
     params = FilterParams(
         max_globals=np.int64(5), gate_threshold=9, prune_existence=np.float32(0.5)

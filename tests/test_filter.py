@@ -1021,6 +1021,23 @@ class TestLogsumexp:
             expected = float(logsumexp(values))
         assert np.array_equal(mbm._logsumexp(values), expected, equal_nan=True)
 
+    @pytest.mark.parametrize("value", [-0.0, 0.0, -745.0, floor_log(0.0)])
+    def test_lone_term_matches_scipy_bitwise(self, value):
+        # scipy's formula reduces to log1p(0) + log(1) + a: a, and +0.0 for -0.0.
+        got = mbm._logsumexp([value])
+        assert np.float64(got).tobytes() == np.float64(logsumexp([value])).tobytes()
+
+    def test_lone_global_weight_stays_exactly_zero(self):
+        scenario, scans = scenario1_scans(10)
+        params = FilterParams(max_globals=1)
+        state = mbm.init_empty()
+        for k, zs in enumerate(scans, start=1):
+            model = scenario.model_at(k)
+            updated = mbm.update(mbm.predict(state, model, scenario.birth), zs, model, params)
+            state = mbm.prune(updated, params)
+            for weights in (updated.global_log_weights, state.global_log_weights):
+                assert weights.tobytes() == np.zeros(1).tobytes()
+
 
 def misdetection_weight(parent, model):
     """Log-weight and existence of the misdetection child of ``parent``, one at a time."""
