@@ -78,8 +78,10 @@ def real_array(values, what: str) -> np.ndarray:
 
 
 def finite_array(values, what: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """``real_array(values, what)``, which must also have ``shape`` if given and be finite."""
-    array = real_array(values, what)
+    """A read-only copy of ``real_array(values, what)``, which must also have ``shape`` if
+    given and be finite.  The caller's own array stays writable and is not aliased."""
+    array = real_array(values, what).copy()
+    array.flags.writeable = False
     if shape is not None and array.shape != shape:
         raise InputError(f"{what} must have shape {shape}, got {array.shape}")
     if not np.isfinite(array).all():

@@ -33,26 +33,18 @@ def _symmetrized(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
-def check_covariance(cov: np.ndarray, what: str) -> None:
-    """InputError unless the symmetric ``cov`` is finite and positive semi-definite.
-
-    Negative eigenvalues within rounding of zero pass.
-    """
-    if not np.isfinite(cov).all():  # an array written in place after its checks
-        raise InputError(f"{what} must be finite")
-    eigenvalues = np.linalg.eigvalsh(cov)
-    if eigenvalues.size and eigenvalues[0] < -_PSD_RTOL * np.abs(eigenvalues).max():
-        raise InputError(f"{what} must be positive semi-definite")
-
-
 def _covariance(values, what: str, n: int) -> np.ndarray:
-    """A caller's finite (n, n) covariance, symmetrized without overflow, then PSD-checked."""
+    """A caller's finite (n, n) covariance, symmetrized without overflow, then checked
+    positive semi-definite (negative eigenvalues within rounding of zero pass); read-only."""
     with np.errstate(over="raise"):
         try:
             cov = _symmetrized(finite_array(values, what, (n, n)))
         except FloatingPointError:
             raise InputError(f"{what} overflows when symmetrized") from None
-    check_covariance(cov, what)
+    eigenvalues = np.linalg.eigvalsh(cov)
+    if eigenvalues.size and eigenvalues[0] < -_PSD_RTOL * np.abs(eigenvalues).max():
+        raise InputError(f"{what} must be positive semi-definite")
+    cov.flags.writeable = False
     return cov
 
 
@@ -66,8 +58,8 @@ class GaussianDensity:
     """Gaussian state density N(mean, covariance).
 
     The covariance is symmetrized and checked positive semi-definite on
-    construction, so every density, a filter result or a caller's prior or
-    birth, satisfies both invariants.
+    construction, and both arrays are read-only copies, so every density, a
+    filter result or a caller's prior or birth, keeps both invariants.
     """
 
     mean: np.ndarray
@@ -208,17 +200,19 @@ def gate(factors, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``factors`` is what ``innovation_factors`` returns for the priors and
     ``zs`` is (m, d).  Returns two (N, m) arrays: (z - H x)' S^-1 (z - H x)
-    and log N(z; H x, S).  Row i depends only on prior i, bitwise.
+    and log N(z; H x, S).  Row i depends only on prior i, bitwise.  A
+    statistic that overflows is +inf, so its pair is gated out.
     """
     predicted, chol, log_det = factors
     diffs = zs - predicted[:, None, :]
-    if chol.shape[1] == 2:
-        w0 = diffs[:, :, 0] / chol[:, 0, 0, None]
-        w1 = (diffs[:, :, 1] - chol[:, 1, 0, None] * w0) / chol[:, 1, 1, None]
-        maha = w0 * w0 + w1 * w1
-    else:
-        white = np.linalg.solve(chol, diffs.swapaxes(1, 2))
-        maha = np.sum(white * white, axis=1)
+    with np.errstate(over="ignore"):
+        if chol.shape[1] == 2:
+            w0 = diffs[:, :, 0] / chol[:, 0, 0, None]
+            w1 = (diffs[:, :, 1] - chol[:, 1, 0, None] * w0) / chol[:, 1, 1, None]
+            maha = w0 * w0 + w1 * w1
+        else:
+            white = np.linalg.solve(chol, diffs.swapaxes(1, 2))
+            maha = np.sum(white * white, axis=1)
     logliks = -0.5 * (chol.shape[1] * _LOG_2PI + log_det[:, None] + maha)
     return maha, logliks
 

@@ -25,8 +25,8 @@ from .assignment import FORBIDDEN, _ranked_columns, k_best  # noqa: F401
 from .errors import InputError, NumericalError, integer, real_number
 from .gaussian import (  # noqa: F401
     GaussianDensity, LinearGaussianModel, PreparedMeasurementUpdate, _as_measurement_block,
-    check_covariance, floor_log, gate, innovation_factors, kalman_gains, kalman_predict,
-    posterior_means, predict_stack,
+    floor_log, gate, innovation_factors, kalman_gains, kalman_predict, posterior_means,
+    predict_stack,
 )
 
 
@@ -156,7 +156,6 @@ class BirthComponent:
     def __post_init__(self):
         existence = real_number(self.existence, "birth existence probability", "[0, 1]")
         object.__setattr__(self, "existence", existence)
-        check_covariance(self.density.covariance, "birth covariance")  # even if written in place
 
 
 @dataclass(frozen=True)

@@ -118,9 +118,12 @@ class Scenario:
         if self.model.clutter_intensity != intensity:
             object.__setattr__(self, "model", replace(self.model, clutter_intensity=intensity))
         object.__setattr__(self, "duration", integer(self.duration, "duration", 1, 10**5))
+        from collections.abc import Mapping, Set
         try:
+            if isinstance(self.detection_schedule, (Set, Mapping)):  # walked in no step order
+                raise TypeError
             schedule = tuple(self.detection_schedule)
-        except TypeError:  # None or a bare number; () is the no-schedule form
+        except TypeError:  # also None or a bare number; () is the no-schedule form
             raise InputError("detection_schedule must be a sequence of detection probabilities, "
                              f"got {type(self.detection_schedule).__name__}") from None
         object.__setattr__(self, "detection_schedule", tuple(

@@ -54,6 +54,18 @@ def test_finite_array_names_what_is_wrong(values, shape, message):
         finite_array(values, "probe", shape)
 
 
+@pytest.mark.parametrize("values", [np.array([1.0, 2.0]), np.array([1, 2]), [1.0, 2.0]])
+def test_finite_array_returns_a_read_only_copy(values):
+    array = finite_array(values, "probe")
+    assert array.tolist() == [1.0, 2.0] and not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = 5.0
+    if isinstance(values, np.ndarray):
+        assert values.flags.writeable and not np.shares_memory(array, values)
+        values[0] = 5
+        assert array.tolist() == [1.0, 2.0]
+
+
 @pytest.mark.parametrize(
     "values, kind",
     [(["0", "300"], "string"), ([1.0, "2"], "string"), ([True, False], "bool"),
@@ -208,11 +220,18 @@ def test_out_of_range_scan_scalar_raises_input_error(name, out_of_range):
         _SCALARS[name][0](out_of_range)
 
 
-@pytest.mark.parametrize("schedule", [None, 5])
+# A set or mapping walks in no step order, so no step's p_D could be read from it.
+@pytest.mark.parametrize("schedule", [None, 5, {0.9, 0.1, 0.5}, frozenset({0.9}), {0.2: "x"}])
 def test_non_sequence_detection_schedule_raises_input_error(schedule):
     with pytest.raises(InputError, match="^detection_schedule must be a sequence"):
         replace(_SCENARIO, detection_schedule=schedule)
     assert replace(_SCENARIO, detection_schedule=()).model_at(1) is _SCENARIO.model
+
+
+def test_ordered_detection_schedule_keeps_its_order():
+    for schedule in ([0.9, 0.1, 0.5], (0.9, 0.1, 0.5), np.array([0.9, 0.1, 0.5])):
+        stored = replace(_SCENARIO, detection_schedule=schedule).detection_schedule
+        assert stored == (0.9, 0.1, 0.5)
 
 
 def test_checked_scalars_are_stored_converted():

@@ -888,15 +888,13 @@ def test_birth_covariance_must_be_psd():
             BirthComponent(0.1, GaussianDensity([100.0, 0.0, 100.0, 0.0], bad))
     for good in (np.zeros((4, 4)), np.diag([1.0, 1.0, 1.0, -1e-18])):
         BirthComponent(0.1, GaussianDensity([100.0, 0.0, 100.0, 0.0], good))
-    # GaussianDensity refuses a covariance that overflows or is not PSD, but
-    # its array stays writable, so a density can still come to hold either.
+    # The checked covariance is read-only, so no density can come to hold a
+    # non-PSD or non-finite one after construction.
     written = GaussianDensity([0.0], [[1.0]])
-    written.covariance[0, 0] = -1.0
-    with pytest.raises(InputError, match="birth covariance must be positive semi-definite"):
-        BirthComponent(0.1, written)
-    written.covariance[0, 0] = np.inf
-    with pytest.raises(InputError, match="birth covariance must be finite"):
-        BirthComponent(0.1, written)
+    for bad in (-1.0, np.inf):
+        with pytest.raises(ValueError, match="read-only"):
+            written.covariance[0, 0] = bad
+    assert written.covariance.tolist() == [[1.0]]
 
 
 def test_birth_components_must_share_one_dimension():

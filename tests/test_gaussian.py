@@ -361,6 +361,17 @@ class TestGateStatistics:
         with pytest.raises(NumericalError, match=message):
             innovation_factors(np.zeros((2, 2)), covs, model)
 
+    @pytest.mark.parametrize("n_z", [2, 3])
+    def test_overflowing_statistic_is_infinite(self, n_z):
+        """A measurement so far that its squared whitened distance overflows is
+        gated out with a +inf statistic, not a RuntimeWarning."""
+        model = random_model(np.random.default_rng(59), 4, n_z)
+        means, covs = random_priors(np.random.default_rng(61), 3, 4)
+        zs = np.array([np.full(n_z, 1e200), np.r_[-1e300, np.full(n_z - 1, 5.0)], np.zeros(n_z)])
+        maha, logliks = gate_statistics(means, covs, zs, model)
+        assert (maha[:, :2] == np.inf).all() and (logliks[:, :2] == -np.inf).all()
+        assert np.isfinite(maha[:, 2]).all() and np.isfinite(logliks[:, 2]).all()
+
     @pytest.mark.parametrize("n_z", [1, 2, 3])
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_any_non_positive_definite_innovation_raises(self, n_z, bad):
@@ -472,6 +483,25 @@ def test_gaussian_density_symmetrizes_and_validates():
     for mean, cov in [(m, np.eye(2)) for m in bad_means] + [([0.0, 1.0], c) for c in bad_covs]:
         with pytest.raises(InputError):
             GaussianDensity(mean, cov)
+
+
+def test_density_and_model_arrays_are_read_only_copies():
+    """Each stored array is the checked one: no write reaches it, the caller's included."""
+    mean, cov = np.zeros(2), np.eye(2)
+    density = GaussianDensity(mean, cov)
+    F, Q, H, R = np.eye(2), np.eye(2), np.eye(2)[:1], np.eye(1)
+    model = LinearGaussianModel(F, Q, H, R, 0.99, 0.9, 1e-4)
+    stored = {"mean": (density, mean), "covariance": (density, cov), "transition": (model, F),
+              "process_noise": (model, Q), "observation": (model, H),
+              "measurement_noise": (model, R)}
+    for name, (owner, given) in stored.items():
+        array = getattr(owner, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = np.nan
+        assert given.flags.writeable and not np.shares_memory(array, given), name
+        before = array.copy()
+        given[0] = np.nan
+        assert_bitwise(getattr(owner, name), before)
 
 
 def test_gaussian_density_covariance_must_be_psd():

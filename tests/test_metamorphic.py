@@ -12,7 +12,8 @@ Python version:
   measurement a hypothesis took moves with it;
 * appending two points that no hypothesis gates leaves each step's updated
   state (all nine arrays, the global log-weights and means among them) and
-  its estimates unchanged;
+  its estimates unchanged, also when the points are so far that their
+  gating statistics overflow;
 * at a step whose detection probability is 0, the scan's measurements can
   only be clutter, so replacing the scan by an empty one leaves that step's
   updated state and estimates, and so every later step's, unchanged.
@@ -34,6 +35,8 @@ from mbmtrack.sim import builtin_scenario, generate_run_measurements, generate_t
 TRUTH_SEED, RUN_SEED = 2026, 2027
 # Far outside the scenarios' 300 x 300 m region and every gate.
 FAR_POINTS = np.array([[1e4, 1e4], [-1e4, -1e4]])
+# So far that the squared whitened distance overflows to +inf.
+OVERFLOWING_POINTS = np.array([[1e200, 1e200], [-1e300, 5.0]])
 # At N_h = 1 the one global of scenarios 2 and 3 takes no detection at this
 # run seed, so their N_h = 50 runs are the ones whose relations depend on a
 # measurement.
@@ -102,6 +105,18 @@ def test_ungated_points_appended(name, max_globals):
     scenario, scans = scenario_scans(name)
     padded = [np.concatenate((zs, FAR_POINTS)) for zs in scans]
     assert_steps_equal(run(scenario, padded, max_globals), plain_run(name, max_globals),
+                       (*STATE_ARRAYS, "estimates"))
+
+
+@pytest.mark.parametrize("name, max_globals", [("scenario1", 200), ("scenario1", 1),
+                                               ("scenario2", 50)])
+def test_overflowing_points_appended(name, max_globals):
+    """A point so far that its gating statistic overflows is gated out like any far
+    point, with no RuntimeWarning (these run with warnings as errors)."""
+    scenario, scans = scenario_scans(name)
+    scans = scans[:30]
+    padded = [np.concatenate((zs, OVERFLOWING_POINTS)) for zs in scans]
+    assert_steps_equal(run(scenario, padded, max_globals), run(scenario, scans, max_globals),
                        (*STATE_ARRAYS, "estimates"))
 
 
