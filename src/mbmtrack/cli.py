@@ -238,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
 
     def add_gospa(p):
-        p.add_argument("--gospa-c", type=float, default=10.0, dest="gospa_c")
-        p.add_argument("--gospa-p", type=float, default=2.0, dest="gospa_p")
+        p.add_argument("--gospa-c", type=float, default=GospaParams.cutoff, dest="gospa_c")
+        p.add_argument("--gospa-p", type=float, default=GospaParams.order, dest="gospa_p")
 
     p = sub.add_parser("simulate", help="write ground truth and measurements for one realization")
     add_common(p)

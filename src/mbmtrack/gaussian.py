@@ -201,11 +201,12 @@ def gate(factors, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``factors`` is what ``innovation_factors`` returns for the priors and
     ``zs`` is (m, d).  Returns two (N, m) arrays: (z - H x)' S^-1 (z - H x)
     and log N(z; H x, S).  Row i depends only on prior i, bitwise.  A
-    statistic that overflows is +inf, so its pair is gated out.
+    statistic that overflows is +inf, so its pair is gated out; so is one
+    that overflow turns to NaN (0 * inf where S is diagonal).
     """
     predicted, chol, log_det = factors
     diffs = zs - predicted[:, None, :]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if chol.shape[1] == 2:
             w0 = diffs[:, :, 0] / chol[:, 0, 0, None]
             w1 = (diffs[:, :, 1] - chol[:, 1, 0, None] * w0) / chol[:, 1, 1, None]
@@ -213,6 +214,7 @@ def gate(factors, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         else:
             white = np.linalg.solve(chol, diffs.swapaxes(1, 2))
             maha = np.sum(white * white, axis=1)
+    maha[np.isnan(maha)] = math.inf
     logliks = -0.5 * (chol.shape[1] * _LOG_2PI + log_det[:, None] + maha)
     return maha, logliks
 

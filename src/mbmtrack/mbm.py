@@ -359,21 +359,19 @@ def update(
     child_log_weight[:, 0] = log_weights + log_mis_factor
     mis_increment = child_log_weight[:, 0] - log_weights
     cost = np.full((len(existences), m), FORBIDDEN)
-    detectable = (existences > 0.0).nonzero()[0]
-    if m > 0 and p_d > 0.0 and len(detectable):
-        factors = innovation_factors(state.means[detectable], state.covariances[detectable], model)
+    if m > 0 and p_d > 0.0 and len(existences):  # an empty state's means are (0, 0)
+        factors = innovation_factors(state.means, state.covariances, model)
         maha, logliks = gate(factors, zs)
-        log_r = np.array([math.log(r) for r in existences[detectable].tolist()])[:, None]
-        child_log_weight[detectable, 1:] = (
-            log_weights[detectable, None] + log_r + log_pd + logliks - log_kappa
-        )
+        log_r = np.array([[math.log(r) if r > 0.0 else -math.inf] for r in existences.tolist()])
+        child_log_weight[:, 1:] = log_weights[:, None] + log_r + log_pd + logliks - log_kappa
         # -ln(detection weight / misdetection weight); the parent weight
         # cancels, and zero misdetection factors are floored so the cost
-        # stays finite.
-        cost[detectable] = np.where(
+        # stays finite.  At r = 0, log r = -inf makes every detection cost
+        # FORBIDDEN, so the gated-block cut drops that parent's row.
+        cost = np.where(
             maha > params.gate_threshold,
             FORBIDDEN,
-            log_mis_factor[detectable, None] - (log_r + log_pd + logliks - log_kappa),
+            log_mis_factor[:, None] - (log_r + log_pd + logliks - log_kappa),
         )
 
     # A new global's weight is the prior weight, plus every component's
@@ -416,9 +414,9 @@ def update(
     parent, association = np.divmod(used, m + 1)
     means, covariances = state.means[parent], state.covariances[parent]
     detected = association > 0
-    if np.logical_or.reduce(detected):  # then ``factors`` holds the detectable parents' S
-        gains, posterior_covs = kalman_gains(state.covariances[detectable], factors[1], model)
-        pair = detectable.searchsorted(parent[detected])
+    if np.logical_or.reduce(detected):  # then ``factors`` holds every parent's S
+        gains, posterior_covs = kalman_gains(state.covariances, factors[1], model)
+        pair = parent[detected]
         covariances[detected] = posterior_covs[pair]
         means[detected] = posterior_means(
             means[detected], factors[0][pair], gains[pair], zs[association[detected] - 1]

@@ -19,6 +19,7 @@ import os
 import time
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 import yaml
@@ -329,25 +330,13 @@ def run_monte_carlo(
     n_runs, seed = integer(n_runs, "n_runs", 1), integer(seed, "seed", 0)
     workers = integer(workers, "workers", 1)
     base = generate_truth(scenario, seed) if scenario.truth is None else scenario
-    run_seeds = [seed + i for i in range(1, n_runs + 1)]
+    runs = (repeat(base), repeat(params), range(seed + 1, seed + n_runs + 1), repeat(gospa_params))
     if workers > 1 and n_runs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, n_runs)) as pool:
-            records = list(
-                pool.map(
-                    _single_run,
-                    [base] * n_runs,
-                    [params] * n_runs,
-                    run_seeds,
-                    [gospa_params] * n_runs,
-                )
-            )
-    else:
-        records = [
-            _single_run(base, params, rs, gospa_params) for rs in run_seeds
-        ]
-    return MonteCarloReport(records)
+            return MonteCarloReport(list(pool.map(_single_run, *runs)))
+    return MonteCarloReport(list(map(_single_run, *runs)))
 
 
 # ---------------------------------------------------------------------------

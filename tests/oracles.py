@@ -10,6 +10,10 @@ loop that solves every child; ``gospa_reference``, GOSPA scored one step at a
 time; ``predict_reference``, predict with the birth block built on every
 call; ``update_reference``, the measurement update ranked one matrix at a
 time by ``ranked_alone``, turning its ``Assignment`` maps into child keys.
+``update_reference`` gates only the parents of positive existence, on
+purpose: ``mbm.update`` gates every parent and leaves a zero-existence one
+out by arithmetic (log 0 = -inf), so matching it bitwise shows that gating
+such a parent changes nothing.
 ``ranked_alone`` and ``ranked_stack`` rank through the private
 ``_ranked_columns`` under an explicit tie rule, which ``k_best`` fixes.
 ``check_state`` asserts the invariants every filter state must satisfy, and
@@ -432,27 +436,8 @@ def predict_reference(state, model, birth):
 # -- filter update ------------------------------------------------------------
 
 
-def _logsumexp_reference(values) -> float:
-    """``scipy.special.logsumexp`` of a 1-D sequence, without its dispatch cost.
-
-    Performs scipy's operations in scipy's order (split out the terms equal
-    to the maximum, sum the shifted exponentials of the rest, divide by the
-    tie count, then log1p), so the results agree bitwise.
-    """
-    a = np.asarray(values, dtype=float)
-    if a.size == 0:
-        return -math.inf
-    a_max = a.max()
-    if not np.isfinite(a_max):
-        return float(a_max)
-    at_max = a == a_max
-    count = np.float64(np.count_nonzero(at_max))
-    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum() / count
-    return float(np.log1p(s) + np.log(count) + a_max)
-
-
 def _normalized_reference(log_weights: np.ndarray) -> np.ndarray:
-    total = _logsumexp_reference(log_weights)
+    total = logsumexp(log_weights)
     if not math.isfinite(total):
         raise NumericalError("total global-hypothesis weight vanished or diverged")
     return log_weights - total
@@ -470,7 +455,7 @@ def update_reference(
     ``mbm.update`` must match it bitwise.  Measurement update with
     ranked-assignment hypothesis selection.
 
-    The parents (every hypothesis of every component, in order) are gated
+    The parents of positive existence (in component order) are gated
     against all m measurements in one stacked computation, which fills
     (parents, m) tables of detection log-weights and of assignment costs
     (misdetection/detection log-ratios).  Each prior global takes the rows

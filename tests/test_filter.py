@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import golden
@@ -241,14 +242,38 @@ def _two_target_case(scan):
     return MbmState(comps, globals_, 3), np.array(scan, dtype=float), 0.5, FilterParams(3)
 
 
+def _zero_existence_case(detection_prob):
+    """A component whose r = 0 hypothesis sits beside an r = 1 one at (10, 10),
+    where the scan has a point, and a component of one hypothesis at (30, 30);
+    each global takes one of the first component's hypotheses, and ranks
+    enough children to reach a detection of the r = 0 one if it were admitted."""
+    def hypothesis(r, x, label, history):
+        density = GaussianDensity([x, 0.5, x, -0.5], np.eye(4))
+        return SingleTargetHypothesis(-0.5, r, density, HypothesisMeta(1, label, history))
+
+    comps = (
+        BernoulliComponent((hypothesis(1.0, 10.0, 1, (1,)), hypothesis(0.0, 10.0, 1, (0,)))),
+        BernoulliComponent((hypothesis(0.9, 30.0, 2, (0,)),)),
+    )
+    globals_ = (GlobalHypothesis(math.log(0.75), (0, 0)), GlobalHypothesis(math.log(0.25), (1, 0)))
+    scan = np.array([[10.2, 9.7], [30.5, 29.6], [40.0, 0.0]])
+    return MbmState(comps, globals_, 3), scan, detection_prob, FilterParams(10)
+
+
 class TestUpdateAgainstReference:
     # ``_update_cases`` draws a scan that no parent gates in about 1% of its
     # examples, and a component without a gated hypothesis beside one with
     # such a hypothesis in 2-9%, so both are also given outright: the first
     # ranks (2, 0, 0) matrices, the second drops the far component and the
-    # far measurement from the ranked block.
+    # far measurement from the ranked block.  ``update`` gates every parent,
+    # while the reference gates only those of positive existence, so an
+    # r = 0 hypothesis beside one that gates a point is given outright too:
+    # at p_D = 1, where an r = 1 parent's misdetection child has r = 0, and
+    # at p_D = 0.5.
     @example(_two_target_case([[0.0, 40.0], [40.0, 0.0]]))
     @example(_two_target_case([[0.0, 40.0], [10.2, 9.7], [40.0, 0.0]]))
+    @example(_zero_existence_case(1.0))
+    @example(_zero_existence_case(0.5))
     @settings(max_examples=300, deadline=None)
     @given(_update_cases())
     def test_bitwise_equal_to_k_best_reference(self, case):
@@ -623,7 +648,7 @@ def reference_prune(state, params):
         return [GlobalHypothesis(w, key) for key, w in merged.items()]
 
     def normalized(globals_):
-        total = mbm._logsumexp([g.log_weight for g in globals_])
+        total = logsumexp([g.log_weight for g in globals_])
         return tuple(GlobalHypothesis(g.log_weight - total, g.assignment_vector) for g in globals_)
 
     merged = normalized(merge(state.global_hypotheses))
@@ -926,6 +951,16 @@ def test_state_of_the_wrong_dimension_rejected():
     assert len(mbm.predict(empty, planar, flat).means) == 1
 
 
+@pytest.mark.parametrize("existence", [0.0, 0.5])
+def test_singular_innovation_raises_whatever_the_existence(existence):
+    """``update`` gates every parent, so a singular S fails at existence 0 too."""
+    planar = LinearGaussianModel(np.eye(2), np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)),
+                                 0.99, 0.9, 1e-4)
+    state = single_hypothesis_state(0.0, existence, GaussianDensity(np.zeros(2), np.zeros((2, 2))))
+    with pytest.raises(NumericalError, match="not positive definite"):
+        mbm.update(state, [[0.0, 0.0]], planar, FilterParams())
+
+
 @pytest.mark.parametrize("stage", ["predict", "update", "prune", "step"])
 def test_state_without_globals_rejected(stage):
     scenario = builtin_scenario("scenario1")
@@ -987,6 +1022,40 @@ class TestNonFiniteMeasurements:
         # A non-finite birth mean fails as early, when the birth is built.
         with pytest.raises(InputError, match="finite"):
             BirthComponent(0.1, GaussianDensity([140.0, 0.0, bad, 0.0], np.eye(4)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFarPointAgainstDiagonalS:
+    """Scenario1's model has a diagonal S; with R = 1e-4 I, a point at 1e308
+    overflows the first whitened coordinate, and the gate computes 0 * inf."""
+
+    SCAN = [[150.0, 160.0], [1e308, 0.0]]
+
+    @staticmethod
+    def tracked(birth):
+        """The model, and the prediction after six steps on (150, 160)."""
+        scenario = builtin_scenario("scenario1")
+        model = dataclasses.replace(scenario.model, measurement_noise=1e-4 * np.eye(2))
+        state = mbm.init_empty()
+        for _ in range(6):
+            state, _ = mbm.step(state, [[150.0, 160.0]], model, scenario.birth, FilterParams())
+        return model, mbm.predict(state, model, birth(scenario.birth))
+
+    def test_far_point_is_gated_out(self):
+        model, predicted = self.tracked(lambda birth: birth)
+        out = mbm.update(predicted, self.SCAN, model, FilterParams())
+        expected = mbm.update(predicted, self.SCAN[:1], model, FilterParams())
+        for name in STATE_ARRAYS:
+            assert getattr(out, name).tobytes() == getattr(expected, name).tobytes(), name
+
+    def test_far_birth_alone_takes_the_far_point(self):
+        far = BirthComponent(0.5, GaussianDensity([1e308, 0.0, 0.0, 0.0], np.eye(4)))
+        model, predicted = self.tracked(lambda birth: BirthModel(birth.components + (far,)))
+        out = mbm.update(predicted, self.SCAN, model, FilterParams())
+        assert np.isfinite(out.global_log_weights).all()
+        took_far_point = out.histories[:, -1] == 2
+        assert took_far_point.any()
+        assert (out.means[took_far_point, 0] > 1e307).all()
 
 
 def _log_weight_lists():
@@ -1121,7 +1190,7 @@ def eager_update(state, zs, model, params):
                 GlobalHypothesis(base_log_weight - assigned.total_cost, tuple(child))
             )
     components = tuple(BernoulliComponent(tuple(kids)) for kids in children)
-    total = mbm._logsumexp([g.log_weight for g in new_globals])
+    total = logsumexp([g.log_weight for g in new_globals])
     normalized = tuple(GlobalHypothesis(g.log_weight - total, g.assignment_vector) for g in new_globals)
     return MbmState(components, normalized, state.time)
 

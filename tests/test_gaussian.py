@@ -372,6 +372,18 @@ class TestGateStatistics:
         assert (maha[:, :2] == np.inf).all() and (logliks[:, :2] == -np.inf).all()
         assert np.isfinite(maha[:, 2]).all() and np.isfinite(logliks[:, 2]).all()
 
+    def test_overflow_against_a_diagonal_factor_is_infinite(self):
+        """Where S is diagonal (l21 = 0), a point whose first whitened
+        coordinate overflows makes l21 * w0 = 0 * inf; its statistic is +inf,
+        not NaN, and no RuntimeWarning is raised."""
+        H = np.kron(np.eye(2), [[1.0, 0.0]])
+        model = LinearGaussianModel(np.eye(4), np.zeros((4, 4)), H, 1e-4 * np.eye(2), 0.99, 0.9, 1e-4)
+        factors = innovation_factors(np.zeros((1, 4)), np.zeros((1, 4, 4)), model)
+        assert factors[1][0, 1, 0] == 0.0
+        maha, logliks = gate(factors, np.array([[1e308, 0.0], [1.0, 1.0]]))
+        assert maha[0, 0] == np.inf and logliks[0, 0] == -np.inf
+        assert maha[0, 1] == pytest.approx(2e4)
+
     @pytest.mark.parametrize("n_z", [1, 2, 3])
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_any_non_positive_definite_innovation_raises(self, n_z, bad):
