@@ -224,7 +224,8 @@ def kalman_gains(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kalman gains (N, n_x, d) and Joseph-form posterior covariances of N priors.
 
-    ``chol`` holds the priors' factors of S from ``innovation_factors``.
+    ``chol`` holds the priors' factors of S from ``innovation_factors``.  A
+    planar det S that overflows, or underflows to 0, raises ``NumericalError``.
     """
     H, R = model.observation, model.measurement_noise
     if model.meas_dim == 2:
@@ -236,7 +237,11 @@ def kalman_gains(
         c = np.float_power(l22, 2) + np.float_power(l21, 2)
         s_inv = np.empty(chol.shape)
         s_inv[:, 0, 0], s_inv[:, 0, 1], s_inv[:, 1, 0], s_inv[:, 1, 1] = c, -b, -b, a
-        s_inv /= (a * c - b * b)[:, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = a * c - b * b
+        if not np.logical_and.reduce((det > 0.0) & (det < math.inf)):
+            raise NumericalError("innovation covariance determinant overflows or underflows")
+        s_inv /= det[:, None, None]
         gains = covariances @ H.T @ s_inv
     else:
         # K = P H' S^-1, via L L' K' = H P: one stacked solve per factor.

@@ -224,13 +224,10 @@ def predict(state: MbmState, model: LinearGaussianModel, birth: BirthModel) -> M
     """
     new_time, n_x = state.time + 1, model.state_dim
     b_means, b_covariances, b_existences, b_log_weights, b_labels = birth.stacked
-    n_h, n_b = len(state.means), len(b_existences)
+    n_b = len(b_existences)
     if b_means.size != n_b * n_x:
         raise InputError(f"birth components must have dimension {n_x}")
-    _check_state(state, n_x)
-    means, covariances = predict_stack(
-        state.means.reshape(n_h, n_x), state.covariances.reshape(n_h, n_x, n_x), model
-    )
+    means, covariances = predict_stack(*_check_state(state, n_x), model)
     return MbmState._stacked(
         new_time,
         np.concatenate((means, b_means.reshape(n_b, n_x))),
@@ -245,11 +242,15 @@ def predict(state: MbmState, model: LinearGaussianModel, birth: BirthModel) -> M
     )
 
 
-def _check_state(state: MbmState, n_x: int | None = None) -> None:
+def _check_state(state: MbmState, n_x: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The means (H, n_x) and covariances (H, n_x, n_x), the empty state's (0, 0) ones too."""
     if not len(state.global_log_weights):
         raise InputError("state has no global hypotheses")
-    if n_x is not None and len(state.means) and state.means.shape[1] != n_x:
-        raise InputError(f"state hypotheses must have dimension {n_x}, not {state.means.shape[1]}")
+    n_h, width = state.means.shape
+    n_x = width if n_x is None else n_x
+    if n_h and width != n_x:
+        raise InputError(f"state hypotheses must have dimension {n_x}, not {width}")
+    return state.means.reshape(n_h, n_x), state.covariances.reshape(n_h, n_x, n_x)
 
 
 def _logsumexp(values) -> float:
@@ -317,9 +318,9 @@ def update(
     """Measurement update with ranked-assignment hypothesis selection.
 
     The parents (every hypothesis of every component, in order) are gated
-    against all m measurements in one stacked computation, which fills
-    (parents, m) tables of detection log-weights and of assignment costs
-    (misdetection/detection log-ratios).  Each prior global takes the rows
+    against all m measurements on every step, p_D = 0 and m = 0 included,
+    in one stacked computation that fills (parents, m) tables of detection
+    log-weights and of assignment costs (misdetection/detection log-ratios).  Each prior global takes the rows
     of its parents as its cost matrix and spawns its ceil(max_globals *
     weight) best children; one ranking call orders the whole stack of these
     matrices.  Only the gated block is ranked: the components with a parent
@@ -338,12 +339,12 @@ def update(
     association to the parents' histories.  One gain call on the gate's
     factors of S serves every detected child.
     """
-    _check_state(state, model.state_dim)
+    parents = _check_state(state, model.state_dim)
     zs = _as_measurement_block(measurements, model.meas_dim)
     m, p_d = len(zs), model.detection_prob
     offsets = state.offsets[:-1]
     existences, log_weights = state.existences, state.log_weights
-    log_pd, log_kappa = floor_log(p_d), model.log_clutter_intensity
+    log_pd, log_kappa = math.log(p_d) if p_d > 0.0 else -math.inf, model.log_clutter_intensity
 
     # Misdetection factor 1 - r p_D, floored to log(0) where r = p_D = 1
     # (normalization then pushes that child to weight 0).
@@ -355,24 +356,22 @@ def update(
     mis_existence = np.minimum(np.maximum(mis_existence, 0.0), 1.0)
     # Log-weights of the children, indexed by key: column 0 misdetection,
     # column j + 1 detection by measurement j.
-    child_log_weight = np.full((len(existences), m + 1), -math.inf)
+    child_log_weight = np.empty((len(existences), m + 1))
     child_log_weight[:, 0] = log_weights + log_mis_factor
     mis_increment = child_log_weight[:, 0] - log_weights
-    cost = np.full((len(existences), m), FORBIDDEN)
-    if m > 0 and p_d > 0.0 and len(existences):  # an empty state's means are (0, 0)
-        factors = innovation_factors(state.means, state.covariances, model)
-        maha, logliks = gate(factors, zs)
-        log_r = np.array([[math.log(r) if r > 0.0 else -math.inf] for r in existences.tolist()])
-        child_log_weight[:, 1:] = log_weights[:, None] + log_r + log_pd + logliks - log_kappa
-        # -ln(detection weight / misdetection weight); the parent weight
-        # cancels, and zero misdetection factors are floored so the cost
-        # stays finite.  At r = 0, log r = -inf makes every detection cost
-        # FORBIDDEN, so the gated-block cut drops that parent's row.
-        cost = np.where(
-            maha > params.gate_threshold,
-            FORBIDDEN,
-            log_mis_factor[:, None] - (log_r + log_pd + logliks - log_kappa),
-        )
+    factors = innovation_factors(*parents, model)
+    maha, logliks = gate(factors, zs)
+    log_r = np.array([math.log(r) if r > 0.0 else -math.inf for r in existences.tolist()])[:, None]
+    child_log_weight[:, 1:] = log_weights[:, None] + log_r + log_pd + logliks - log_kappa
+    # -ln(detection weight / misdetection weight); the parent weight cancels,
+    # and zero misdetection factors are floored so the cost stays finite.  At
+    # r = 0 or p_D = 0, log r or log p_D is -inf, so the detection weighs 0
+    # and costs FORBIDDEN, and the gated-block cut drops that parent's row.
+    cost = np.where(
+        maha > params.gate_threshold,
+        FORBIDDEN,
+        log_mis_factor[:, None] - (log_r + log_pd + logliks - log_kappa),
+    )
 
     # A new global's weight is the prior weight, plus every component's
     # misdetection factor, minus the selected assignment's cost (each cost
@@ -414,7 +413,7 @@ def update(
     parent, association = np.divmod(used, m + 1)
     means, covariances = state.means[parent], state.covariances[parent]
     detected = association > 0
-    if np.logical_or.reduce(detected):  # then ``factors`` holds every parent's S
+    if np.logical_or.reduce(detected):
         gains, posterior_covs = kalman_gains(state.covariances, factors[1], model)
         pair = parent[detected]
         covariances[detected] = posterior_covs[pair]

@@ -1,7 +1,8 @@
 """Independent brute-force references used by the tests.
 
 Everything here is deliberately written against the definitions rather than
-the library's algorithms: assignments by exhaustive enumeration, Bayes
+the library's algorithms: assignments by exhaustive enumeration, or at the
+filter's sizes by a min-plus DP over column subsets (``kbest_dp``), Bayes
 updates by gridding or information-form products, the multi-target update
 by enumerating association maps in the linear domain with scipy's density
 evaluations.  The exceptions are plain forms of library loops, kept so the
@@ -10,10 +11,11 @@ loop that solves every child; ``gospa_reference``, GOSPA scored one step at a
 time; ``predict_reference``, predict with the birth block built on every
 call; ``update_reference``, the measurement update ranked one matrix at a
 time by ``ranked_alone``, turning its ``Assignment`` maps into child keys.
-``update_reference`` gates only the parents of positive existence, on
-purpose: ``mbm.update`` gates every parent and leaves a zero-existence one
-out by arithmetic (log 0 = -inf), so matching it bitwise shows that gating
-such a parent changes nothing.
+``update_reference`` gates only the parents of positive existence, and only
+when a detection can happen (some measurement, p_D > 0, some parent), on
+purpose: ``mbm.update`` gates every parent on every step and leaves a
+zero-existence parent or a blind step (p_D = 0) out by arithmetic
+(log 0 = -inf), so matching it bitwise shows that gating them changes nothing.
 ``ranked_alone`` and ``ranked_stack`` rank through the private
 ``_ranked_columns`` under an explicit tie rule, which ``k_best`` fixes.
 ``check_state`` asserts the invariants every filter state must satisfy, and
@@ -85,6 +87,33 @@ def k_best_oracle(costs, k):
     every = enumerate_partial_assignments(costs)
     every.sort(key=lambda mc: (mc[1], lex_key(mc[0], costs.shape[0])))
     return every[:k]
+
+
+def kbest_dp(costs, k):
+    """The k smallest totals of the partial assignments of an (R, C) matrix,
+    ascending, by a min-plus DP over column subsets instead of Murty's search.
+
+    After each row, ``best[mask]`` holds the k smallest partial sums of the
+    assignments of the rows so far whose used columns are ``mask``; a row
+    either stays unassigned or adds one entry of a column not in ``mask``.
+    Sums run in row order from 0.0, the order the ranking adds a solution's
+    entries in, and float addition is monotone, so keeping k sums per mask
+    loses none of the k best and the totals compare bitwise.  FORBIDDEN
+    (+inf) entries give +inf sums, which never count.  Numpy only.
+    """
+    costs = np.asarray(costs, dtype=float)
+    n_masks = 1 << costs.shape[1]
+    masks, bits = np.arange(n_masks)[:, None], 1 << np.arange(costs.shape[1])
+    # A mask's source for column c is the mask without c; row n_masks of
+    # ``best`` stays +inf and is the source wherever c is not in the mask.
+    source = np.where(masks & bits, masks ^ bits, n_masks)
+    best = np.full((n_masks + 1, k), np.inf)
+    best[0, 0] = 0.0
+    for row in costs:
+        grown = np.concatenate((best[:-1, None], best[source] + row[:, None]), axis=1)
+        best[:-1] = np.sort(grown.reshape(n_masks, -1), axis=1)[:, :k]
+    totals = np.sort(best, axis=None)[:k]
+    return totals[totals < np.inf].tolist()
 
 
 _MURTY_TIE_RTOL = 1e-9
@@ -455,10 +484,12 @@ def update_reference(
     ``mbm.update`` must match it bitwise.  Measurement update with
     ranked-assignment hypothesis selection.
 
-    The parents of positive existence (in component order) are gated
-    against all m measurements in one stacked computation, which fills
-    (parents, m) tables of detection log-weights and of assignment costs
-    (misdetection/detection log-ratios).  Each prior global takes the rows
+    The parents of positive existence (in component order) are gated, when
+    m > 0 and p_D > 0, against all m measurements in one stacked
+    computation; the guard and the subset stay on purpose (module
+    docstring).  The gate fills (parents, m) tables of detection
+    log-weights and of assignment costs (misdetection/detection
+    log-ratios).  Each prior global takes the rows
     of its parents as its cost matrix and spawns its ceil(max_globals *
     weight) best children, ranked by one ``ranked_alone`` call per global,
     without the tie rule, as the filter ranks.

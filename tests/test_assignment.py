@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    enumerate_partial_assignments, k_best_oracle, lex_key, murty_reference, ranked_alone,
-    ranked_stack,
+    enumerate_partial_assignments, k_best_oracle, kbest_dp, lex_key, murty_reference,
+    ranked_alone, ranked_stack,
 )
 
 import mbmtrack.assignment as assignment
+import mbmtrack.mbm as mbm
 from mbmtrack.assignment import FORBIDDEN, Assignment, k_best
 from mbmtrack.errors import InputError
+from mbmtrack.sim import builtin_scenario, generate_run_measurements, generate_truth
 
 F = FORBIDDEN
 
@@ -534,6 +536,56 @@ class TestLazyChildBound:
             for resolve_ties in (True, False):
                 solved += self.check_queue(costs, int(rng.integers(2, 31)), resolve_ties)
         assert solved > 1000
+
+
+class TestRankingAgainstDp:
+    """Ranking checked by a different algorithm: ``kbest_dp`` knows nothing of
+    Murty's partitions, bounds, queue or chunks."""
+
+    def test_dp_matches_enumeration(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            costs = forbidden_pattern(rng, 6)
+            k = int(rng.integers(1, 40))
+            every = sorted(total for _, total in enumerate_partial_assignments(costs))
+            assert kbest_dp(costs, k) == every[:k]
+
+    def test_every_ranked_problem_of_a_scenario1_run(self, monkeypatch):
+        """Every matrix ``update`` ranks on scenario1 at N_h = 50 (truth seed
+        2026, run seed 2027): its solutions use each column at most once and
+        only admissible entries, each total is its row-order sum from 0.0,
+        and the totals are bitwise the DP's k smallest, as many of them."""
+        calls = []
+        ranked_columns = mbm._ranked_columns
+
+        def recorded(costs, ks, resolve_ties):
+            ranked = ranked_columns(costs, ks, resolve_ties)
+            calls.append((costs, ks, ranked))
+            return ranked
+
+        monkeypatch.setattr(mbm, "_ranked_columns", recorded)
+        scenario = generate_truth(builtin_scenario("scenario1"), 2026)
+        state, params = mbm.init_empty(), mbm.FilterParams(max_globals=50)
+        for k, zs in enumerate(generate_run_measurements(scenario, 2027), start=1):
+            state, _ = mbm.step(state, zs, scenario.model_at(k), scenario.birth, params)
+        problems = 0
+        for costs, ks, (counts, totals, cols) in calls:
+            matrix_of = np.repeat(np.arange(len(costs)), counts)
+            for g, row_cols, total in zip(matrix_of.tolist(), cols.tolist(), totals.tolist()):
+                taken = [(r, c) for r, c in enumerate(row_cols) if c >= 0]
+                assert len({c for _, c in taken}) == len(taken)
+                entries = [costs[g, r, c] for r, c in taken]
+                assert all(entry < F for entry in entries)
+                summed = 0.0
+                for entry in entries:
+                    summed += float(entry)
+                assert summed.hex() == total.hex()
+            ends = np.cumsum(counts).tolist()
+            for matrix, k, start, end in zip(costs, ks, [0] + ends, ends):
+                ranked = sorted(totals[start:end].tolist())
+                assert [t.hex() for t in ranked] == [t.hex() for t in kbest_dp(matrix, k)]
+            problems += len(costs)
+        assert problems == 3_792
 
 
 def test_assignment_pairs_sorted():

@@ -824,6 +824,24 @@ def test_numerical_degeneracy_exits_1(tmp_path, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value", [("process_noise_intensity", 1e300), ("measurement_noise_std", 1e150)]
+)
+def test_overflowing_innovation_determinant_exits_1(tmp_path, capsys, field, value):
+    # Valid magnitudes whose planar det S overflows; gains computed from it
+    # would be 0, and the run would miss every target.
+    scenario = small_scenario_file(tmp_path)
+    config = yaml.safe_load(scenario.read_text(encoding="utf-8"))
+    config["model"][field] = value
+    scenario.write_text(yaml.safe_dump(config), encoding="utf-8")
+    args = ["benchmark", "--scenario", str(scenario), "--runs", "1", "--max-globals", "5"]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical error: innovation covariance determinant overflows or underflows"
+    ]
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])

@@ -269,11 +269,15 @@ class TestUpdateAgainstReference:
     # while the reference gates only those of positive existence, so an
     # r = 0 hypothesis beside one that gates a point is given outright too:
     # at p_D = 1, where an r = 1 parent's misdetection child has r = 0, and
-    # at p_D = 0.5.
+    # at p_D = 0.5.  ``update`` also gates an empty scan and the empty state,
+    # whose (0, 0) means it reshapes, where the reference skips its gate;
+    # both are given outright too.
     @example(_two_target_case([[0.0, 40.0], [40.0, 0.0]]))
     @example(_two_target_case([[0.0, 40.0], [10.2, 9.7], [40.0, 0.0]]))
     @example(_zero_existence_case(1.0))
     @example(_zero_existence_case(0.5))
+    @example(_two_target_case(np.zeros((0, 2))))
+    @example((mbm.init_empty(), [[0.0, 40.0], [40.0, 0.0]], 0.5, FilterParams(3)))
     @settings(max_examples=300, deadline=None)
     @given(_update_cases())
     def test_bitwise_equal_to_k_best_reference(self, case):
@@ -961,6 +965,20 @@ def test_singular_innovation_raises_whatever_the_existence(existence):
         mbm.update(state, [[0.0, 0.0]], planar, FilterParams())
 
 
+@pytest.mark.parametrize(
+    "detection_prob, scan", [(0.0, [[0.0, 0.0]]), (0.9, []), (0.9, None)],
+    ids=["blind_step", "empty_scan", "no_scan"],
+)
+def test_singular_innovation_raises_on_every_step(detection_prob, scan):
+    """``update`` gates on every step, so a singular S fails where no
+    detection can happen too: at p_D = 0 and on an empty scan."""
+    planar = LinearGaussianModel(np.eye(2), np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)),
+                                 0.99, detection_prob, 1e-4)
+    state = single_hypothesis_state(0.0, 0.5, GaussianDensity(np.zeros(2), np.zeros((2, 2))))
+    with pytest.raises(NumericalError, match="not positive definite"):
+        mbm.update(state, scan, planar, FilterParams())
+
+
 @pytest.mark.parametrize("stage", ["predict", "update", "prune", "step"])
 def test_state_without_globals_rejected(stage):
     scenario = builtin_scenario("scenario1")
@@ -1056,6 +1074,43 @@ class TestFarPointAgainstDiagonalS:
         took_far_point = out.histories[:, -1] == 2
         assert took_far_point.any()
         assert (out.means[took_far_point, 0] > 1e307).all()
+
+
+def _model_and_birth_out_of_range(case):
+    """Scenario1's model and birth with one magnitude out of the planar
+    determinant's float range: det S = S11 S22 - S12^2 overflows, or underflows."""
+    scenario = builtin_scenario("scenario1")
+    model, birth = scenario.model, scenario.birth
+
+    def births(scale):
+        return BirthModel(tuple(
+            BirthComponent(b.existence, GaussianDensity(b.density.mean, scale * np.eye(4)))
+            for b in birth.components
+        ))
+
+    def noise(scale):
+        return dataclasses.replace(model, measurement_noise=scale * np.eye(2))
+
+    return {
+        "measurement_noise": (noise(1e300), birth),
+        "process_noise": (constant_velocity_model(process_noise_intensity=1e300), birth),
+        "birth_covariance": (model, births(1e300)),
+        "underflow": (noise(1e-200), births(1e-200)),
+    }[case]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "case", ["measurement_noise", "process_noise", "birth_covariance", "underflow"]
+)
+def test_planar_determinant_out_of_range_raises(case):
+    """A det S of inf (or 0) would make every gain 0 (or NaN), with a
+    RuntimeWarning, and the filter would keep its prior means."""
+    model, birth = _model_and_birth_out_of_range(case)
+    state = mbm.init_empty()
+    with pytest.raises(NumericalError, match="determinant overflows or underflows"):
+        for _ in range(3):
+            state, _ = mbm.step(state, [[150.0, 160.0]], model, birth, FilterParams())
 
 
 def _log_weight_lists():
