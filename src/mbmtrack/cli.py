@@ -26,6 +26,7 @@ from .errors import InputError, NumericalError, finite_array, read_text
 from .gaussian import _as_measurement_block
 from .gospa import GospaParams, gospa_run, run_summary
 from .sim import (
+    _noise_factor,
     generate_run_measurements,
     generate_truth,
     resolve_scenario,
@@ -120,8 +121,20 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _sampled_scenario(name_or_path: str):
+    """``resolve_scenario(name_or_path)``, refused with its name unless simulation can
+    sample both of its noise covariances; ``track`` needs neither to be."""
+    scenario = resolve_scenario(name_or_path)
+    try:
+        for name in ("process_noise", "measurement_noise"):
+            _noise_factor(scenario.model, name)
+    except InputError as exc:
+        raise InputError(f"scenario {name_or_path}: {exc}") from None
+    return scenario
+
+
 def cmd_simulate(args) -> int:
-    scenario = generate_truth(resolve_scenario(args.scenario), args.seed)
+    scenario = generate_truth(_sampled_scenario(args.scenario), args.seed)
     out = _out_dir(args)
     truth_per_step = [scenario.truth_at(k) for k in range(1, scenario.duration + 1)]
     write_labeled_state_file(out / "truth.txt", truth_per_step)
@@ -179,7 +192,7 @@ def _positions(path, per_step) -> np.ndarray:
 
 
 def cmd_benchmark(args) -> int:
-    scenario = resolve_scenario(args.scenario)
+    scenario = _sampled_scenario(args.scenario)
     defaults = scenario.filter_defaults
     caps = str(defaults.max_globals) if args.max_globals_list is None else args.max_globals_list
     try:

@@ -84,8 +84,9 @@ class MbmState:
     log-weight ``global_log_weights[g]`` and picks hypothesis
     ``vectors[g, i]`` of component i.  The arrays are never written, so states
     share them.  ``MbmState(components, global_hypotheses, time)`` builds a
-    state from the dataclass form that ``components`` and
-    ``global_hypotheses`` give back; ``HypothesisMeta`` exists only in that form.
+    state from the dataclass form that ``components`` and ``global_hypotheses``
+    give back, folding repeated vectors as ``_merge_duplicates`` does, so no
+    two globals share a vector; ``HypothesisMeta`` exists only in that form.
     """
 
     def __init__(self, components, global_hypotheses, time: int):
@@ -105,12 +106,13 @@ class MbmState:
                 dtype=np.intp,
             ).reshape(len(hyps), width),
             np.cumsum([0] + [len(comp.hypotheses) for comp in components], dtype=np.intp),
-            np.array([g.assignment_vector for g in global_hypotheses], dtype=np.intp).reshape(
-                len(global_hypotheses), len(components)
+            *_merge_duplicates(
+                np.array([g.assignment_vector for g in global_hypotheses], dtype=np.intp)
+                .reshape(len(global_hypotheses), len(components)),
+                np.array([g.log_weight for g in global_hypotheses], dtype=float),
             ),
-            np.array([g.log_weight for g in global_hypotheses], dtype=float),
         )
-        self.components, self.global_hypotheses = tuple(components), tuple(global_hypotheses)
+        self.components = tuple(components)
 
     def _set(self, time, means, covariances, existences, log_weights, labels, histories, offsets,
              vectors, global_log_weights) -> MbmState:
@@ -435,17 +437,15 @@ def update(
 
 
 def prune(state: MbmState, params: FilterParams) -> MbmState:
-    """Cap/threshold global hypotheses, drop dead wood, merge duplicates.
+    """Threshold and cap global hypotheses, drop dead components, merge the repeats this makes.
 
-    The weight threshold applies to normalized weights after duplicate
-    merging; if every global falls below it the single best survives.
-    Components whose existence is below the pruning threshold in all
-    surviving hypotheses are removed and every assignment vector shrinks
-    consistently.
+    The weight threshold applies to normalized weights; if every global
+    falls below it the single best survives.  Components whose existence is
+    below the pruning threshold in all surviving hypotheses are removed, and
+    every assignment vector shrinks consistently.
     """
     _check_state(state)
-    vectors, weights = _merge_duplicates(state.vectors, state.global_log_weights)
-    weights = _normalized(weights)
+    vectors, weights = state.vectors, _normalized(state.global_log_weights)
     kept = [g for g, w in enumerate(weights.tolist()) if math.exp(w) >= params.prune_global_weight]
     kept = np.array(kept) if kept else np.argmax(weights)[None]
     if len(kept) > params.max_globals:

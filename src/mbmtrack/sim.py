@@ -175,12 +175,21 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(integer(seed, "seed", 0))))
 
 
-def _noise_factor(name: str, covariance: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a noise covariance that samples are drawn from."""
+# The scenario-file keys that set each noise covariance of constant_velocity_model.
+_NOISE_KEYS = {
+    "process_noise": "model.process_noise_intensity (with model.sampling_time)",
+    "measurement_noise": "model.measurement_noise_std",
+}
+
+
+def _noise_factor(model: LinearGaussianModel, name: str) -> np.ndarray:
+    """Lower Cholesky factor of ``model``'s ``name`` noise covariance, which samples are
+    drawn from; InputError naming the scenario key that sets it unless it is positive definite."""
     try:
-        return np.linalg.cholesky(covariance)
+        return np.linalg.cholesky(getattr(model, name))
     except np.linalg.LinAlgError:
-        raise InputError(f"simulation needs a positive definite {name} covariance") from None
+        raise InputError(f"{_NOISE_KEYS[name]}: simulation needs a positive definite "
+                         f"{name.replace('_', ' ')} covariance") from None
 
 
 def generate_truth(scenario: Scenario, seed: int) -> Scenario:
@@ -207,7 +216,7 @@ def generate_truth(scenario: Scenario, seed: int) -> Scenario:
     midpoint_step = min(_MIDPOINT_STEP, (duration + 1) // 2)
     F = model.transition
     F_inv = np.linalg.inv(F)
-    chol_q = _noise_factor("process noise", model.process_noise)
+    chol_q = _noise_factor(model, "process_noise")
     dim = model.state_dim
     truth = []
     for label, first, last in specs:
@@ -243,7 +252,7 @@ def generate_run_measurements(scenario: Scenario, run_seed: int) -> list[np.ndar
     """
     rng = make_rng(run_seed)
     model = scenario.model
-    chol_r = _noise_factor("measurement noise", model.measurement_noise)
+    chol_r = _noise_factor(model, "measurement_noise")
     return [
         _scan(states, scenario.model_at(k).detection_prob, model.observation, chol_r,
               scenario.region, scenario.clutter_rate, rng)
@@ -411,9 +420,12 @@ def scenario_from_mapping(raw: dict) -> Scenario:
             model_raw = {**raw.get("model", {})}
             noise = model_raw.pop("measurement_noise_std", 1.0)
             noise = real_number(noise, "measurement_noise_std", "[0, inf)")
+            variance = noise**2  # an overflow raises OverflowError
+            if noise and not variance:
+                raise InputError(f"measurement_noise_std {noise!r} underflows when squared")
             scenario = Scenario(
                 name=str(raw.get("name", "custom")),
-                model=constant_velocity_model(measurement_noise=np.eye(2) * noise**2, **model_raw),
+                model=constant_velocity_model(measurement_noise=np.eye(2) * variance, **model_raw),
                 birth=_parse_birth(raw["birth"]),
                 region=(raw["region"]["x"], raw["region"]["y"]),
                 clutter_rate=raw["clutter_rate"],

@@ -9,27 +9,32 @@ the filter (``sim.run_filter``) and GOSPA scoring (``sim.gospa_run``).  It
 times every call of the names in ``BINDINGS``: those three; the four phases
 of a step (``mbm.predict``, ``update``, ``estimate`` and ``prune``);
 ``mbm._normalized`` (the global-weight normalization inside ``update`` and
-``prune``); the stacked Gaussian calls the phases make (``predict_stack`` in
-``predict``; ``innovation_factors``, ``gate``, ``kalman_gains`` and
-``posterior_means`` in ``update``); ``mbm._ranked_columns`` (the filter's
-ranking, inside ``update``); ``assignment._murty`` (the ranking's search past
-each matrix's best assignment, and scoring's tie checks) and
-``assignment.linear_sum_assignment`` (scipy's compiled solver, which both
-call).  A call made while a timed ``gospa_run`` or ``_murty`` call runs is
-tallied apart, so scoring's Murty and LSAP work stays out of the filter's
-lines, and the filter's solves inside ``_murty`` apart from its root pass's.
+``prune``); ``mbm._merge_duplicates`` (the fold of repeated assignment
+vectors, inside ``prune`` and the ``MbmState`` constructor that
+``init_empty`` calls); the stacked Gaussian calls the phases make
+(``predict_stack`` in ``predict``; ``innovation_factors``, ``gate``,
+``kalman_gains`` and ``posterior_means`` in ``update``);
+``mbm._ranked_columns`` (the filter's ranking, inside ``update``);
+``assignment._murty`` (the ranking's search past each matrix's best
+assignment, and scoring's tie checks) and ``assignment.linear_sum_assignment``
+(scipy's compiled solver, which both call).  A call made while a timed
+``gospa_run`` or ``_murty`` call runs is tallied apart, so scoring's Murty
+and LSAP work stays out of the filter's lines, and the filter's solves
+inside ``_murty`` apart from its root pass's.
 
 Prints the median over the repeats of the run's time; of the scans', the
 filter's and scoring's; of each phase's time, ``update``'s less its ranking;
-of ``_normalized``'s (part of ``update``'s and ``prune``'s); of the Gaussian
-calls' time in ``predict`` and in ``update`` (part of those phases' times);
-of the ranking time, its Murty time and the rest (the root pass), the LSAP
-time and its share inside Murty, the ranking time outside LSAP; of scoring's
-Murty time; and of the filter's Murty call count, its LSAP solve counts (all,
-and inside Murty), the solutions the ranking emitted (the sum of its counts)
-and scoring's Murty call count.  At N_h = 1 the ranking is a small part of
-``update``, so the phase and Gaussian lines are the profile there.  A name
-that no run calls (renamed, or inlined) is an error, not a line that reads 0.
+of ``_normalized``'s (part of ``update``'s and ``prune``'s) and
+``_merge_duplicates``'s (mostly part of ``prune``'s); of the Gaussian calls'
+time in ``predict`` and in ``update`` (part of those phases' times); of the
+ranking time, its Murty time and the rest (the root pass), the LSAP time and
+its share inside Murty, the ranking time outside LSAP; of scoring's Murty
+time; and of the filter's Murty call count, its LSAP solve counts (all, and
+inside Murty), the solutions the ranking emitted (the sum of its counts),
+scoring's Murty call count and the ``_merge_duplicates`` call count.  At
+N_h = 1 the ranking is a small part of ``update``, so the phase and Gaussian
+lines are the profile there.  A name that no run calls (renamed, or inlined)
+is an error, not a line that reads 0.
 
 Each timed call adds two ``perf_counter`` reads, about 0.1 us, to the times
 around it.  Like ``golden.py``, this file is not collected by pytest.
@@ -55,7 +60,7 @@ GAUSSIAN_IN_UPDATE = ("innovation_factors", "gate", "kalman_gains", "posterior_m
 BINDINGS = (
     (sim, "generate_run_measurements"), (sim, "run_filter"), (sim, "gospa_run"),
     *((mbm, name) for name in PHASES + GAUSSIAN_IN_PREDICT + GAUSSIAN_IN_UPDATE),
-    (mbm, "_normalized"), (mbm, "_ranked_columns"),
+    (mbm, "_normalized"), (mbm, "_merge_duplicates"), (mbm, "_ranked_columns"),
     (assignment, "_murty"), (assignment, "linear_sum_assignment"),
 )
 COUNTED = {"_ranked_columns": lambda result: sum(result[0])}  # the solutions it emits
@@ -118,11 +123,13 @@ def main(argv=None) -> None:
                     for names in (GAUSSIAN_IN_PREDICT, GAUSSIAN_IN_UPDATE)]
         scoring_murty = tallies["_murty in gospa_run"]
         rows.append((run_s, tallies["generate_run_measurements"][0], tallies["run_filter"][0],
-                     *phases, tallies["_normalized"][0], *gaussian,
+                     *phases, tallies["_normalized"][0], tallies["_merge_duplicates"][0],
+                     *gaussian,
                      ranking[0], murty[0], ranking[0] - murty[0],
                      lsap[0], murty_lsap[0], ranking[0] - lsap[0],
                      tallies["gospa_run"][0], scoring_murty[0],
-                     murty[1], lsap[1], murty_lsap[1], ranking[2], scoring_murty[1]))
+                     murty[1], lsap[1], murty_lsap[1], ranking[2], scoring_murty[1],
+                     tallies["_merge_duplicates"][1]))
     called = {key.split(" in ")[0] for key, tally in tallies.items() if tally[1]}
     uncalled = [f"{module.__name__}.{name}" for module, name in BINDINGS if name not in called]
     if uncalled:
@@ -131,12 +138,12 @@ def main(argv=None) -> None:
     print(f"scenario1, truth seed {TRUTH_SEED}, run seed {RUN_SEED}, "
           f"N_h = {args.max_globals}, median of {args.repeats} runs")
     labels = ("run", "scans", "filter", "predict", "update less ranking", "estimate", "prune",
-              "normalized", "gaussian in predict", "gaussian in update", "ranking", "murty",
-              "root pass", "lsap", "lsap in murty", "ranking outside lsap", "scoring",
+              "normalized", "merge", "gaussian in predict", "gaussian in update", "ranking",
+              "murty", "root pass", "lsap", "lsap in murty", "ranking outside lsap", "scoring",
               "scoring murty")
     for label, value in zip(labels, medians):
         print(f"{label + '_s':24} {value:.4f}")
-    counts = ("murty", "lsap", "lsap in murty", "solutions", "scoring murty")
+    counts = ("murty", "lsap", "lsap in murty", "solutions", "scoring murty", "merge")
     for label, value in zip(counts, medians[len(labels):]):
         print(f"{label + '_count':24} {value:.0f}")
 

@@ -607,10 +607,13 @@ def check_state(state):
 
     Global weights are normalized; every vector holds one in-range index per
     component and every hypothesis is referenced by some vector; existences
-    lie in [0, 1]; covariances are exactly symmetric and PSD; no global uses
-    a measurement of the latest scan twice.
+    lie in [0, 1]; covariances are exactly symmetric and PSD; no two globals
+    share an assignment vector; no global uses a measurement of the latest
+    scan twice.
     """
     assert abs(logsumexp([g.log_weight for g in state.global_hypotheses])) < 1e-9
+    vectors = [g.assignment_vector for g in state.global_hypotheses]
+    assert len(set(vectors)) == len(vectors)
     for comp in state.components:
         for h in comp.hypotheses:
             assert 0.0 <= h.existence <= 1.0

@@ -1,12 +1,19 @@
+import contextlib
+import copy
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from mbmtrack import cli
 from mbmtrack.cli import (
@@ -463,6 +470,46 @@ def test_bad_scenario_file_exits_2(tmp_path, capsys, case):
     assert not (tmp_path / "out" / "summary.csv").exists()
 
 
+def scenario_with_model(tmp_path, **model):
+    """``small_scenario_file`` over 4 steps with ``model``'s keys replaced."""
+    scenario = small_scenario_file(tmp_path, duration=4)
+    config = yaml.safe_load(scenario.read_text(encoding="utf-8"))
+    config["model"].update(model)
+    scenario.write_text(yaml.safe_dump(config), encoding="utf-8")
+    return scenario
+
+
+# The loader takes each of these, but simulation cannot sample the noise it sets;
+# the last one's square underflows to 0, which the loader refuses.
+UNSAMPLED_NOISE = [
+    ("process_noise_intensity", 0.0), ("measurement_noise_std", 0.0),
+    ("measurement_noise_std", 1.0e-200),
+]
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["benchmark", "--runs", "1"]],
+                         ids=["simulate", "benchmark"])
+@pytest.mark.parametrize("key, value", UNSAMPLED_NOISE, ids=["zero_q", "zero_r", "underflowing_r"])
+def test_unsampled_noise_names_the_file_and_the_key(tmp_path, capsys, command, key, value):
+    scenario = scenario_with_model(tmp_path, **{key: value})
+    assert main([*command, "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(scenario) in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["process_noise_intensity", "measurement_noise_std"])
+def test_track_needs_no_noise(tmp_path, key):
+    scenario = scenario_with_model(tmp_path, **{key: 0.0})
+    meas = tmp_path / "meas.txt"
+    meas.write_text("140 170\n\n160 150;1 1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["track", "--scenario", str(scenario), "--measurements", str(meas),
+                 "--out", str(out)]) == 0
+    assert len((out / "estimates.txt").read_text(encoding="utf-8").splitlines()) == 3
+
+
 @pytest.mark.parametrize(
     "birth",
     [
@@ -881,3 +928,86 @@ def test_python_dash_m_assign_exit_codes(tmp_path):
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert done.stderr.startswith(f"error: {matrix} is not UTF-8 text"), done.stderr
+
+
+# The scenario-file contract: scenario1 cut to 4 steps at cap 5, with one leaf
+# replaced by a hostile value or one key dropped, ends in exit 0 with finite
+# CSVs, exit 2 with one ``error:`` line naming the file, or exit 1 with one
+# ``numerical error:`` line; never a traceback or a warning.
+CONTRACT_BASE = yaml.safe_load(
+    (Path(cli.__file__).parent / "data" / "scenario1.yaml").read_text(encoding="utf-8"))
+CONTRACT_BASE["duration"], CONTRACT_BASE["filter"]["max_globals"] = 4, 5
+HOSTILE = (
+    None, True, "a string", [], {}, [[1.0, 2.0], [3.0]], -1, 0, 2.5, 1e308, -1e308, 1e-320,
+    math.inf, -math.inf, math.nan, 10**399,
+)
+
+
+def _paths(node, prefix=()):
+    """(path, is_leaf) for every node below ``node``; a path is its keys and indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        path = (*prefix, key)
+        if isinstance(child, (dict, list)):
+            yield path, False
+            yield from _paths(child, path)
+        else:
+            yield path, True
+
+
+CONTRACT_PATHS = list(_paths(CONTRACT_BASE))
+LEAVES = [path for path, leaf in CONTRACT_PATHS if leaf]
+KEYS = [path for path, _ in CONTRACT_PATHS if isinstance(path[-1], str)]
+
+
+def mutated(path, value=None, drop=False) -> dict:
+    """``CONTRACT_BASE`` with the node at ``path`` set to ``value``, or dropped."""
+    config = copy.deepcopy(CONTRACT_BASE)
+    *parents, last = path
+    node = config
+    for key in parents:
+        node = node[key]
+    if drop:
+        del node[last]
+    else:
+        node[last] = value
+    return config
+
+
+def check_benchmark_contract(config) -> int:
+    """Run ``benchmark --runs 1`` on ``config`` in-process and assert the contract;
+    the exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "mutated.yaml", Path(tmp) / "out"
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main(["benchmark", "--scenario", str(path), "--runs", "1", "--out", str(out)])
+        lines = stderr.getvalue().splitlines()
+        if code == 0:
+            assert not lines, lines
+            for csv in out.glob("*.csv"):
+                rows = csv.read_text(encoding="utf-8").splitlines()[1:]
+                assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")), csv
+        elif code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            assert str(path) in lines[0], lines
+        else:
+            assert code == 1 and len(lines) == 1 and lines[0].startswith("numerical error:"), lines
+    return code
+
+
+class TestScenarioFileContract:
+    def test_unmutated_file_runs(self):
+        assert check_benchmark_contract(CONTRACT_BASE) == 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        st.tuples(st.sampled_from(LEAVES), st.sampled_from(HOSTILE), st.just(False)),
+        st.tuples(st.sampled_from(KEYS), st.none(), st.just(True)),
+    ))
+    def test_one_hostile_leaf_or_dropped_key(self, case):
+        path, value, drop = case
+        check_benchmark_contract(mutated(path, value, drop))

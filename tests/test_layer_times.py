@@ -28,4 +28,6 @@ def test_n_h_1_run_prints_the_exact_filter_counts():
     lines = dict(line.rsplit(None, 1) for line in done.stdout.splitlines()[1:])
     assert (lines["murty_count"], lines["lsap_count"], lines["solutions_count"]) == (
         "0", "81", "81")
+    # One fold per prune, plus the one of the state init_empty builds.
+    assert lines["merge_count"] == "82"
     assert float(lines["scoring_s"]) > 0.0 and int(lines["scoring murty_count"]) > 0
