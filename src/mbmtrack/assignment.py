@@ -106,10 +106,16 @@ def k_best(costs, k: int) -> list[Assignment]:
     child whose lower bound reaches the queue's top; one without costs none.
     Exact ties, across the k-th position too, follow the lexicographic rule,
     at the price of one extra subproblem expanded and a sort per call.
+    A total, and each bound the search adds up, takes at most one entry per
+    row, so a matrix whose rows' largest finite magnitudes sum past the float
+    range is refused with InputError rather than ranked to infinite totals.
     """
     costs = real_array(costs, "cost matrix entries")
     if costs.ndim != 2:
         raise InputError(f"costs must be a matrix, got shape {costs.shape}")
+    magnitudes = np.abs(costs, out=np.zeros(costs.shape), where=np.isfinite(costs))
+    if not math.isfinite(sum(np.maximum.reduce(magnitudes, axis=1, initial=0.0).tolist())):
+        raise InputError("cost matrix entries are too large: a sum of one per row overflows")
     _, totals, cols = _ranked_columns(costs[None], [integer(k, "k", 1)], True)
     return [
         Assignment({r: c for r, c in enumerate(row) if c >= 0}, cost)

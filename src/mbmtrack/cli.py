@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .assignment import FORBIDDEN, k_best
-from .errors import InputError, NumericalError, finite_array, read_text
+from .errors import InputError, NumericalError, finite_array, integer, read_text
 from .gaussian import _as_measurement_block
 from .gospa import GospaParams, gospa_run, run_summary
 from .sim import (
@@ -232,7 +232,12 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    for assignment in k_best(read_cost_file(args.input), args.k):
+    costs, k = read_cost_file(args.input), integer(args.k, "--k", 1)
+    try:
+        ranked = k_best(costs, k)
+    except InputError as exc:  # entries whose totals would overflow
+        raise InputError(f"{args.input}: {exc}") from None
+    for assignment in ranked:
         pairs = " ".join(f"{r}->{c}" for r, c in assignment.pairs())
         print(f"{assignment.total_cost:.12g}\t{pairs if pairs else '(none)'}")
     return 0

@@ -5,6 +5,8 @@ update with per-global-hypothesis ranked assignment selection, pruning and
 merging, and multi-target state estimation.  A state holds its hypotheses
 and global hypotheses as arrays, so predict, the posterior update and prune
 are stacked numpy operations; its dataclass views are built on first access.
+The update runs in three stages (weigh, select, build), and it shares one
+renumbering of the kept rows, ``_renumber``, with prune.
 
 Every operation is a pure function from one MbmState value to another, so
 states can be shared freely across threads.  All weights live in the log
@@ -317,34 +319,22 @@ def update(
     model: LinearGaussianModel,
     params: FilterParams,
 ) -> MbmState:
-    """Measurement update with ranked-assignment hypothesis selection.
-
-    The parents (every hypothesis of every component, in order) are gated
-    against all m measurements on every step, p_D = 0 and m = 0 included,
-    in one stacked computation that fills (parents, m) tables of detection
-    log-weights and of assignment costs (misdetection/detection log-ratios).  Each prior global takes the rows
-    of its parents as its cost matrix and spawns its ceil(max_globals *
-    weight) best children; one ranking call orders the whole stack of these
-    matrices.  Only the gated block is ranked: the components with a parent
-    that some measurement gates, and the measurements that some parent
-    gates.  Every other row and column is FORBIDDEN in every matrix, so no
-    ranked solution and no LSAP count changes, and every other component
-    takes misdetection.  Weights are renormalized.
-    A child is keyed ``parent * (m + 1) + association`` (0 misdetection,
-    j + 1 measurement j), which sorts by parent, misdetection first.  The
-    ranking gives the block column each block row takes (-1 for none) as one
-    (solutions, live components) array; the keys are its globals'
-    misdetection keys repeated per solution, plus j + 1 in each live
-    component's place wherever it takes measurement j.
-    Only the children some new global selects are built, in key order: they
-    gather their parents' rows, labels included, and append their
-    association to the parents' histories.  One gain call on the gate's
-    factors of S serves every detected child.
-    """
+    """Measurement update in three stages: ``_association_tables`` weighs every
+    parent's children, ``_select`` ranks each prior global's best assignments,
+    and ``_build_children`` builds the children they select."""
     parents = _check_state(state, model.state_dim)
     zs = _as_measurement_block(measurements, model.meas_dim)
+    tables = _association_tables(state, parents, zs, model, params)
+    keys, weights = _select(state, tables, params)
+    return _build_children(state, keys, weights, tables, zs, model)
+
+
+def _association_tables(state, parents, zs, model, params) -> tuple:
+    """(parents, m + 1) child log-weights, (parents, m) costs, each parent's
+    misdetection increment and existence, and the factors of S, for every parent
+    (every hypothesis of every component, in order) gated against all m
+    measurements on every step, p_D = 0 and m = 0 included."""
     m, p_d = len(zs), model.detection_prob
-    offsets = state.offsets[:-1]
     existences, log_weights = state.existences, state.log_weights
     log_pd, log_kappa = math.log(p_d) if p_d > 0.0 else -math.inf, model.log_clutter_intensity
 
@@ -374,7 +364,22 @@ def update(
         FORBIDDEN,
         log_mis_factor[:, None] - (log_r + log_pd + logliks - log_kappa),
     )
+    return child_log_weight, cost, mis_increment, mis_existence, factors
 
+
+def _select(state, tables, params) -> tuple[np.ndarray, np.ndarray]:
+    """The new globals' keys and normalized log-weights.
+
+    Each prior global takes its parents' rows as its cost matrix and spawns
+    its ceil(max_globals * weight) best children; one ranking call orders the
+    stack.  Only the gated block is ranked: the components with a parent that
+    some measurement gates, and the measurements that some parent gates.  The
+    other rows and columns are FORBIDDEN in every matrix, so no ranked solution
+    and no LSAP count changes, and their components take misdetection.  A child
+    is keyed ``parent * (m + 1) + association`` (0 misdetection, j + 1
+    measurement j), which sorts by parent, misdetection first."""
+    _, cost, mis_increment, _, _ = tables
+    m, offsets = cost.shape[1], state.offsets[:-1]
     # A new global's weight is the prior weight, plus every component's
     # misdetection factor, minus the selected assignment's cost (each cost
     # entry being exactly the misdetection/detection log-ratio); accumulate
@@ -404,14 +409,17 @@ def update(
     association[:-1] = live_meas + 1
     keys = (rows * (m + 1)).repeat(counts, axis=0)
     keys[:, live_comps] += association.take(cols)
+    return keys, _normalized(weights)
 
-    # Build the selected children in key order and renumber the vectors to
-    # match: the hypotheses keep their relative order, so pruning and
-    # estimation give the same result as if every child were built.
-    selected = np.zeros(child_log_weight.size, dtype=bool)
-    selected[keys] = True
-    used = selected.nonzero()[0]
-    bounds = used.searchsorted(state.offsets * (m + 1))
+
+def _build_children(state, keys, weights, tables, zs, model) -> MbmState:
+    """The posterior: only the children that ``keys`` selects, in key order, so
+    pruning and estimation act as if every child were built.  They gather their
+    parents' rows, labels included, and append their association to the parents'
+    histories.  One gain call on the gate's factors of S serves every detected child."""
+    child_log_weight, _, _, mis_existence, factors = tables
+    m = len(zs)
+    used, bounds, vectors = _renumber(keys, child_log_weight.size, state.offsets * (m + 1))
     parent, association = np.divmod(used, m + 1)
     means, covariances = state.means[parent], state.covariances[parent]
     detected = association > 0
@@ -423,17 +431,22 @@ def update(
             means[detected], factors[0][pair], gains[pair], zs[association[detected] - 1]
         )
     return MbmState._stacked(
-        state.time,
-        means,
-        covariances,
-        np.where(detected, 1.0, mis_existence[parent]),
-        child_log_weight.ravel()[used],
-        state.labels[parent],
+        state.time, means, covariances, np.where(detected, 1.0, mis_existence[parent]),
+        child_log_weight.ravel()[used], state.labels[parent],
         np.concatenate((state.histories[parent], association[:, None]), axis=1),
-        bounds,
-        used.searchsorted(keys) - bounds[:-1],
-        _normalized(weights),
+        bounds, vectors, weights,
     )
+
+
+def _renumber(rows: np.ndarray, size: int, bounds: np.ndarray) -> tuple:
+    """The ascending ``used`` rows of a table of ``size`` that ``rows`` selects, the
+    offsets where ``used`` reaches each of ``bounds`` (old component starts and
+    an end), and ``rows`` renumbered as indices into the new components."""
+    selected = np.zeros(size, dtype=bool)
+    selected[rows] = True
+    used = selected.nonzero()[0]
+    offsets = used.searchsorted(bounds)
+    return used, offsets, used.searchsorted(rows) - offsets[:-1]
 
 
 def prune(state: MbmState, params: FilterParams) -> MbmState:
@@ -445,22 +458,19 @@ def prune(state: MbmState, params: FilterParams) -> MbmState:
     every assignment vector shrinks consistently.
     """
     _check_state(state)
-    vectors, weights = state.vectors, _normalized(state.global_log_weights)
+    weights = _normalized(state.global_log_weights)
     kept = [g for g, w in enumerate(weights.tolist()) if math.exp(w) >= params.prune_global_weight]
     kept = np.array(kept) if kept else np.argmax(weights)[None]
     if len(kept) > params.max_globals:
         # Highest weights first, ties to the lower index.
         kept = np.sort(kept[np.argsort(-weights[kept], kind="stable")[: params.max_globals]])
     # Keep the referenced hypotheses of components that some kept global
-    # gives enough existence, and renumber the vectors to match.
-    rows = vectors[kept] + state.offsets[:-1]
+    # gives enough existence; renumber between their starts and the end.
+    rows = state.vectors[kept] + state.offsets[:-1]
     alive = np.logical_or.reduce(state.existences[rows] >= params.prune_existence, axis=0)
-    used = np.zeros(len(state.existences), dtype=bool)
-    used[rows[:, alive]] = True
-    used = used.nonzero()[0]
-    # A kept component's rows end where its old rows end; the first starts at 0.
-    offsets = np.concatenate(([0], used.searchsorted(state.offsets[1:][alive])))
-    vectors = used.searchsorted(rows[:, alive]) - offsets[:-1]
+    used, offsets, vectors = _renumber(
+        rows[:, alive], len(state.existences), state.offsets[np.append(alive, True)]
+    )
     vectors, weights = _merge_duplicates(vectors, weights[kept])
     # Left padding makes the columns that every kept history leaves at -1 a
     # prefix; dropping them bounds the width by the oldest kept history.

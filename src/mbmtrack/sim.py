@@ -420,7 +420,11 @@ def scenario_from_mapping(raw: dict) -> Scenario:
             model_raw = {**raw.get("model", {})}
             noise = model_raw.pop("measurement_noise_std", 1.0)
             noise = real_number(noise, "measurement_noise_std", "[0, inf)")
-            variance = noise**2  # an overflow raises OverflowError
+            try:  # a float power raises OverflowError rather than returning inf
+                variance = noise**2
+            except OverflowError:
+                message = f"measurement_noise_std {noise!r} overflows when squared"
+                raise InputError(message) from None
             if noise and not variance:
                 raise InputError(f"measurement_noise_std {noise!r} underflows when squared")
             scenario = Scenario(
@@ -472,7 +476,7 @@ def load_scenario_file(path) -> Scenario:
 def builtin_scenario(name: str) -> Scenario:
     if name not in SCENARIO_NAMES:
         raise InputError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
-    resource = importlib.resources.files("mbmtrack").joinpath(f"data/{name}.yaml")
+    resource = importlib.resources.files(__package__).joinpath(f"data/{name}.yaml")
     with importlib.resources.as_file(resource) as path:
         return load_scenario_file(path)
 

@@ -6,15 +6,17 @@ Runs scenario1 (truth seed 2026, run seed 2027) ``--repeats`` times at
 N_h = ``--max-globals``, each as ``run_monte_carlo`` runs it
 (``sim._single_run``): scan synthesis (``sim.generate_run_measurements``),
 the filter (``sim.run_filter``) and GOSPA scoring (``sim.gospa_run``).  It
-times every call of the names in ``BINDINGS``: those three; the four phases
-of a step (``mbm.predict``, ``update``, ``estimate`` and ``prune``);
-``mbm._normalized`` (the global-weight normalization inside ``update`` and
-``prune``); ``mbm._merge_duplicates`` (the fold of repeated assignment
-vectors, inside ``prune`` and the ``MbmState`` constructor that
-``init_empty`` calls); the stacked Gaussian calls the phases make
-(``predict_stack`` in ``predict``; ``innovation_factors``, ``gate``,
-``kalman_gains`` and ``posterior_means`` in ``update``);
-``mbm._ranked_columns`` (the filter's ranking, inside ``update``);
+times every call of the names in ``BINDINGS``: those three; the phases of a
+step (``mbm.predict``, the three stages of ``update``:
+``_association_tables``, ``_select`` and ``_build_children``, then
+``estimate`` and ``prune``); ``mbm._normalized`` (the global-weight
+normalization inside ``_select`` and ``prune``); ``mbm._merge_duplicates``
+(the fold of repeated assignment vectors, inside ``prune`` and the
+``MbmState`` constructor that ``init_empty`` calls); the stacked Gaussian
+calls the phases make (``predict_stack`` in ``predict``;
+``innovation_factors`` and ``gate`` in ``_association_tables``,
+``kalman_gains`` and ``posterior_means`` in ``_build_children``);
+``mbm._ranked_columns`` (the filter's ranking, inside ``_select``);
 ``assignment._murty`` (the ranking's search past each matrix's best
 assignment, and scoring's tie checks) and ``assignment.linear_sum_assignment``
 (scipy's compiled solver, which both call).  A call made while a timed
@@ -23,18 +25,18 @@ and LSAP work stays out of the filter's lines, and the filter's solves
 inside ``_murty`` apart from its root pass's.
 
 Prints the median over the repeats of the run's time; of the scans', the
-filter's and scoring's; of each phase's time, ``update``'s less its ranking;
-of ``_normalized``'s (part of ``update``'s and ``prune``'s) and
+filter's and scoring's; of each phase's time, ``_select``'s less its ranking;
+of ``_normalized``'s (part of ``_select``'s and ``prune``'s) and
 ``_merge_duplicates``'s (mostly part of ``prune``'s); of the Gaussian calls'
-time in ``predict`` and in ``update`` (part of those phases' times); of the
-ranking time, its Murty time and the rest (the root pass), the LSAP time and
-its share inside Murty, the ranking time outside LSAP; of scoring's Murty
-time; and of the filter's Murty call count, its LSAP solve counts (all, and
-inside Murty), the solutions the ranking emitted (the sum of its counts),
-scoring's Murty call count and the ``_merge_duplicates`` call count.  At
-N_h = 1 the ranking is a small part of ``update``, so the phase and Gaussian
-lines are the profile there.  A name that no run calls (renamed, or inlined)
-is an error, not a line that reads 0.
+time in ``predict`` and in ``update``'s stages (part of those phases' times);
+of the ranking time, its Murty time and the rest (the root pass), the LSAP
+time and its share inside Murty, the ranking time outside LSAP; of scoring's
+Murty time; and of the filter's Murty call count, its LSAP solve counts
+(all, and inside Murty), the solutions the ranking emitted (the sum of its
+counts), scoring's Murty call count and the ``_merge_duplicates`` call
+count.  At N_h = 1 the ranking is a small part of ``_select``, so the phase
+and Gaussian lines are the profile there.  A name that no run calls
+(renamed, or inlined) is an error, not a line that reads 0.
 
 Each timed call adds two ``perf_counter`` reads, about 0.1 us, to the times
 around it.  Like ``golden.py``, this file is not collected by pytest.
@@ -54,7 +56,7 @@ from mbmtrack.gospa import GospaParams
 from mbmtrack.mbm import FilterParams
 
 TRUTH_SEED, RUN_SEED = 2026, 2027
-PHASES = ("predict", "update", "estimate", "prune")
+PHASES = ("predict", "_association_tables", "_select", "_build_children", "estimate", "prune")
 GAUSSIAN_IN_PREDICT = ("predict_stack",)
 GAUSSIAN_IN_UPDATE = ("innovation_factors", "gate", "kalman_gains", "posterior_means")
 BINDINGS = (
@@ -118,7 +120,7 @@ def main(argv=None) -> None:
         murty_lsap = tallies["linear_sum_assignment in _murty"]
         lsap = [a + b for a, b in zip(root_lsap, murty_lsap)]
         phases = [tallies[name][0] for name in PHASES]
-        phases[1] -= ranking[0]
+        phases[PHASES.index("_select")] -= ranking[0]
         gaussian = [sum(tallies[name][0] for name in names)
                     for names in (GAUSSIAN_IN_PREDICT, GAUSSIAN_IN_UPDATE)]
         scoring_murty = tallies["_murty in gospa_run"]
@@ -137,8 +139,9 @@ def main(argv=None) -> None:
     medians = [statistics.median(column) for column in zip(*rows)]
     print(f"scenario1, truth seed {TRUTH_SEED}, run seed {RUN_SEED}, "
           f"N_h = {args.max_globals}, median of {args.repeats} runs")
-    labels = ("run", "scans", "filter", "predict", "update less ranking", "estimate", "prune",
-              "normalized", "merge", "gaussian in predict", "gaussian in update", "ranking",
+    labels = ("run", "scans", "filter", "predict", "tables", "select less ranking", "build",
+              "estimate", "prune", "normalized", "merge", "gaussian in predict",
+              "gaussian in update", "ranking",
               "murty", "root pass", "lsap", "lsap in murty", "ranking outside lsap", "scoring",
               "scoring murty")
     for label, value in zip(labels, medians):

@@ -254,6 +254,15 @@ class TestKBest:
         with pytest.raises(InputError):
             k_best(np.zeros(3), 1)
 
+    @pytest.mark.parametrize("entry", [-1e308, 1e308])
+    def test_totals_that_would_overflow_are_refused(self, entry):
+        # Ranked, two such entries sum to an infinite total; warnings are errors here.
+        with pytest.raises(InputError, match="a sum of one per row overflows"):
+            k_best(np.full((2, 2), entry), 7)
+        # FORBIDDEN entries take no part, and one row's worth stays finite.
+        ranked = k_best([[entry, F], [F, -entry / 2.0]], 7)
+        assert [a.total_cost for a in ranked] == sorted([entry, -entry / 2.0, entry / 2.0, 0.0])
+
     # A numpy complex element makes a complex array, which a float cast
     # would truncate to its real part with only a warning.
     @pytest.mark.parametrize("entry", [1.0 + 2.0j, {}, "x", np.complex128(1.0 + 2.0j)])

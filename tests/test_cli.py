@@ -446,6 +446,9 @@ BAD_SCENARIO_FIELDS = {
     "negative_duration": ("duration", -3, "duration"),
     "infinite_duration": ("duration", float("inf"), "bad scenario configuration"),
     "zero_measurement_noise": ("model.measurement_noise_std", 0.0, "measurement noise"),
+    "overflowing_measurement_noise": (
+        "model.measurement_noise_std", 1.0e200, "measurement_noise_std 1e+200 overflows when squared"
+    ),
     "nan_region_bound": ("region.x", [0.0, _NAN], "region"),
     "nan_birth_mean": ("birth.0.mean", [_NAN, 0.0, 170.0, 0.0], "birth"),
     "nan_birth_std": ("birth.0.std", [3.0, _NAN, 3.0, 1.0], "birth"),
@@ -797,6 +800,17 @@ class TestAssign:
         assert [line.split("\t")[1] for line in lines] == [
             "0->0 1->1", "0->0", "1->1", "0->0 1->2", "(none)", "1->2",
         ]
+
+    @pytest.mark.parametrize("entry", ["-1e308", "1e308"])
+    def test_totals_that_would_overflow_name_the_file(self, tmp_path, capsys, entry):
+        # Each entry is a float, but two of them sum past the float range.
+        matrix = tmp_path / "cost.txt"
+        matrix.write_text(f"{entry} {entry}\n{entry} {entry}\n", encoding="utf-8")
+        assert main(["assign", "--input", str(matrix), "--k", "7"]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {matrix}: cost matrix entries are too large:"
+            " a sum of one per row overflows\n"
+        ))
 
     @pytest.mark.parametrize("entry", ["-1e400", "-inf", "nan"])
     def test_nan_and_minus_inf_entries_name_their_line(self, tmp_path, capsys, entry):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
-    ExhaustiveMbm, check_state, label_scrambled_run, predict_reference, ranked_alone,
-    update_reference,
+    ExhaustiveMbm, check_state, kbest_dp, label_scrambled_run, predict_reference,
+    ranked_alone, update_reference,
 )
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
@@ -401,6 +402,167 @@ class TestDetectionUpdate:
         parents = [children[g.assignment_vector[0]].meta.association_history[0]
                    for g in out.global_hypotheses]
         assert sorted(parents) == [0, 0, 1, 1]
+
+
+def _stage_state():
+    """Three components over five parents with r in {0, 0.4, 1}, S = 4 I for
+    parents 0-3 (position variance 3, R = I) and a correlated S for parent 4."""
+    correlated = np.array([[4.0, 0.5, 1.5, 0.2], [0.5, 1.0, 0.3, 0.1],
+                           [1.5, 0.3, 6.0, 0.4], [0.2, 0.1, 0.4, 2.0]])
+    plain = np.diag([3.0, 1.0, 3.0, 1.0])
+    parents = [  # (component, log-weight, r, position, covariance)
+        (0, math.log(0.3), 0.0, (0.0, 0.0), plain),
+        (0, math.log(0.7), 0.4, (1.0, 2.0), plain),
+        (1, 0.0, 1.0, (5.0, -3.0), plain),
+        (2, math.log(0.2), 0.4, (20.0, 20.0), plain),
+        (2, math.log(0.8), 1.0, (-4.0, 1.0), correlated),
+    ]
+    comps = [[] for _ in range(3)]
+    for i, (c, w, r, (x, y), cov) in enumerate(parents):
+        density = GaussianDensity([x, 0.5, y, -0.5], cov)
+        comps[c].append(SingleTargetHypothesis(w, r, density, HypothesisMeta(1, c + 1, (i,))))
+    globals_ = (GlobalHypothesis(math.log(0.4), (1, 0, 0)),
+                GlobalHypothesis(math.log(0.6), (0, 0, 1)))
+    return MbmState(tuple(BernoulliComponent(tuple(c)) for c in comps), globals_, 2)
+
+
+# Parent 1 sits at (1, 2) with S = 4 I, so (5, 2) has a statistic of exactly 4.
+STAGE_SCAN = np.array([[5.0, 2.0], [6.0, -2.0], [-3.0, 0.5]])
+
+
+class TestUpdateStages:
+    """Each stage of ``update`` on its own, against the paper's formulas or ``kbest_dp``."""
+
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("p_d", [0.0, 0.7, 1.0])
+    def test_association_tables_match_the_paper(self, p_d, m):
+        kappa, threshold = 1e-3, 4.0
+        model = constant_velocity_model(detection_prob=p_d, clutter_intensity=kappa)
+        state, zs = _stage_state(), STAGE_SCAN[:m]
+        params = FilterParams(gate_threshold=threshold)
+        weights, costs, increments, existences, _ = mbm._association_tables(
+            state, (state.means, state.covariances), zs, model, params
+        )
+        assert weights.shape == (5, m + 1) and costs.shape == (5, m)
+        H, R = model.observation, model.measurement_noise
+        hyps = [h for comp in state.components for h in comp.hypotheses]
+        for i, h in enumerate(hyps):
+            w, r = math.exp(h.log_weight), h.existence
+            miss = w * (1.0 - r * p_d)
+            log_miss = math.log(miss) if miss > 0.0 else h.log_weight + floor_log(0.0)
+            assert weights[i, 0] == pytest.approx(log_miss, rel=1e-12, abs=1e-12)
+            assert increments[i] == pytest.approx(log_miss - h.log_weight, rel=1e-12, abs=1e-12)
+            denominator = 1.0 - r * p_d
+            existence = r * (1.0 - p_d) / denominator if denominator > 0.0 else 1.0
+            assert existences[i] == pytest.approx(existence, rel=1e-12, abs=1e-15)
+            x, P = h.density.mean, h.density.covariance
+            S = H @ P @ H.T + R
+            for j, z in enumerate(zs):
+                detection = w * r * p_d * multivariate_normal.pdf(z, H @ x, S) / kappa
+                log_detection = math.log(detection) if detection > 0.0 else -math.inf
+                if detection > 0.0:
+                    assert weights[i, j + 1] == pytest.approx(log_detection, rel=1e-9)
+                else:
+                    assert weights[i, j + 1] == -math.inf
+                statistic = float((z - H @ x) @ np.linalg.solve(S, z - H @ x))
+                if i == 1 and j == 0:
+                    assert statistic == threshold  # kept: only a larger one is gated out
+                else:
+                    assert abs(statistic - threshold) > 1e-6
+                if statistic > threshold or detection == 0.0:
+                    assert costs[i, j] == FORBIDDEN
+                else:
+                    assert costs[i, j] == pytest.approx(log_miss - log_detection, rel=1e-9)
+        # Every (r, p_D) kind of pair is covered, gated in and out.
+        if m and p_d == 0.7:
+            assert np.isfinite(costs[1, 0]) and np.isfinite(costs).sum() >= 3
+            assert (costs == FORBIDDEN).sum() >= 6
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_select_keeps_each_globals_k_best(self, seed):
+        """Random tables: component 1 is gated by no measurement and
+        measurement 0 by no parent.  Decoded, each global's keys are its
+        parents with the assignments whose row-order totals are bitwise
+        ``kbest_dp``'s k_u smallest, and the weights are the paper's."""
+        rng = np.random.default_rng(seed)
+        sizes, m = [2, 1, 3, 2], 4
+        offsets = np.cumsum([0] + sizes)
+        costs = rng.uniform(-6.0, 3.0, size=(offsets[-1], m))
+        costs[rng.random(costs.shape) < 0.35] = FORBIDDEN
+        costs[offsets[1]:offsets[2]] = FORBIDDEN
+        costs[:, 0] = FORBIDDEN
+        increments = rng.uniform(-2.0, 0.0, size=offsets[-1])
+        vectors = np.unique(
+            np.column_stack([rng.integers(0, n, size=8) for n in sizes]), axis=0)
+        rng.shuffle(vectors)
+        global_weights = np.log(rng.dirichlet(np.ones(len(vectors))))
+        state = MbmState._stacked(
+            1, None, None, None, None, None, None, offsets, vectors, global_weights)
+        max_globals = int(rng.choice([1, 5, 20]))
+        keys, weights = mbm._select(
+            state, (None, costs, increments, None, None), FilterParams(max_globals=max_globals))
+        parents, associations = np.divmod(keys, m + 1)
+        rows = (vectors + offsets[:-1]).tolist()
+        totals, expected = collections.defaultdict(list), []
+        for parent, association in zip(parents.tolist(), associations.tolist()):
+            g = rows.index(parent)
+            assert association[1] == 0 and 1 not in association
+            total = 0.0
+            for row, a in zip(parent, association):
+                if a:
+                    total += float(costs[row, a - 1])
+            totals[g].append(total)
+            base = global_weights[g]
+            for row in parent:
+                base += increments[row]
+            expected.append(base - total)
+        assert sorted(totals) == list(range(len(vectors)))
+        for g, w in enumerate(global_weights.tolist()):
+            k_u = max(1, math.ceil(max_globals * math.exp(w)))
+            ranked = sorted(totals[g])
+            assert [t.hex() for t in ranked] == [t.hex() for t in kbest_dp(costs[rows[g]], k_u)]
+        np.testing.assert_allclose(weights, np.array(expected) - logsumexp(expected),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_build_children_gathers_and_updates_the_selected(self):
+        """Chosen keys, one child selected twice and some not at all: each
+        component holds its selected children in key order, misdetections
+        keep their parent's density, detections take the Kalman posterior,
+        and the vectors point at the children the keys name."""
+        model = constant_velocity_model(detection_prob=0.7, clutter_intensity=1e-3)
+        state, zs, m = _stage_state(), STAGE_SCAN, len(STAGE_SCAN)
+        tables = mbm._association_tables(state, (state.means, state.covariances), zs, model,
+                                         FilterParams(gate_threshold=math.inf))
+        chosen = [[(1, 1), (2, 2), (4, 0)], [(0, 0), (2, 0), (3, 3)], [(1, 0), (2, 2), (4, 0)]]
+        keys = np.array([[p * (m + 1) + a for p, a in row] for row in chosen])
+        weights = np.log([0.5, 0.3, 0.2])
+        out = mbm._build_children(state, keys, weights, tables, zs, model)
+        assert out.global_log_weights is weights and out.time == state.time
+        H, R = model.observation, model.measurement_noise
+        hyps = [h for comp in state.components for h in comp.hypotheses]
+        children = [sorted({row[c] for row in chosen}) for c in range(3)]
+        assert [len(comp.hypotheses) for comp in out.components] == [3, 2, 2]
+        for c, comp in enumerate(out.components):
+            for (p, a), child in zip(children[c], comp.hypotheses):
+                parent = hyps[p]
+                x, P = parent.density.mean, parent.density.covariance
+                assert child.meta == extended(parent.meta, a)
+                assert child.log_weight == tables[0][p, a]
+                if a == 0:
+                    r, p_d = parent.existence, model.detection_prob
+                    assert child.existence == pytest.approx(r * (1 - p_d) / (1 - r * p_d))
+                    np.testing.assert_array_equal(child.density.mean, x)
+                    np.testing.assert_array_equal(child.density.covariance, P)
+                    continue
+                assert child.existence == 1.0
+                S = H @ P @ H.T + R
+                K = P @ H.T @ np.linalg.inv(S)
+                np.testing.assert_allclose(child.density.mean, x + K @ (zs[a - 1] - H @ x),
+                                           rtol=1e-9, atol=1e-9)
+                np.testing.assert_allclose(child.density.covariance, P - K @ S @ K.T,
+                                           rtol=1e-9, atol=1e-9)
+        assert out.vectors.tolist() == [
+            [children[c].index(pair) for c, pair in enumerate(row)] for row in chosen]
 
 
 class TestExhaustiveEquivalence:

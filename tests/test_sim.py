@@ -1,4 +1,9 @@
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +95,20 @@ class TestBuiltinScenarios:
     def test_unknown_name_rejected(self):
         with pytest.raises(InputError):
             builtin_scenario("scenario9")
+
+    def test_renamed_package_copy_loads_its_own_scenarios(self, tmp_path):
+        # The copy's scenario1 gets its own name, so a scenario read from any
+        # other installed package fails the check as well.
+        copy = tmp_path / "mbmcopy"
+        shutil.copytree(Path(sim.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        data = copy / "data" / "scenario1.yaml"
+        data.write_text(data.read_text(encoding="utf-8").replace(
+            "name: scenario1", "name: copied"), encoding="utf-8")
+        code = "import mbmcopy.sim as sim; print(sim.builtin_scenario('scenario1').name)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(tmp_path)}, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "copied\n", "")
 
     def test_bad_mapping_rejected(self):
         with pytest.raises(InputError):
