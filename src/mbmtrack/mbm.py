@@ -292,25 +292,21 @@ def _merge_duplicates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum the weights of global hypotheses with identical assignment vectors.
 
-    Each group takes the place of its first member, and its log-weights are
-    folded with ``np.logaddexp`` in order of appearance.  One sort finds
-    whether any vector repeats; if none does, the inputs come back as they are.
+    One stable sort finds the groups, checks for a repeat (with none, the inputs
+    come back as they are) and folds each group's log-weights with ``np.logaddexp``
+    in order of appearance, at its first member's place; zero-width vectors are one.
     """
     if len(vectors) < 2:
         return vectors, log_weights
-    if vectors.shape[1]:
-        ordered = vectors[np.lexsort(vectors.T)]
-        if not (ordered[1:] == ordered[:-1]).all(axis=1).any():
-            return vectors, log_weights
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, key in enumerate(map(tuple, vectors.tolist())):
-        groups.setdefault(key, []).append(i)
-    first = [members[0] for members in groups.values()]
-    merged = log_weights[first]
-    for g, members in enumerate(groups.values()):
-        for i in members[1:]:
-            merged[g] = np.logaddexp(merged[g], log_weights[i])
-    return vectors[first], merged
+    order = np.lexsort(vectors.T) if vectors.shape[1] else np.arange(len(vectors))
+    ordered = vectors[order]
+    repeats = (ordered[1:] == ordered[:-1]).all(axis=1)
+    if not repeats.any():
+        return vectors, log_weights
+    starts = np.flatnonzero(np.append(True, ~repeats))
+    by_appearance = np.argsort(order[starts])
+    merged = np.logaddexp.reduceat(log_weights[order], starts)[by_appearance]
+    return vectors[order[starts[by_appearance]]], merged
 
 
 def update(

@@ -354,9 +354,13 @@ def run_monte_carlo(
 
 def _parse_birth(entries) -> BirthModel:
     comps = []
-    for entry in entries:
-        mean = finite_array(entry["mean"], "birth mean")
-        std = finite_array(entry["std"], "birth std", mean.shape)
+    for index, entry in enumerate(entries):
+        where = f"birth[{index}]"
+        mean = finite_array(entry["mean"], f"{where}.mean")
+        std = finite_array(entry["std"], f"{where}.std", mean.shape)
+        with np.errstate(over="ignore"):  # the covariance, symmetrized, doubles each variance
+            if not np.isfinite(2.0 * std**2).all():
+                raise InputError(f"{where}.std {std.tolist()} overflows the covariance when squared")
         comps.append(BirthComponent(entry["existence"], GaussianDensity(mean, np.diag(std**2))))
     return BirthModel(tuple(comps))
 
@@ -414,7 +418,7 @@ def scenario_from_mapping(raw: dict) -> Scenario:
     unknown = list(_unknown_keys(raw, _SCENARIO_KEYS)) if isinstance(raw, dict) else []
     if unknown:
         raise InputError(f"bad scenario configuration: unknown keys {', '.join(unknown)}")
-    # An overflow (a birth std whose square is inf, say) is a bad value too.
+    # Any other overflow while the scenario is built is a bad value too.
     with np.errstate(over="raise"):
         try:
             model_raw = {**raw.get("model", {})}

@@ -452,6 +452,14 @@ BAD_SCENARIO_FIELDS = {
     "nan_region_bound": ("region.x", [0.0, _NAN], "region"),
     "nan_birth_mean": ("birth.0.mean", [_NAN, 0.0, 170.0, 0.0], "birth"),
     "nan_birth_std": ("birth.0.std", [3.0, _NAN, 3.0, 1.0], "birth"),
+    # One squares to inf; the other squares to a variance that overflows when the
+    # covariance is symmetrized.
+    "overflowing_birth_std": (
+        "birth.1.std", [3.0e200, 1.0, 3.0, 1.0], "birth[1].std [3e+200, 1.0, 3.0, 1.0] overflows"
+    ),
+    "birth_std_overflowing_its_covariance": (
+        "birth.0.std", [1.0e154, 1.0, 3.0, 1.0], "birth[0].std [1e+154, 1.0, 3.0, 1.0] overflows"
+    ),
     "nan_sampling_time": ("model.sampling_time", _NAN, "sampling_time"),
 }
 

@@ -1602,6 +1602,31 @@ class TestStateArrays:
         assert merged_vectors.tolist() == [[0, 1], [1, 0]]
         assert merged_weights[0] == np.logaddexp(weights[0], weights[2])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_merge_folds_as_a_dict_in_order_of_appearance(self, data):
+        """Groups of any size, interleaved, zero-width vectors and -inf weights
+        included, against a dict of tuples: groups in order of first appearance,
+        each folded left to right with ``np.logaddexp``, bitwise."""
+        width = data.draw(st.integers(0, 3), label="width")
+        row = st.tuples(*[st.integers(0, 2)] * width)
+        pool = data.draw(st.lists(row, min_size=1, max_size=4), label="pool")
+        rows = data.draw(st.lists(st.sampled_from(pool), max_size=12), label="rows")
+        weight = st.one_of(st.floats(-50.0, 5.0), st.just(-math.inf))
+        weights = data.draw(st.lists(weight, min_size=len(rows), max_size=len(rows)))
+        groups = {}
+        for key, w in zip(rows, weights):
+            groups[key] = np.logaddexp(groups[key], w) if key in groups else np.float64(w)
+        vectors = np.array(rows, dtype=np.intp).reshape(len(rows), width)
+        log_weights = np.array(weights)
+        merged_vectors, merged_weights = mbm._merge_duplicates(vectors, log_weights)
+        assert merged_vectors.dtype == np.intp and merged_vectors.shape == (len(groups), width)
+        assert list(map(tuple, merged_vectors.tolist())) == list(groups)
+        assert merged_weights.dtype == np.float64
+        assert merged_weights.tobytes() == np.array(list(groups.values())).tobytes()
+        if len(groups) == len(rows):
+            assert merged_vectors is vectors and merged_weights is log_weights
+
     def test_constructor_folds_repeated_vectors(self):
         """Three globals over two vectors make a state of two, weighted as
         ``_merge_duplicates`` weights them, at the first one's place."""
